@@ -26,7 +26,6 @@ import numpy as np
 from .qmath import (
     DensityMatrix,
     PureState,
-    apply_to_vector,
     bitstring_to_index,
     _conjugate,
     _apply_left,
@@ -56,12 +55,35 @@ def g_rotation(a: float, b: float, c: float) -> np.ndarray:
 
 
 class BlockKind(Enum):
+    """How one block is built: post rotations . entangler . pre rotations.
+
+    A block's angles split into four equal groups, one rotation each: (pre on
+    pair[0], pre on pair[1], post on pair[0], post on pair[1]).
+    """
+
     RY_CZ = "rycz"
     G_CNOT_G = "gcnotg"
 
     @property
+    def entangler(self) -> np.ndarray:
+        return CZ if self is BlockKind.RY_CZ else CNOT
+
+    @property
     def angles_per_block(self) -> int:
         return 4 if self is BlockKind.RY_CZ else 12
+
+    def rotations(self, angles: np.ndarray, dagger: bool = False) -> list[np.ndarray]:
+        """The block's four single-qubit rotations, or their inverses.
+
+        R_y(t)^dag = R_y(-t) and G(a, b, c)^dag = G(-c, -b, -a): each inverse
+        is the same rotation of the reversed, negated angles.
+        """
+        rotate, k = (rotation_y, 1) if self is BlockKind.RY_CZ else (g_rotation, 3)
+        t = angles.tolist()
+        groups = [t[i : i + k] for i in range(0, 4 * k, k)]
+        if dagger:
+            groups = [[-x for x in reversed(g)] for g in groups]
+        return [rotate(*g) for g in groups]
 
     @classmethod
     def parse(cls, name: str) -> "BlockKind":
@@ -82,13 +104,8 @@ def brick_pairs(n: int) -> list[tuple[int, int]]:
 
 def block_unitary(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
     """4x4 unitary of one block; wire order (pair[0], pair[1]) = (MSB, LSB)."""
-    if kind is BlockKind.RY_CZ:
-        pre = np.kron(rotation_y(angles[0]), rotation_y(angles[1]))
-        post = np.kron(rotation_y(angles[2]), rotation_y(angles[3]))
-        return post @ CZ @ pre
-    pre = np.kron(g_rotation(*angles[0:3]), g_rotation(*angles[3:6]))
-    post = np.kron(g_rotation(*angles[6:9]), g_rotation(*angles[9:12]))
-    return post @ CNOT @ pre
+    pre0, pre1, post0, post1 = kind.rotations(angles)
+    return np.kron(post0, post1) @ kind.entangler @ np.kron(pre0, pre1)
 
 
 @dataclass(frozen=True)
@@ -142,12 +159,6 @@ class LayeredAnsatz:
     def block_matrices(self) -> list[np.ndarray]:
         return [block_unitary(self.kind, self.block_angles(b)) for b in range(self.n_blocks)]
 
-    def param_block(self, index: int) -> int:
-        """Block owning parameter `index`."""
-        if not 0 <= index < self.theta.size:
-            raise ValueError(f"parameter index {index} out of range")
-        return index // self.kind.angles_per_block
-
 
 def shift_parameter(a: LayeredAnsatz, index: int, delta: float) -> LayeredAnsatz:
     """Copy of the ansatz with theta[index] shifted by delta."""
@@ -181,10 +192,8 @@ def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:
     """V^dag(theta) |z>: the circuit that prepares an inferred eigenvector."""
     if len(z) != a.n:
         raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
-    vec = np.zeros(2**a.n, dtype=complex)
+    vec = np.zeros((2**a.n, 1), dtype=complex)
     vec[bitstring_to_index(z)] = 1.0
-    mats = a.block_matrices()
-    pairs = a.block_pairs
-    for mat, pair in zip(reversed(mats), reversed(pairs)):
-        vec = apply_to_vector(vec, mat.conj().T, pair, a.n)
+    for mat, pair in zip(reversed(a.block_matrices()), reversed(a.block_pairs)):
+        vec = _apply_left(vec, mat.conj().T, pair, a.n)
     return PureState(vec, validate=False)

@@ -28,14 +28,14 @@ from .experiments import (
     PcaResult,
     SpinChainSpec,
     eigensolver_experiment,
+    factorization_residual,
     locate_factorization,
     pca_experiment,
     w_state_mitigation_runs,
-    xy_ground_reduced,
     xy_spectroscopy_sweep,
 )
-from .metrics import bound_from_cost, bound_from_purity
-from .qmath import DensityMatrix, exact_eigs
+from .metrics import bound_checks, bound_from_cost, bound_from_purity
+from .qmath import DensityMatrix
 from .solver import OptimizerConfig
 
 EXPERIMENT_SECTIONS = ("pca", "xy", "wstate", "custom")
@@ -165,7 +165,7 @@ WSTATE_SCHEMA = {
     "p_depol_1q": ("float", False, 0.0),
     "p_depol_2q": ("float", False, 0.0),
     "gamma_ad": ("float", False, 0.0),
-    "layers": ("int", False, 1),
+    "layers": ("int", False, 2),
     "block": ("str", False, "gcnotg"),
     "optimizer": ("str", False, "adam"),
     "lr": ("float", False, 0.05),
@@ -179,6 +179,8 @@ CUSTOM_SCHEMA = {
     **_LOOP_KEYS,
 }
 
+SCHEMAS = {"pca": PCA_SCHEMA, "xy": XY_SCHEMA, "wstate": WSTATE_SCHEMA, "custom": CUSTOM_SCHEMA}
+
 SWEEP_SCHEMA = {
     "key": ("str", True, None),
     "values": ("str", True, None),
@@ -191,7 +193,7 @@ def _loop_from(cfg: dict, n_max_key="n_max", s_key="s") -> LoopConfig:
         kind=BlockKind.parse(cfg["block"]),
         n_max=cfg[n_max_key],
         s=cfg[s_key],
-        optimizer=OptimizerConfig(kind=cfg.get("optimizer", "adam"), lr=cfg.get("lr", 0.05)),
+        optimizer=OptimizerConfig(kind=cfg["optimizer"], lr=cfg["lr"]),
         shots=cfg.get("shots", 0),
         cost_variant=cfg.get("cost", "adaptive"),
         r1=cfg.get("r1"),
@@ -340,9 +342,7 @@ def _run_xy(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     if cfg["locate"]:
         try:
             h_star = locate_factorization(spec, cfg["h_grid"], cfg["tolerance"])
-            red, _ = xy_ground_reduced(SpinChainSpec(
-                spec.N, spec.J_x, spec.J_y, h_star, spec.gamma, spec.keep))
-            residual = 1.0 - float(exact_eigs(red)[0][0])
+            residual = factorization_residual(spec, h_star)
             say(f"factorizing field h* = {h_star!r} (1 - lambda_1 = {residual:.3e})")
         except FactorizationNotFound as exc:
             say(f"factorization: {exc}")
@@ -377,11 +377,7 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     noise = NoiseSpec(
         p_depol_1q=cfg["p_depol_1q"], p_depol_2q=cfg["p_depol_2q"], gamma_ad=cfg["gamma_ad"]
     )
-    loop = LoopConfig(
-        layers=cfg["layers"], kind=BlockKind.parse(cfg["block"]),
-        n_max=cfg["iters"], s=cfg["update_every"],
-        optimizer=OptimizerConfig(kind=cfg["optimizer"], lr=cfg["lr"]),
-    )
+    loop = _loop_from(cfg, "iters", "update_every")
     say(f"wstate: noise (p1={noise.p_depol_1q}, p2={noise.p_depol_2q}, "
         f"gamma={noise.gamma_ad}), layers={loop.layers}, runs={cfg['runs']}")
     results = w_state_mitigation_runs(noise, loop, cfg["runs"], seed, jobs=jobs)
@@ -393,6 +389,7 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     write_csv(out / "wstate_trace.csv", ["run", "iter", "cost", "fidelity_sigma"], rows)
 
     finals = [r.final_fidelity for r in results]
+    eigenvectors = [r.eigenvector_fidelity for r in results]
     dec = sum(1 for r in results if r.rows[-1].cost < r.rows[0].cost)
     lines = [
         "[summary]",
@@ -401,6 +398,7 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
         f"runs = {len(results)}",
         f"baseline_fidelity = {results[0].baseline_fidelity!r}",
         f"mean_final_fidelity = {repr(float(np.mean(finals)))}",
+        f"mean_eigenvector_fidelity = {repr(float(np.mean(eigenvectors)))}",
         f"runs_with_decreasing_cost = {dec}",
     ]
     (out / "wstate_summary.txt").write_text("\n".join(lines) + "\n")
@@ -409,44 +407,46 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     return ["wstate_trace.csv", "wstate_summary.txt"]
 
 
-def run_command(args) -> int:
-    config_path = Path(args.config)
-    try:
-        text = config_path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        sections = parse_config_text(text)
-        present = [s for s in EXPERIMENT_SECTIONS if s in sections]
-        if len(present) != 1:
-            raise ConfigError(
-                f"config must contain exactly one experiment section, found {present or 'none'}"
-            )
-        experiment = present[0]
-        run_cfg = _validate_section("run", sections.get("run", {}), RUN_SCHEMA)
-        schema = {"pca": PCA_SCHEMA, "xy": XY_SCHEMA, "wstate": WSTATE_SCHEMA,
-                  "custom": CUSTOM_SCHEMA}[experiment]
-        cfg = _validate_section(experiment, sections[experiment], schema)
-    except ConfigError as exc:
-        print(f"error: {exc.render(config_path)}", file=sys.stderr)
-        return 2
+RUN_FLAGS = ("out", "seed", "jobs", "shots")
 
-    # flag overrides
-    if args.out is not None:
-        run_cfg["out"] = args.out
-    if args.seed is not None:
-        run_cfg["seed"] = args.seed
-    if args.jobs is not None:
-        run_cfg["jobs"] = args.jobs
-    if args.shots is not None:
-        run_cfg["shots"] = args.shots
+
+def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
+    """Validate parsed sections and apply the non-None command-line flags.
+
+    Returns the experiment name, the [run] settings and the experiment's settings.
+    """
+    present = [s for s in EXPERIMENT_SECTIONS if s in sections]
+    if len(present) != 1:
+        raise ConfigError(
+            f"config must contain exactly one experiment section, found {present or 'none'}"
+        )
+    experiment = present[0]
+    run_cfg = _validate_section("run", sections.get("run", {}), RUN_SCHEMA)
+    cfg = _validate_section(experiment, sections[experiment], SCHEMAS[experiment])
+    run_cfg.update({k: v for k, v in flags.items() if v is not None})
     if run_cfg["shots"] is not None and "shots" in cfg:
         cfg["shots"] = run_cfg["shots"]
     if not 0 <= run_cfg["seed"] < 2**64:
-        print("error: seed must be an unsigned 64-bit integer", file=sys.stderr)
-        return 2
+        raise ConfigError("seed must be an unsigned 64-bit integer")
+    return experiment, run_cfg, cfg
 
+
+def run_command(args) -> int:
+    config_path = Path(args.config)
+    try:
+        sections = parse_config_text(config_path.read_text())
+        experiment, run_cfg, cfg = load_config(sections, {k: getattr(args, k) for k in RUN_FLAGS})
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        print(f"error: {exc.render(config_path)}", file=sys.stderr)
+        return 2
+    return run_sections(sections, experiment, run_cfg, cfg)
+
+
+def run_sections(sections: dict, experiment: str, run_cfg: dict, cfg: dict) -> int:
+    """Run a loaded config, write its artifacts and manifest; the exit code."""
     out = Path(run_cfg["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -469,7 +469,8 @@ def run_command(args) -> int:
             artifacts = _run_xy(cfg, out, seed, jobs, say)
         else:
             artifacts = _run_wstate(cfg, out, seed, jobs, say)
-        write_manifest(out, experiment, seed, _resolved_config_text(sections, experiment, run_cfg), artifacts)
+        replay = _resolved_config_text(sections, experiment, run_cfg)
+        write_manifest(out, experiment, seed, replay, artifacts)
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -498,11 +499,10 @@ def verify_command(args) -> int:
         print("error: summary contains no verifiable [run_*] sections", file=sys.stderr)
         return 2
 
-    slack = 1e-9
     all_ok = True
     for name in sorted(run_sections, key=lambda s: int(s.split("_")[1])):
         try:
-            ok, messages = _verify_run_section(run_sections[name], slack)
+            ok, messages = _verify_run_section(run_sections[name])
         except (KeyError, ValueError) as exc:
             print(f"{name}: FAIL corrupt section ({exc})")
             all_ok = False
@@ -515,39 +515,26 @@ def verify_command(args) -> int:
     return 0 if all_ok else 1
 
 
-def _verify_run_section(section: dict, slack: float) -> tuple[bool, list[str]]:
-    def get(key):
-        if key not in section:
-            raise KeyError(key)
-        return section[key][0]
-
-    n = int(get("n"))
-    cost = float(get("final_cost"))
-    pur = float(get("purity"))
-    energies = [float(x) for x in get("energies").split(",")]
-    wide = [float(x) for x in get("est_lambdas_wide").split(",")]
-    m_hat = int(get("m_hat"))
-    eps_lambda = float(get("eps_lambda"))
-    eps_v = float(get("eps_v"))
+def _verify_run_section(section: dict) -> tuple[bool, list[str]]:
+    raw = {key: value for key, (value, _) in section.items()}
+    n = int(raw["n"])
+    cost = float(raw["final_cost"])
+    pur = float(raw["purity"])
+    energies = [float(x) for x in raw["energies"].split(",")]
+    wide = [float(x) for x in raw["est_lambdas_wide"].split(",")]
+    m_hat = int(raw["m_hat"])
+    eps_lambda = float(raw["eps_lambda"])
+    eps_v = float(raw["eps_v"])
 
     cb = bound_from_cost(cost, energies, pur)
-    bp = bound_from_purity(pur, wide, n, m_hat)
+    checks = bound_checks(eps_lambda, eps_v, cb.value, bound_from_purity(pur, wide, n, m_hat))
     messages = []
-    ok = True
     if cb.degenerate:
         messages.append("bound_cost degenerate (E_{m+1} <= C); purity bound still checked")
-    for label, err in (("eps_lambda", eps_lambda), ("eps_v", eps_v)):
-        for bname, bval in (("bound_cost", cb.value), ("bound_purity", bp)):
-            margin = bval - err
-            if margin < -slack:
-                ok = False
-                messages.append(f"VIOLATED: {label} <= {bname} (margin {margin:.3e})")
-            else:
-                messages.append(f"{label} <= {bname} (margin {margin:.3e})")
-    if bp > cb.value + slack:
-        ok = False
-        messages.append(f"VIOLATED: bound_purity <= bound_cost ({bp!r} > {cb.value!r})")
-    return ok, messages
+    for c in checks:
+        status = "" if c.holds else "VIOLATED: "
+        messages.append(f"{status}{c.lhs} <= {c.rhs} (margin {c.margin:.3e})")
+    return all(c.holds for c in checks), messages
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +545,7 @@ def _verify_run_section(section: dict, slack: float) -> tuple[bool, list[str]]:
 def sweep_command(args) -> int:
     config_path = Path(args.config)
     try:
-        text = config_path.read_text()
-        sections = parse_config_text(text)
+        sections = parse_config_text(config_path.read_text())
         if "sweep" not in sections:
             raise ConfigError("sweep requires a [sweep] section (key = section.key, values = ...)")
         sweep_cfg = _validate_section("sweep", sections["sweep"], SWEEP_SCHEMA)
@@ -580,37 +566,18 @@ def sweep_command(args) -> int:
         return 2
 
     base_out = Path(args.out) if args.out is not None else Path("runs")
+    values_line = sections["sweep"]["values"][1]
+    flags = {k: getattr(args, k) for k in RUN_FLAGS}
     for value in values:
-        sub = argparse.Namespace(
-            config=args.config, out=str(base_out / f"{key}={value}"),
-            seed=args.seed, jobs=args.jobs, shots=args.shots,
-        )
-        # rewrite the config with the overridden key for this point
-        new_lines = []
-        in_section = None
-        replaced = False
-        for raw in text.splitlines():
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped.startswith("[") and stripped.endswith("]"):
-                in_section = stripped[1:-1].strip().lower()
-            elif in_section == section and "=" in stripped:
-                k = stripped.split("=", 1)[0].strip()
-                if k == key:
-                    new_lines.append(f"{key} = {value}")
-                    replaced = True
-                    continue
-            new_lines.append(raw)
-        if not replaced:
-            idx = next(i for i, l in enumerate(new_lines)
-                       if l.split("#", 1)[0].strip() == f"[{section}]")
-            new_lines.insert(idx + 1, f"{key} = {value}")
-        tmp = base_out / f"{key}={value}"
-        tmp.mkdir(parents=True, exist_ok=True)
-        point_cfg = tmp / "point.cfg"
-        point_cfg.write_text("\n".join(new_lines) + "\n")
-        sub.config = str(point_cfg)
+        sections[section][key] = (value, values_line)
+        flags["out"] = str(base_out / f"{key}={value}")
         print(f"=== sweep point {key} = {value}")
-        status = run_command(sub)
+        try:
+            loaded = load_config(sections, flags)
+        except ConfigError as exc:
+            print(f"error: {exc.render(config_path)}", file=sys.stderr)
+            return 2
+        status = run_sections(sections, *loaded)
         if status != 0:
             return status
     return 0

@@ -23,12 +23,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import CNOT, CZ, BlockKind, LayeredAnsatz, g_rotation, rotation_y
+from .ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector, rotation_y
 from .hamiltonians import default_local_weights, global_from_local, lowest_levels
 from .metrics import (
     ErrorReport,
     build_error_report,
     default_m_hat,
+    eigen_errors,
     runs_per_success,
 )
 from .qmath import (
@@ -51,6 +52,7 @@ from .solver import (
     OptimizerConfig,
     StepwiseSchedule,
     optimize,
+    read_estimate,
     readout,
 )
 
@@ -247,7 +249,8 @@ def _ground_gap(spec: SpinChainSpec) -> float:
     return float(w[1] - w[0])
 
 
-def _residual(spec: SpinChainSpec, h: float) -> float:
+def factorization_residual(spec: SpinChainSpec, h: float) -> float:
+    """1 - lambda_1 of the reduced ground state at field magnitude h."""
     reduced, _ = xy_ground_reduced(_with_h(spec, h))
     return float(1.0 - exact_eigs(reduced)[0][0])
 
@@ -279,13 +282,13 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
-    residuals = np.array([_residual(spec, h) for h in hs])
+    residuals = np.array([factorization_residual(spec, h) for h in hs])
     gaps = np.array([_ground_gap(_with_h(spec, h)) for h in hs])
 
     candidates: list[float] = []
     k = int(np.argmin(residuals))
     lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
-    candidates.append(_golden_min(lambda h: _residual(spec, h), lo, hi))
+    candidates.append(_golden_min(lambda h: factorization_residual(spec, h), lo, hi))
     for k in range(1, hs.size - 1):
         if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]:
             candidates.append(
@@ -294,7 +297,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
 
     best_h, best_r = None, np.inf
     for h in candidates:
-        r = _residual(spec, h)
+        r = factorization_residual(spec, h)
         if r < best_r:
             best_h, best_r = float(h), r
     if best_r >= tolerance:
@@ -342,8 +345,7 @@ class PcaResult:
         return min(r.eps_min_trace for r in self.runs)
 
 
-def _eigensolver_single_run(args) -> PcaRun:
-    rho, m, loop, i, child = args
+def _eigensolver_single_run(rho: DensityMatrix, m: int, loop: LoopConfig, i: int, child) -> PcaRun:
     exact = exact_eigs(rho)[0]
     rng = np.random.default_rng(child)
     a = LayeredAnsatz.random(rho.n, loop.layers, loop.kind, rng)
@@ -456,22 +458,15 @@ def xy_sweep_point(spec: SpinChainSpec, m: int, loop: LoopConfig, runs: int, see
         res = optimize(reduced, a, cost, schedule, loop.optimizer, rng)
         if best is None or res.trace[-1].cost < best.trace[-1].cost:
             best = res
-    est = best.estimate
-    d = exact[:m] - est.lambdas
-    nz = exact[:m] > 1e-12
+    errs = eigen_errors(exact, best.estimate, m)
     return SweepPoint(
         h=spec.h,
         exact_lambdas=tuple(float(x) for x in exact[:m]),
-        est_lambdas=tuple(float(x) for x in est.lambdas),
-        eps_abs=float((d**2).sum()),
-        eps_rel=float(((d[nz] / exact[:m][nz]) ** 2).sum()),
+        est_lambdas=tuple(float(x) for x in best.estimate.lambdas),
+        eps_abs=errs.eps_lambda,
+        eps_rel=errs.eps_rel,
         best_cost=best.trace[-1].cost,
     )
-
-
-def _xy_point_worker(args) -> SweepPoint:
-    spec, m, loop, runs, point_seed = args
-    return xy_sweep_point(spec, m, loop, runs, point_seed)
 
 
 def xy_spectroscopy_sweep(
@@ -488,7 +483,7 @@ def xy_spectroscopy_sweep(
     for j, h in enumerate(h_grid):
         point_seed = int(np.random.SeedSequence((seed, j)).generate_state(1)[0])
         tasks.append((_with_h(spec, float(h)), m, loop, runs, point_seed))
-    return _parallel_map(_xy_point_worker, tasks, jobs)
+    return _parallel_map(xy_sweep_point, tasks, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -538,30 +533,11 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
         raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
     for b in range(a.n_blocks - 1, -1, -1):
-        gates.extend(_block_dagger_gates(a.kind, a.block_angles(b), a.block_pairs[b]))
+        pair = a.block_pairs[b]
+        pre0, pre1, post0, post1 = a.kind.rotations(a.block_angles(b), dagger=True)
+        gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
+                  Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
     return gates
-
-
-def _block_dagger_gates(kind: BlockKind, angles: np.ndarray, pair: tuple[int, int]) -> list[Gate]:
-    w0, w1 = pair
-    if kind is BlockKind.RY_CZ:
-        t = angles
-        return [
-            Gate(rotation_y(-t[2]), (w0,)),
-            Gate(rotation_y(-t[3]), (w1,)),
-            Gate(CZ, pair),
-            Gate(rotation_y(-t[0]), (w0,)),
-            Gate(rotation_y(-t[1]), (w1,)),
-        ]
-    # G(a, b, c)^dag = G(-c, -b, -a)
-    t = angles
-    return [
-        Gate(g_rotation(-t[8], -t[7], -t[6]), (w0,)),
-        Gate(g_rotation(-t[11], -t[10], -t[9]), (w1,)),
-        Gate(CNOT, pair),
-        Gate(g_rotation(-t[2], -t[1], -t[0]), (w0,)),
-        Gate(g_rotation(-t[5], -t[4], -t[3]), (w1,)),
-    ]
 
 
 def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -> DensityMatrix:
@@ -592,7 +568,8 @@ class WStateRow(NamedTuple):
 class WStateResult:
     baseline_fidelity: float
     rows: list[WStateRow]
-    final_fidelity: float
+    final_fidelity: float  # noisy re-preparation of V^dag |z_1>
+    eigenvector_fidelity: float  # |<W| V^dag |z_1>|^2 of the learned eigenvector
     theta_opt: np.ndarray
 
 
@@ -602,7 +579,8 @@ def w_state_mitigation_run(noise: NoiseSpec, loop: LoopConfig, seed) -> WStateRe
     The training loop acts on the fixed noisy state; at every iteration the
     current top bitstring's eigenvector-preparation circuit is simulated
     under the same noise model and its fidelity with the ideal state is
-    recorded.
+    recorded.  The learned eigenvector itself is scored once, noise-free,
+    from the final parameters and the final estimate's top bitstring.
     """
     psi = w_state()
     rho = run_circuit(3, w_preparation_gates(), noise)
@@ -616,23 +594,20 @@ def w_state_mitigation_run(noise: NoiseSpec, loop: LoopConfig, seed) -> WStateRe
 
     rows = []
 
-    def on_iteration(k: int, t: float, current: LayeredAnsatz, cost_value: float):
-        est = readout(rho, current, m)
-        sigma = run_circuit(3, eigenvector_preparation_gates(current, est.bitstrings[0]), noise)
+    def on_iteration(k: int, t: float, current: LayeredAnsatz, cost_value: float, transformed):
+        z1 = read_estimate(transformed, m).bitstrings[0]
+        sigma = run_circuit(3, eigenvector_preparation_gates(current, z1), noise)
         rows.append(WStateRow(k, cost_value, fidelity_pure(sigma, psi)))
 
     res = optimize(rho, a0, cost, schedule, loop.optimizer, rng, callback=on_iteration)
+    learned = prepare_eigenvector(res.ansatz, res.estimate.bitstrings[0])
     return WStateResult(
         baseline_fidelity=baseline,
         rows=rows,
         final_fidelity=rows[-1].fidelity_sigma,
+        eigenvector_fidelity=float(abs(np.vdot(psi.amplitudes, learned.amplitudes)) ** 2),
         theta_opt=res.theta_opt,
     )
-
-
-def _wstate_worker(args) -> WStateResult:
-    noise, loop, child = args
-    return w_state_mitigation_run(noise, loop, child)
 
 
 def w_state_mitigation_runs(
@@ -640,13 +615,14 @@ def w_state_mitigation_runs(
 ) -> list[WStateResult]:
     """Independent seeded mitigation runs (the averaged protocol)."""
     children = np.random.SeedSequence(seed).spawn(runs)
-    return _parallel_map(_wstate_worker, [(noise, loop, c) for c in children], jobs)
+    return _parallel_map(w_state_mitigation_run, [(noise, loop, c) for c in children], jobs)
 
 
 def _parallel_map(fn, tasks, jobs: int):
+    """fn(*task) for each task, in order; `jobs` worker processes when above 1."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     import concurrent.futures as cf
 
     with cf.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, *zip(*tasks)))

@@ -162,16 +162,30 @@ def build_error_report(
     )
 
 
+class BoundCheck(NamedTuple):
+    """One inequality lhs <= rhs and its margin rhs - lhs."""
+
+    lhs: str
+    rhs: str
+    margin: float
+
+    @property
+    def holds(self) -> bool:
+        """Margin at least -BOUND_SLACK; a NaN margin never holds."""
+        return self.margin >= -BOUND_SLACK
+
+
+def bound_checks(
+    eps_lambda: float, eps_v: float, bound_cost: float, bound_purity: float
+) -> list[BoundCheck]:
+    """The five bound inequalities of one run: each error under each bound, then the order."""
+    errors = (("eps_lambda", eps_lambda), ("eps_v", eps_v))
+    bounds = (("bound_cost", bound_cost), ("bound_purity", bound_purity))
+    checks = [BoundCheck(e, b, bv - ev) for e, ev in errors for b, bv in bounds]
+    return checks + [BoundCheck("bound_purity", "bound_cost", bound_cost - bound_purity)]
+
+
 def check_error_report(report: ErrorReport) -> list[str]:
-    """Names of violated bound inequalities (empty when the run verifies)."""
-    violations = []
-    for name, err in (("eps_lambda", report.eps_lambda), ("eps_v", report.eps_v)):
-        if err > report.bound_cost + BOUND_SLACK:
-            violations.append(f"{name} > bound_cost ({err:.3e} > {report.bound_cost:.3e})")
-        if err > report.bound_purity + BOUND_SLACK:
-            violations.append(f"{name} > bound_purity ({err:.3e} > {report.bound_purity:.3e})")
-    if report.bound_purity > report.bound_cost + BOUND_SLACK:
-        violations.append(
-            f"bound_purity > bound_cost ({report.bound_purity:.3e} > {report.bound_cost:.3e})"
-        )
-    return violations
+    """Violated bound inequalities (empty when the run verifies)."""
+    checks = bound_checks(report.eps_lambda, report.eps_v, report.bound_cost, report.bound_purity)
+    return [f"{c.lhs} > {c.rhs} (margin {c.margin:.3e})" for c in checks if not c.holds]

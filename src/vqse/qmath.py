@@ -47,11 +47,6 @@ def index_to_bitstring(i: int, n: int) -> str:
     return format(i, f"0{n}b")
 
 
-def all_bitstrings(n: int) -> list[str]:
-    """All bitstrings of length n in index (lexicographic) order."""
-    return [format(i, f"0{n}b") for i in range(2**n)]
-
-
 class DensityMatrix:
     """An n-qubit mixed state: Hermitian, positive semidefinite, trace one.
 
@@ -213,12 +208,6 @@ def _conjugate(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int
     # right multiplication by op^dag  ==  conjugating rows of mat^dag
     out = _apply_left(out.conj().T, op, targets, n)
     return out.conj().T
-
-
-def apply_to_vector(vec: np.ndarray, op: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply a k-qubit operator to a state vector on the given target qubits."""
-    targets = _check_targets(targets, n)
-    return _apply_left(vec.reshape(-1, 1), op, targets, n).reshape(-1)
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:

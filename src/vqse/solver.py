@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, apply_ansatz, block_unitary
+from .ansatz import LayeredAnsatz, apply_ansatz, block_unitary, shift_parameter
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
@@ -84,6 +84,8 @@ class EigenEstimate:
         object.__setattr__(self, "bitstrings", tuple(self.bitstrings))
         if lam.size != len(self.bitstrings):
             raise ValueError("one bitstring per estimate required")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("estimates must be finite")
         if len(set(self.bitstrings)) != len(self.bitstrings):
             raise ValueError("bitstrings must be distinct")
         if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
@@ -123,15 +125,19 @@ def plan_shots(c: float, delta: float, lambda_min: float) -> ShotPlan:
 
 
 def readout(rho: DensityMatrix, a: LayeredAnsatz, m: int, shots: int = 0, rng=None) -> EigenEstimate:
-    """Top-m standard-basis probabilities of V rho V^dag, largest first.
+    """Top-m standard-basis probabilities of V rho V^dag, largest first."""
+    return read_estimate(apply_ansatz(rho, a), m, shots, rng)
+
+
+def read_estimate(rho_t: DensityMatrix, m: int, shots: int = 0, rng=None) -> EigenEstimate:
+    """Top-m standard-basis probabilities of an already transformed state.
 
     shots == 0 reads the exact diagonal; shots > 0 uses sampled frequencies.
     Ties are broken by bitstring order.  If fewer than m distinct bitstrings
     were observed, missing entries are zero-padded and flagged.
     """
-    if not 1 <= m <= 2**rho.n:
+    if not 1 <= m <= 2**rho_t.n:
         raise ValueError(f"m={m} out of range")
-    rho_t = apply_ansatz(rho, a)
     if shots == 0:
         p = rho_t.diagonal()
         shots_used = 0
@@ -143,7 +149,7 @@ def readout(rho: DensityMatrix, a: LayeredAnsatz, m: int, shots: int = 0, rng=No
     padded = bool(shots_used and np.any(lambdas == 0.0))
     return EigenEstimate(
         lambdas=lambdas,
-        bitstrings=tuple(index_to_bitstring(int(i), rho.n) for i in order),
+        bitstrings=tuple(index_to_bitstring(int(i), rho_t.n) for i in order),
         shots_used=shots_used,
         padded=padded,
     )
@@ -206,17 +212,11 @@ def _gradient_sampled(
     for nu in range(a.theta.size):
         val = {}
         for sign in (+1.0, -1.0):
-            shifted = LayeredAnsatz(a.n, a.layers, a.kind, _shifted_theta(a, nu, sign * np.pi / 2))
+            shifted = shift_parameter(a, nu, sign * np.pi / 2)
             counts = sample_counts(apply_ansatz(rho, shifted), shots, rng)
             val[sign] = float(energies @ counts) / shots
         grad[nu] = 0.5 * (val[+1.0] - val[-1.0])
     return grad
-
-
-def _shifted_theta(a: LayeredAnsatz, nu: int, delta: float) -> np.ndarray:
-    theta = a.theta.copy()
-    theta[nu] += delta
-    return theta
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,9 @@ def optimize(
     diagonal against the exact spectrum (available classically here).  Row 0
     records the starting point.  A NaN cost aborts the run.
 
-    `callback(k, t, ansatz, cost_value)`, when given, fires after every
-    recorded row; experiments use it to track per-iteration observables.
+    Each row's transformed state V rho V^dag also serves the adaptive update
+    that follows it and the final estimate.  `callback(k, t, ansatz,
+    cost_value, transformed)`, when given, fires after every recorded row.
     """
     rng = np.random.default_rng(rng)
     lam_exact = exact_eigs(rho)[0][: cost.m]
@@ -319,8 +320,9 @@ def optimize(
     stepper = _Stepper(optimizer, a.theta.size)
     trace = []
 
-    def record(k: int, t: float, current: LayeredAnsatz):
-        p = apply_ansatz(rho, current).diagonal()
+    def record(k: int, t: float, current: LayeredAnsatz) -> DensityMatrix:
+        rho_t = apply_ansatz(rho, current)
+        p = rho_t.diagonal()
         c = float(h.energies() @ p)
         if np.isnan(c):
             raise FloatingPointError(f"cost became NaN at iteration {k}")
@@ -330,13 +332,14 @@ def optimize(
         eps_rel = float((((lam_exact - lam_est)[nz] / lam_exact[nz]) ** 2).sum())
         trace.append(TracePoint(k, t, c, eps_abs, eps_rel))
         if callback is not None:
-            callback(k, t, current, c)
+            callback(k, t, current, c, rho_t)
+        return rho_t
 
-    record(0, 0.0, a)
+    rho_t = record(0, 0.0, a)
     for k in range(1, schedule.n_max + 1):
         t = schedule.t(k)
         if cost.variant == "adaptive" and schedule.is_update(k):
-            measured = readout(rho, a, cost.m, cost.shots, rng)
+            measured = read_estimate(rho_t, cost.m, cost.shots, rng)
             h = AdaptiveHamiltonian(
                 local=cost.local,
                 global_part=cost.global_part.with_bitstrings(measured.bitstrings),
@@ -345,9 +348,9 @@ def optimize(
             )
         grad = param_shift_gradient(rho, a, h, cost.shots, rng)
         a = LayeredAnsatz(a.n, a.layers, a.kind, stepper.step(a.theta, grad))
-        record(k, t, a)
+        rho_t = record(k, t, a)
 
-    est = readout(rho, a, cost.m, cost.shots, rng)
+    est = read_estimate(rho_t, cost.m, cost.shots, rng)
     return OptimizeResult(
         theta_opt=a.theta, trace=trace, final_hamiltonian=h, ansatz=a, estimate=est
     )

@@ -128,6 +128,8 @@ class TestRunCommand:
         assert header == "run,iter,cost,fidelity_sigma"
         summary = (out / "wstate_summary.txt").read_text()
         assert "baseline_fidelity" in summary
+        eigenvector = float(summary.split("mean_eigenvector_fidelity = ")[1].split()[0])
+        assert 0.0 <= eigenvector <= 1.0 + 1e-12
 
     def test_xy_smoke_locates_factorization(self, tmp_path):
         cfg = tmp_path / "xy.cfg"
@@ -170,27 +172,13 @@ class TestShippedConfigs:
     def test_all_parse_and_validate(self):
         from pathlib import Path
 
-        from vqse.cli import (
-            CUSTOM_SCHEMA,
-            EXPERIMENT_SECTIONS,
-            PCA_SCHEMA,
-            RUN_SCHEMA,
-            WSTATE_SCHEMA,
-            XY_SCHEMA,
-            _validate_section,
-        )
+        from vqse.cli import load_config
 
-        schemas = {"pca": PCA_SCHEMA, "xy": XY_SCHEMA, "wstate": WSTATE_SCHEMA,
-                   "custom": CUSTOM_SCHEMA}
         config_dir = Path(__file__).resolve().parent.parent / "configs"
         paths = sorted(config_dir.glob("*.cfg"))
         assert len(paths) >= 4
         for path in paths:
-            sections = parse_config_text(path.read_text())
-            present = [s for s in EXPERIMENT_SECTIONS if s in sections]
-            assert len(present) == 1, path.name
-            _validate_section("run", sections.get("run", {}), RUN_SCHEMA)
-            _validate_section(present[0], sections[present[0]], schemas[present[0]])
+            load_config(parse_config_text(path.read_text()), {})
 
 
 class TestVerifyCommand:
@@ -212,11 +200,16 @@ class TestVerifyCommand:
         text = summary.read_text()
         import re
 
-        tampered = re.sub(r"eps_lambda = \S+", "eps_lambda = 0.9", text)
-        summary.write_text(tampered)
-        assert main(["verify", str(summary)]) == 1
-        out = capsys.readouterr().out
-        assert "VIOLATED" in out and "eps_lambda <= bound" in out
+        # a NaN error or cost makes every comparison false: it must not pass
+        for value in ("0.9", "nan"):
+            tampered = re.sub(r"eps_lambda = \S+", f"eps_lambda = {value}", text)
+            if value == "nan":
+                tampered = re.sub(r"final_cost = \S+", "final_cost = nan", tampered)
+            summary.write_text(tampered)
+            capsys.readouterr()
+            assert main(["verify", str(summary)]) == 1, value
+            out = capsys.readouterr().out
+            assert "VIOLATED" in out and "eps_lambda <= bound" in out
 
     def test_degenerate_cost_bound_flagged(self, tmp_path, capsys):
         # hand-written section with E_{m+1} <= C: the cost bound collapses to
@@ -259,6 +252,7 @@ class TestSweepCommand:
             point = out / f"n_max={v}"
             assert (point / "pca_trace.csv").exists()
             assert (point / "manifest.txt").exists()
+            assert not (point / "point.cfg").exists()
         t10 = (out / "n_max=10" / "pca_trace.csv").read_text().splitlines()
         t20 = (out / "n_max=20" / "pca_trace.csv").read_text().splitlines()
         assert len(t20) > len(t10)

@@ -24,6 +24,7 @@ from vqse.experiments import (
     xy_sweep_point,
 )
 from vqse.qmath import exact_eigs, fidelity_pure, purity
+from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 
 
@@ -192,6 +193,16 @@ class TestWStateMitigation:
         res = w_state_mitigation_run(NoiseSpec(p_depol_2q=0.02), loop, seed=1)
         assert [r.iteration for r in res.rows] == list(range(16))
         assert 0 < res.baseline_fidelity < 1
+
+    def test_eigenvector_fidelity_scores_final_estimate(self):
+        # |<W|V^dag|z_1>|^2 from theta_opt and the top bitstring of the noisy state
+        noise = NoiseSpec(p_depol_2q=0.02)
+        loop = LoopConfig(layers=2, kind=BlockKind.G_CNOT_G, n_max=10, s=5)
+        res = w_state_mitigation_run(noise, loop, seed=2)
+        a = LayeredAnsatz(3, loop.layers, loop.kind, res.theta_opt)
+        z1 = readout(run_circuit(3, w_preparation_gates(), noise), a, 1).bitstrings[0]
+        expected = abs(np.vdot(w_state().amplitudes, prepare_eigenvector(a, z1).amplitudes)) ** 2
+        assert res.eigenvector_fidelity == pytest.approx(expected, abs=1e-12)
 
 
 class TestPcaExperiment:

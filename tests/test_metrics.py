@@ -202,8 +202,9 @@ class TestErrorReport:
         assert check_error_report(self._report()) == []
 
     def test_tampered_eps_detected(self):
-        bad = self._report(tamper={"eps_lambda": 2.0})
-        assert any("eps_lambda > bound" in v for v in check_error_report(bad))
+        for value in (2.0, math.nan):
+            bad = self._report(tamper={"eps_lambda": value})
+            assert any("eps_lambda > bound" in v for v in check_error_report(bad)), value
 
     def test_tampered_bound_ordering_detected(self):
         bad = self._report(tamper={"bound_purity": 5.0, "bound_cost": 4.0})

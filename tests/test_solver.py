@@ -154,6 +154,10 @@ class TestEstimateValidation:
         with pytest.raises(ValueError):
             EigenEstimate(np.array([0.5, 0.3]), ("00", "00"))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            EigenEstimate(np.array([0.5, np.nan]), ("00", "01"))
+
 
 class TestPlanShots:
     def test_reference_value(self):

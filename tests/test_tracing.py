@@ -1,0 +1,65 @@
+"""The benchmark tracer (perfbench/tracing.py) must install on the package.
+
+The tracer wraps layer functions by module and attribute name; a renamed or
+re-shaped function makes it raise at install or count nothing.  This test
+runs one tiny [pca] and one tiny [wstate] config under it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from vqse.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+PCA_CFG = """\
+[run]
+seed = 3
+verbosity = 0
+
+[pca]
+n = 3
+m = 2
+cost = adaptive
+layers = 1
+n_max = 4
+s = 2
+runs = 1
+n_ancilla = 1
+"""
+
+WSTATE_CFG = """\
+[run]
+seed = 3
+verbosity = 0
+
+[wstate]
+runs = 1
+iters = 4
+update_every = 2
+p_depol_2q = 0.02
+layers = 1
+"""
+
+
+def _tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_counts_forwards_on_pca_and_wstate(tmp_path):
+    tracer = _tracer_class()()
+    for name, text in (("pca", PCA_CFG), ("wstate", WSTATE_CFG)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+    tracer.install()
+    try:
+        for name in ("pca", "wstate"):
+            argv = ["run", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)]
+            assert main(argv) == 0, name
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["solver.iterations"] == 8
+    assert metrics["ansatz.forwards_per_iter"] > 0
