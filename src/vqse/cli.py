@@ -408,6 +408,7 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
 
 
 RUN_FLAGS = ("out", "seed", "jobs", "shots")
+COUNT_KEYS = ("runs", "layers", "n_max", "s", "iters", "update_every")
 
 
 def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
@@ -423,6 +424,10 @@ def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
     experiment = present[0]
     run_cfg = _validate_section("run", sections.get("run", {}), RUN_SCHEMA)
     cfg = _validate_section(experiment, sections[experiment], SCHEMAS[experiment])
+    for key in COUNT_KEYS:
+        if key in sections[experiment] and cfg[key] < 1:
+            line = sections[experiment][key][1]
+            raise ConfigError(f"key {key!r} must be at least 1, got {cfg[key]}", line)
     run_cfg.update({k: v for k, v in flags.items() if v is not None})
     if run_cfg["shots"] is not None and "shots" in cfg:
         cfg["shots"] = run_cfg["shots"]
@@ -499,8 +504,13 @@ def verify_command(args) -> int:
         print("error: summary contains no verifiable [run_*] sections", file=sys.stderr)
         return 2
 
+    try:
+        names = sorted(run_sections, key=lambda s: int(s.split("_")[1]))
+    except ValueError:
+        print(f"error: corrupt summary: {path}: expected [run_<index>] sections", file=sys.stderr)
+        return 2
     all_ok = True
-    for name in sorted(run_sections, key=lambda s: int(s.split("_")[1])):
+    for name in names:
         try:
             ok, messages = _verify_run_section(run_sections[name])
         except (KeyError, ValueError) as exc:

@@ -53,7 +53,6 @@ from .solver import (
     StepwiseSchedule,
     optimize,
     read_estimate,
-    readout,
 )
 
 
@@ -352,7 +351,7 @@ def _eigensolver_single_run(rho: DensityMatrix, m: int, loop: LoopConfig, i: int
     res = optimize(rho, a, loop.cost_config(rho.n, m), loop.schedule(), loop.optimizer, rng)
 
     levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
-    est_wide = readout(rho, res.ansatz, default_m_hat(m, rho.n))
+    est_wide = read_estimate(res.transformed, default_m_hat(m, rho.n))
     pur = purity(rho)
     report = build_error_report(
         rho=rho,

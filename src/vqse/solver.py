@@ -10,23 +10,24 @@ is frozen, which makes the effective schedule f(t) stepwise-constant with
 f(0) = 0 and f(1) = 1.  For the fixed local / global costs the loop reduces
 to plain gradient descent on a constant Hamiltonian.
 
-Gradients use the exact parameter-shift identity: under half-angle rotation
+Gradients use the parameter-shift identity: under half-angle rotation
 generators, dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2.
-The exact-cost path evaluates the shifted costs as Tr[K_b B rho_b B^dag]
-with the Hamiltonian pulled back through the circuit suffix (algebraically
-identical to re-running the full shifted circuit, but one small-gate
-conjugation per term instead of a full forward pass).
+One loop walks the blocks in order and conjugates each shifted block onto
+the state entering it.  With exact costs the result is scored against the
+Hamiltonian pulled back through the later blocks, K_b = S_b^dag H S_b; with
+shots > 0 it is run through the later blocks and sampled, as a measurement
+of the shifted circuit would be.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, apply_ansatz, block_unitary, shift_parameter
+from .ansatz import LayeredAnsatz, apply_ansatz, block_unitary
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
@@ -162,61 +163,46 @@ def param_shift_gradient(
 
     Each component is [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2 with C
     evaluated exactly (shots == 0) or from `shots` fresh samples per shifted
-    circuit.
+    circuit, drawn in parameter order, + before -.
     """
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
+    mats, pairs, w = a.block_matrices(), a.block_pairs, a.kind.angles_per_block
     if shots == 0:
-        return _gradient_exact(rho, a, energies)
-    return _gradient_sampled(rho, a, energies, shots, np.random.default_rng(rng))
-
-
-def _forward_states(rho: DensityMatrix, a: LayeredAnsatz, mats) -> list[np.ndarray]:
-    """States entering each block: rho_b = (U_b ... U_1) rho (.)^dag, b=0..B-1."""
-    states = [rho.data]
-    for mat, pair in zip(mats[:-1], a.block_pairs[:-1]):
-        states.append(_conjugate(states[-1], mat, pair, a.n))
-    return states
-
-
-def _gradient_exact(rho: DensityMatrix, a: LayeredAnsatz, energies: np.ndarray) -> np.ndarray:
-    mats = a.block_matrices()
-    pairs = a.block_pairs
-    states = _forward_states(rho, a, mats)
+        # K_b = S_b^dag H S_b for b = B-1, ..., 0; each popped when the walk reaches block b
+        pulled = [np.diag(energies).astype(complex)]
+        for mat, pair in zip(mats[:0:-1], pairs[:0:-1]):
+            pulled.append(_conjugate(pulled[-1], mat.conj().T, pair, a.n))
+    else:
+        rng = np.random.default_rng(rng)
     grad = np.empty(a.theta.size)
-    w = a.kind.angles_per_block
-    # Hamiltonian pulled back through the suffix: K_b = S_b^dag H S_b
-    k_mat = np.diag(energies).astype(complex)
-    for b in range(a.n_blocks - 1, -1, -1):
-        pair = pairs[b]
-        angles = a.block_angles(b)
+    for b, state in enumerate(_forward_states(rho, a, mats)):
+        k_mat = pulled.pop() if shots == 0 else None
         for j in range(w):
-            nu = b * w + j
             val = {}
             for sign in (+1.0, -1.0):
-                shifted = angles.copy()
-                shifted[j] += sign * np.pi / 2
-                bmat = block_unitary(a.kind, shifted)
-                moved = _conjugate(states[b], bmat, pair, a.n)
-                val[sign] = np.vdot(k_mat, moved).real
-            grad[nu] = 0.5 * (val[+1.0] - val[-1.0])
-        k_mat = _conjugate(k_mat, mats[b].conj().T, pair, a.n)
+                angles = a.block_angles(b).copy()
+                angles[j] += sign * np.pi / 2
+                moved = _conjugate(state, block_unitary(a.kind, angles), pairs[b], a.n)
+                if shots == 0:
+                    val[sign] = np.vdot(k_mat, moved).real
+                else:
+                    for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
+                        moved = _conjugate(moved, mat, pair, a.n)
+                    counts = sample_counts(DensityMatrix(moved, validate=False), shots, rng)
+                    val[sign] = float(energies @ counts) / shots
+            grad[b * w + j] = 0.5 * (val[+1.0] - val[-1.0])
     return grad
 
 
-def _gradient_sampled(
-    rho: DensityMatrix, a: LayeredAnsatz, energies: np.ndarray, shots: int, rng
-) -> np.ndarray:
-    grad = np.empty(a.theta.size)
-    for nu in range(a.theta.size):
-        val = {}
-        for sign in (+1.0, -1.0):
-            shifted = shift_parameter(a, nu, sign * np.pi / 2)
-            counts = sample_counts(apply_ansatz(rho, shifted), shots, rng)
-            val[sign] = float(energies @ counts) / shots
-        grad[nu] = 0.5 * (val[+1.0] - val[-1.0])
-    return grad
+def _forward_states(rho: DensityMatrix, a: LayeredAnsatz, mats) -> Iterator[np.ndarray]:
+    """States entering each block: rho_b = (U_b ... U_1) rho (.)^dag, b=0..B-1."""
+    state = rho.data
+    yield state
+    for mat, pair in zip(mats[:-1], a.block_pairs[:-1]):
+        state = _conjugate(state, mat, pair, a.n)
+        yield state
 
 
 @dataclass(frozen=True)
@@ -286,6 +272,7 @@ class OptimizeResult:
     trace: list[TracePoint]
     final_hamiltonian: Hamiltonian
     ansatz: LayeredAnsatz
+    transformed: DensityMatrix  # V rho V^dag at theta_opt
     estimate: EigenEstimate | None = None
 
 
@@ -306,7 +293,8 @@ def optimize(
     records the starting point.  A NaN cost aborts the run.
 
     Each row's transformed state V rho V^dag also serves the adaptive update
-    that follows it and the final estimate.  `callback(k, t, ansatz,
+    that follows it; the last one gives the final estimate and is returned as
+    `transformed`.  `callback(k, t, ansatz,
     cost_value, transformed)`, when given, fires after every recorded row.
     """
     rng = np.random.default_rng(rng)
@@ -352,5 +340,6 @@ def optimize(
 
     est = read_estimate(rho_t, cost.m, cost.shots, rng)
     return OptimizeResult(
-        theta_opt=a.theta, trace=trace, final_hamiltonian=h, ansatz=a, estimate=est
+        theta_opt=a.theta, trace=trace, final_hamiltonian=h, ansatz=a, transformed=rho_t,
+        estimate=est,
     )

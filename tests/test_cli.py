@@ -102,6 +102,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "n_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("pca", "runs", "0"),
+        ("pca", "n_max", "0"),
+        ("pca", "layers", "0"),
+        ("pca", "s", "-1"),
+        ("wstate", "runs", "0"),
+        ("wstate", "iters", "0"),
+        ("wstate", "update_every", "0"),
+        ("xy", "runs", "0"),
+    ])
+    def test_non_positive_count_exits_2_with_line(self, tmp_path, capsys, section, key, value):
+        text = {"pca": PCA_CFG, "wstate": WSTATE_CFG, "xy": XY_CFG}[section]
+        lines = text.splitlines()
+        line = next(i for i, ln in enumerate(lines) if ln.split(" = ")[0] == key)
+        lines[line] = f"{key} = {value}"
+        cfg = tmp_path / "count.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line + 1}:" in err and repr(key) in err
+
     def test_replay_is_bitwise_identical(self, tmp_path):
         cfg = tmp_path / "pca.cfg"
         cfg.write_text(PCA_CFG)
@@ -235,6 +256,12 @@ class TestVerifyCommand:
         assert main(["verify", str(summary)]) == 0
         out = capsys.readouterr().out
         assert "degenerate" in out
+
+    def test_non_numeric_run_section_is_corrupt(self, tmp_path, capsys):
+        bad = tmp_path / "run_a.txt"
+        bad.write_text("[run_a]\nn = 2\n")
+        assert main(["verify", str(bad)]) == 2
+        assert "corrupt summary" in capsys.readouterr().err
 
     def test_summary_without_runs_rejected(self, tmp_path, capsys):
         bad = tmp_path / "empty.txt"

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from vqse.ansatz import BlockKind, LayeredAnsatz, apply_ansatz, rotation_y, shift_parameter
-from vqse.hamiltonians import cost_exact, default_local_weights, global_from_local
+from vqse.ansatz import (
+    BlockKind,
+    LayeredAnsatz,
+    apply_ansatz,
+    build_unitary,
+    rotation_y,
+    shift_parameter,
+)
+from vqse.hamiltonians import (
+    AdaptiveHamiltonian,
+    cost_exact,
+    default_local_weights,
+    global_from_local,
+    sample_counts,
+)
 from vqse.qmath import DensityMatrix, exact_eigs, random_density_matrix
 from vqse.solver import (
     CostConfig,
@@ -21,6 +34,42 @@ from vqse.solver import (
 def cost_config(n, m, variant="local", shots=0):
     local = default_local_weights(n, m)
     return CostConfig(variant=variant, local=local, global_part=global_from_local(local, m), m=m, shots=shots)
+
+
+def adaptive_hamiltonian(n, m):
+    local = default_local_weights(n, m)
+    marked = [format(i, f"0{n}b") for i in (1, 2 ** n - 1, 2)[:m]]
+    glob = global_from_local(local, m).with_bitstrings(marked)
+    return AdaptiveHamiltonian(local=local, global_part=glob, f_of_t=StepwiseSchedule(10, 5), t=0.6)
+
+
+def dense_shift_gradient(rho, a, h):
+    """[C(theta + pi/2 e_nu) - C(theta - pi/2 e_nu)] / 2 with V built densely."""
+    energies = h.energies()
+
+    def cost(shifted):
+        v = build_unitary(shifted)
+        return float(energies @ np.diag(v @ rho.data @ v.conj().T).real)
+
+    return np.array([
+        0.5 * (cost(shift_parameter(a, nu, np.pi / 2)) - cost(shift_parameter(a, nu, -np.pi / 2)))
+        for nu in range(a.theta.size)
+    ])
+
+
+def full_forward_sampled_gradient(rho, a, h, shots, seed):
+    """One full forward pass and one sample per shifted circuit, nu order, + before -."""
+    rng = np.random.default_rng(seed)
+    energies = h.energies()
+    grad = np.empty(a.theta.size)
+    for nu in range(a.theta.size):
+        val = [
+            float(energies @ sample_counts(apply_ansatz(rho, shift_parameter(a, nu, d)), shots, rng))
+            / shots
+            for d in (np.pi / 2, -np.pi / 2)
+        ]
+        grad[nu] = 0.5 * (val[0] - val[1])
+    return grad
 
 
 class TestParameterShiftRule:
@@ -47,6 +96,25 @@ class TestParameterShiftRule:
             cp = cost_exact(h, apply_ansatz(rho, shift_parameter(a, nu, +step)))
             cm = cost_exact(h, apply_ansatz(rho, shift_parameter(a, nu, -step)))
             assert grad[nu] == pytest.approx((cp - cm) / (2 * step), abs=1e-6)
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("n", [2, 3, 5])  # odd n leaves a qubit idle in each row
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_exact_matches_dense_reference(self, kind, n, layers):
+        rho = random_density_matrix(n, seed=20 + n)
+        a = LayeredAnsatz.random(n, layers, kind, 30 + n + layers)
+        h = adaptive_hamiltonian(n, 2)
+        ref = dense_shift_gradient(rho, a, h)
+        assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("n,layers", [(2, 1), (3, 2), (5, 1)])
+    def test_sampled_matches_full_forward_reference(self, kind, n, layers):
+        rho = random_density_matrix(n, seed=40 + n)
+        a = LayeredAnsatz.random(n, layers, kind, 50 + n)
+        h = adaptive_hamiltonian(n, 2)
+        ref = full_forward_sampled_gradient(rho, a, h, 300, seed=9)
+        assert np.array_equal(param_shift_gradient(rho, a, h, shots=300, rng=9), ref)
 
     def test_flat_at_maximally_mixed_state(self):
         rho = DensityMatrix.maximally_mixed(2)
@@ -226,6 +294,14 @@ class TestOptimize:
         h = res.final_hamiltonian
         assert h.t == 1.0 and h.f == 1.0
         assert np.isclose(max(h.energies()), 1.0)
+
+    def test_returns_final_transformed_state(self):
+        rho = random_density_matrix(3, seed=4)
+        rng = np.random.default_rng(2)
+        a = LayeredAnsatz.random(3, 1, BlockKind.G_CNOT_G, rng)
+        res = optimize(rho, a, cost_config(3, 2, "adaptive"), StepwiseSchedule(10, 5),
+                       OptimizerConfig(), rng)
+        assert np.array_equal(res.transformed.data, apply_ansatz(rho, res.ansatz).data)
 
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, seed=6)
