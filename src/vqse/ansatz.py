@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -49,16 +50,23 @@ def rotation_z(theta: float) -> np.ndarray:
     return np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
 
 
-def g_rotation(a: float, b: float, c: float) -> np.ndarray:
-    """General single-qubit rotation G(a, b, c) = R_z(c) R_y(b) R_z(a)."""
-    return rotation_z(c) @ rotation_y(b) @ rotation_z(a)
+_ROTATION = {"y": rotation_y, "z": rotation_z}
+# i sigma_k / 2, so that dR_k(t)/dt = (i sigma_k / 2) R_k(t)
+_GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex), "z": np.diag([0.5j, -0.5j])}
+
+
+def _product(factors: list[np.ndarray]) -> np.ndarray:
+    """Product of factors given in the order they act (first factor rightmost)."""
+    return reduce(np.matmul, factors[::-1])
 
 
 class BlockKind(Enum):
     """How one block is built: post rotations . entangler . pre rotations.
 
     A block's angles split into four equal groups, one rotation each: (pre on
-    pair[0], pre on pair[1], post on pair[0], post on pair[1]).
+    pair[0], pre on pair[1], post on pair[0], post on pair[1]).  Each
+    rotation is a product of elementary rotations R_k, one per angle, about
+    the axes in `axes` (in the order they act).
     """
 
     RY_CZ = "rycz"
@@ -69,8 +77,23 @@ class BlockKind(Enum):
         return CZ if self is BlockKind.RY_CZ else CNOT
 
     @property
+    def axes(self) -> str:
+        """R_y, or G(a, b, c) = R_z(c) R_y(b) R_z(a); a palindrome, see `rotations`."""
+        return "y" if self is BlockKind.RY_CZ else "zyz"
+
+    @property
     def angles_per_block(self) -> int:
-        return 4 if self is BlockKind.RY_CZ else 12
+        return 4 * len(self.axes)
+
+    def rotation_factors(self, angles: np.ndarray, dagger: bool = False) -> list[list[np.ndarray]]:
+        """Elementary factors of each of the four rotations, in the order they act."""
+        axes = self.axes
+        k = len(axes)
+        t = angles.tolist()
+        if dagger:
+            t = [-x for i in range(0, 4 * k, k) for x in reversed(t[i : i + k])]
+        factors = [_ROTATION[ax](x) for ax, x in zip(axes * 4, t)]
+        return [factors[i : i + k] for i in range(0, 4 * k, k)]
 
     def rotations(self, angles: np.ndarray, dagger: bool = False) -> list[np.ndarray]:
         """The block's four single-qubit rotations, or their inverses.
@@ -78,12 +101,7 @@ class BlockKind(Enum):
         R_y(t)^dag = R_y(-t) and G(a, b, c)^dag = G(-c, -b, -a): each inverse
         is the same rotation of the reversed, negated angles.
         """
-        rotate, k = (rotation_y, 1) if self is BlockKind.RY_CZ else (g_rotation, 3)
-        t = angles.tolist()
-        groups = [t[i : i + k] for i in range(0, 4 * k, k)]
-        if dagger:
-            groups = [[-x for x in reversed(g)] for g in groups]
-        return [rotate(*g) for g in groups]
+        return [_product(f) for f in self.rotation_factors(angles, dagger)]
 
     @classmethod
     def parse(cls, name: str) -> "BlockKind":
@@ -104,7 +122,28 @@ def brick_pairs(n: int) -> list[tuple[int, int]]:
 
 def block_unitary(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
     """4x4 unitary of one block; wire order (pair[0], pair[1]) = (MSB, LSB)."""
-    pre0, pre1, post0, post1 = kind.rotations(angles)
+    return _assemble(kind, kind.rotations(angles))
+
+
+def block_derivatives(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
+    """dB/dtheta_j for every angle j of one block, stacked as (angles, 4, 4).
+
+    Angle j's elementary factor R_k(t) is replaced by (i sigma_k / 2) R_k(t).
+    That product only permutes, negates and halves entries, so a derivative
+    that is exactly zero stays exactly zero.
+    """
+    factors = kind.rotation_factors(angles)
+    rotations = [_product(f) for f in factors]
+    out = []
+    for q, group in enumerate(factors):
+        for i, ax in enumerate(kind.axes):
+            derived = group[:i] + [_GENERATOR[ax] @ group[i]] + group[i + 1 :]
+            out.append(_assemble(kind, rotations[:q] + [_product(derived)] + rotations[q + 1 :]))
+    return np.array(out)
+
+
+def _assemble(kind: BlockKind, rotations: list[np.ndarray]) -> np.ndarray:
+    pre0, pre1, post0, post1 = rotations
     return np.kron(post0, post1) @ kind.entangler @ np.kron(pre0, pre1)
 
 

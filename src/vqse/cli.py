@@ -428,12 +428,35 @@ def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
         if key in sections[experiment] and cfg[key] < 1:
             line = sections[experiment][key][1]
             raise ConfigError(f"key {key!r} must be at least 1, got {cfg[key]}", line)
+    _check_ranges(sections[experiment], experiment, cfg)
     run_cfg.update({k: v for k, v in flags.items() if v is not None})
+    if run_cfg["jobs"] < 1:
+        from_file = flags.get("jobs") is None and "jobs" in sections.get("run", {})
+        line = sections["run"]["jobs"][1] if from_file else None
+        raise ConfigError(f"key 'jobs' must be at least 1, got {run_cfg['jobs']}", line)
     if run_cfg["shots"] is not None and "shots" in cfg:
         cfg["shots"] = run_cfg["shots"]
     if not 0 <= run_cfg["seed"] < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     return experiment, run_cfg, cfg
+
+
+def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
+    """Qubit count, m and the update period, checked against each other."""
+
+    def fail(key: str, message: str):
+        raise ConfigError(f"key {key!r} {message}", section[key][1] if key in section else None)
+
+    qubits = {"pca": "n", "xy": "keep"}.get(experiment)  # [custom] learns n from its state
+    if qubits is not None and cfg[qubits] < 2:
+        fail(qubits, f"must be at least 2 for two-qubit blocks, got {cfg[qubits]}")
+    if "m" in cfg:
+        top = 2 ** cfg[qubits] if qubits else None
+        if cfg["m"] < 1 or (top is not None and cfg["m"] > top):
+            fail("m", f"must lie in [1, {top or '2^n'}], got {cfg['m']}")
+    total, period = ("iters", "update_every") if experiment == "wstate" else ("n_max", "s")
+    if cfg[total] % cfg[period]:
+        fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")
 
 
 def run_command(args) -> int:

@@ -135,22 +135,22 @@ class LoopConfig:
 def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
     """Rank <= 2^n_ancilla random real state on n qubits.
 
-    A Haar-like random real orthogonal matrix (QR of a seeded Gaussian
-    matrix, sign-fixed) acts on |0...0> of n + n_ancilla qubits; the
-    ancillas are traced out.  Entries are real and generically non-sparse.
+    A Haar-random real orthogonal matrix acts on |0...0> of n + n_ancilla
+    qubits and the ancillas are traced out.  Only the matrix's first column
+    is needed: for the sign-fixed QR of a Gaussian matrix g that column is
+    g[:, 0] / |g[:, 0]|, so the whole d x d matrix is drawn (keeping the
+    seeded stream) but never factorized.  Entries are real and generically
+    non-sparse; the state keeps its purification factor.
     """
     if n + n_ancilla > 12:
         raise ValueError("n + n_ancilla must not exceed 12")
     rng = np.random.default_rng(seed)
     d = 2 ** (n + n_ancilla)
     g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))[None, :]
-    psi = q[:, 0]
-    if n_ancilla == 0:
-        return DensityMatrix(np.outer(psi, psi).astype(complex), validate=False)
+    psi = g[:, 0] / np.linalg.norm(g[:, 0])
     t = psi.reshape(2**n, 2**n_ancilla)
-    return DensityMatrix((t @ t.T).astype(complex), validate=False)
+    data = np.outer(psi, psi) if n_ancilla == 0 else t @ t.T
+    return DensityMatrix(data.astype(complex), validate=False, factor=t)
 
 
 # ---------------------------------------------------------------------------

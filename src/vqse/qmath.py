@@ -2,7 +2,10 @@
 
 Everything here works on explicit 2^n x 2^n arrays (n <= 12), which keeps the
 code transparent and lets exact eigendecomposition serve as the ground-truth
-oracle for the rest of the package.
+oracle for the rest of the package.  A density matrix also carries a
+purification factor A with rho = A A^dag (given at construction or computed
+once from its eigendecomposition); the exact gradient evolves that 2^n x r
+array instead of the 2^n x 2^n matrix.
 
 Bit convention used throughout the package: qubit 0 is the most significant
 bit of a computational-basis index, so for n=3 the basis state |011> sits at
@@ -53,17 +56,28 @@ class DensityMatrix:
     The underlying array is held read-only.  Validation checks the three
     invariants within fixed absolute tolerances; internal operations that
     preserve them by construction skip the (eigenvalue) check for speed.
+
+    `factor`, when given, is a 2^n x r purification factor A with
+    data = A A^dag (the caller's promise; only its shape is checked).
     """
 
-    __slots__ = ("n", "data")
+    __slots__ = ("n", "data", "_factor")
 
-    def __init__(self, data: np.ndarray, *, validate: bool = True):
+    def __init__(
+        self, data: np.ndarray, *, validate: bool = True, factor: np.ndarray | None = None
+    ):
         data = np.array(data, dtype=complex)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError("density matrix must be square")
         self.n = num_qubits(data.shape[0])
         data.flags.writeable = False
         self.data = data
+        if factor is not None:
+            factor = np.array(factor, dtype=complex)
+            if factor.ndim != 2 or factor.shape[0] != data.shape[0]:
+                raise ValueError(f"factor of shape {factor.shape} does not fit {self.dim} rows")
+            factor.flags.writeable = False
+        self._factor = factor
         if validate:
             self.validate()
 
@@ -83,6 +97,23 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
+
+    def factor(self) -> np.ndarray:
+        """A 2^n x r array A with A A^dag = rho (read-only).
+
+        The factor given at construction, or else eigenvectors scaled by the
+        square roots of the eigenvalues, computed once and cached.  Eigenvalues
+        at or below the numerical-rank cutoff (dimension x machine epsilon x
+        the largest; `eigh` rounding noise) are dropped, so a rank-r state
+        gets r columns.
+        """
+        if self._factor is None:
+            w, v = np.linalg.eigh(self.data)
+            keep = w > w.size * np.finfo(float).eps * w.max()
+            factor = v[:, keep] * np.sqrt(w[keep])
+            factor.flags.writeable = False
+            self._factor = factor
+        return self._factor
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal of rho: standard-basis outcome probabilities."""

@@ -10,13 +10,16 @@ is frozen, which makes the effective schedule f(t) stepwise-constant with
 f(0) = 0 and f(1) = 1.  For the fixed local / global costs the loop reduces
 to plain gradient descent on a constant Hamiltonian.
 
-Gradients use the parameter-shift identity: under half-angle rotation
-generators, dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2.
-One loop walks the blocks in order and conjugates each shifted block onto
-the state entering it.  With exact costs the result is scored against the
-Hamiltonian pulled back through the later blocks, K_b = S_b^dag H S_b; with
-shots > 0 it is run through the later blocks and sampled, as a measurement
-of the shifted circuit would be.
+Gradients are dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2,
+the parameter-shift identity under half-angle rotation generators.  With
+shots > 0 this is how they are measured: one loop walks the blocks in order,
+conjugates each shifted block onto the state entering it, runs the result
+through the later blocks and samples it, as a measurement of the shifted
+circuit would be.  With exact costs the same derivative is computed in
+adjoint form (Jones & Gacon, arXiv:2009.02823) on a purification factor
+rho = A A^dag: the 2^n x r states psi_b = B_{b-1} ... B_0 A are kept, a
+backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
+each block's angles are read off one 4x4 environment Tr_rest[psi_b lam^dag].
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, apply_ansatz, block_unitary
+from .ansatz import LayeredAnsatz, apply_ansatz, block_derivatives, block_unitary
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
@@ -35,7 +38,7 @@ from .hamiltonians import (
     LocalWeights,
     sample_counts,
 )
-from .qmath import DensityMatrix, _conjugate, exact_eigs, index_to_bitstring
+from .qmath import DensityMatrix, _apply_left, _conjugate, exact_eigs, index_to_bitstring
 
 
 @dataclass(frozen=True)
@@ -159,40 +162,63 @@ def read_estimate(rho_t: DensityMatrix, m: int, shots: int = 0, rng=None) -> Eig
 def param_shift_gradient(
     rho: DensityMatrix, a: LayeredAnsatz, h: Hamiltonian, shots: int = 0, rng=None
 ) -> np.ndarray:
-    """dC/dtheta_nu for every parameter via +-pi/2 parameter shifts.
+    """dC/dtheta_nu for every parameter: [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2.
 
-    Each component is [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2 with C
-    evaluated exactly (shots == 0) or from `shots` fresh samples per shifted
-    circuit, drawn in parameter order, + before -.
+    With shots > 0 each shifted circuit's C is estimated from `shots` fresh
+    samples, drawn in parameter order, + before -.  With shots == 0 the same
+    derivative is computed in adjoint form on the factor A of rho = A A^dag
+    (see `_adjoint_gradient`).
     """
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
-    mats, pairs, w = a.block_matrices(), a.block_pairs, a.kind.angles_per_block
+    mats = a.block_matrices()
     if shots == 0:
-        # K_b = S_b^dag H S_b for b = B-1, ..., 0; each popped when the walk reaches block b
-        pulled = [np.diag(energies).astype(complex)]
-        for mat, pair in zip(mats[:0:-1], pairs[:0:-1]):
-            pulled.append(_conjugate(pulled[-1], mat.conj().T, pair, a.n))
-    else:
-        rng = np.random.default_rng(rng)
+        return _adjoint_gradient(rho.factor(), a, energies, mats)
+    pairs, w = a.block_pairs, a.kind.angles_per_block
+    rng = np.random.default_rng(rng)
     grad = np.empty(a.theta.size)
     for b, state in enumerate(_forward_states(rho, a, mats)):
-        k_mat = pulled.pop() if shots == 0 else None
         for j in range(w):
             val = {}
             for sign in (+1.0, -1.0):
                 angles = a.block_angles(b).copy()
                 angles[j] += sign * np.pi / 2
                 moved = _conjugate(state, block_unitary(a.kind, angles), pairs[b], a.n)
-                if shots == 0:
-                    val[sign] = np.vdot(k_mat, moved).real
-                else:
-                    for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
-                        moved = _conjugate(moved, mat, pair, a.n)
-                    counts = sample_counts(DensityMatrix(moved, validate=False), shots, rng)
-                    val[sign] = float(energies @ counts) / shots
+                for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
+                    moved = _conjugate(moved, mat, pair, a.n)
+                counts = sample_counts(DensityMatrix(moved, validate=False), shots, rng)
+                val[sign] = float(energies @ counts) / shots
             grad[b * w + j] = 0.5 * (val[+1.0] - val[-1.0])
+    return grad
+
+
+def _adjoint_gradient(
+    factor: np.ndarray, a: LayeredAnsatz, energies: np.ndarray, mats
+) -> np.ndarray:
+    """Exact dC/dtheta of C = Tr(V A A^dag V^dag H): one forward, one backward sweep.
+
+    Forward: psi_0 = A, psi_{b+1} = B_b psi_b.  Backward from lam = H psi_B:
+    block b's angles get 2 Re Tr(dB_j G_b) with the 4x4 environment
+    G_b = Tr_rest[psi_b lam^dag], then lam <- B_b^dag lam.
+    """
+    pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
+    states = [factor]
+    for mat, pair in zip(mats, pairs):
+        states.append(_apply_left(states[-1], mat, pair, n))
+    lam = energies[:, None] * states.pop()
+    shape = (2,) * n + (factor.shape[1],)
+    grad = np.empty(a.theta.size)
+    for b in range(a.n_blocks - 1, -1, -1):
+        # sum out every qubit but the pair, and the columns; brick pairs ascend,
+        # so the pair axes stay in (MSB, LSB) order
+        rest = [q for q in range(n + 1) if q not in pairs[b]]
+        env = np.tensordot(states[b].reshape(shape), lam.conj().reshape(shape), axes=(rest, rest))
+        derivs = block_derivatives(a.kind, a.block_angles(b))
+        traces = np.tensordot(derivs, env.reshape(4, 4), ([1, 2], [1, 0]))  # Tr(dB_j G_b)
+        grad[b * w : (b + 1) * w] = 2.0 * traces.real
+        if b:
+            lam = _apply_left(lam, mats[b].conj().T, pairs[b], n)
     return grad
 
 

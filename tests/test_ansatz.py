@@ -9,6 +9,8 @@ from vqse.ansatz import (
     BlockKind,
     LayeredAnsatz,
     apply_ansatz,
+    block_derivatives,
+    block_unitary,
     brick_pairs,
     build_unitary,
     prepare_eigenvector,
@@ -83,6 +85,25 @@ class TestBuildUnitary:
         # two layers of zero-angle CZ blocks cancel to the identity
         a = LayeredAnsatz(2, 2, BlockKind.RY_CZ, np.zeros(8))
         assert np.allclose(build_unitary(a), np.eye(4))
+
+
+class TestBlockDerivatives:
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    def test_matches_half_of_pi_shifted_block(self, kind):
+        # R_k(t + pi) = R_k(t) i sigma_k, so dB/dtheta_j = B(theta + pi e_j) / 2
+        angles = np.random.default_rng(4).uniform(-np.pi, np.pi, kind.angles_per_block)
+        derivs = block_derivatives(kind, angles)
+        assert derivs.shape == (kind.angles_per_block, 4, 4)
+        for j in range(kind.angles_per_block):
+            shifted = angles.copy()
+            shifted[j] += np.pi
+            assert np.abs(derivs[j] - block_unitary(kind, shifted) / 2).max() < 1e-15
+
+    def test_exact_zeros_at_zero_angles(self):
+        # pre rotation on pair[0] at t = 0: CZ (dR_y(0) x I), dR_y(0) = [[0, 1/2], [-1/2, 0]]
+        d_ry = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        expected = CZ @ np.kron(d_ry, np.eye(2))
+        assert np.array_equal(block_derivatives(BlockKind.RY_CZ, np.zeros(4))[0], expected)
 
 
 class TestApplyAnsatz:

@@ -47,6 +47,17 @@ n_max = 20
 s = 5
 """
 
+CUSTOM_CFG = """\
+[custom]
+state = {state}
+m = 2
+cost = local
+layers = 2
+n_max = 20
+s = 5
+runs = 1
+"""
+
 
 class TestConfigParsing:
     def test_sections_and_comments(self):
@@ -122,6 +133,45 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}:{line + 1}:" in err and repr(key) in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("pca", "m", "0"),
+        ("pca", "m", "9"),  # 2^n = 8
+        ("pca", "n", "1"),
+        ("pca", "s", "7"),  # n_max = 30
+        ("xy", "m", "5"),  # the reduced state has keep = 2 qubits
+        ("xy", "keep", "1"),
+        ("xy", "s", "3"),
+        ("custom", "m", "0"),
+        ("custom", "s", "3"),
+        ("wstate", "update_every", "3"),  # iters = 10
+        ("run", "jobs", "0"),
+        ("run", "jobs", "-3"),
+    ])
+    def test_out_of_range_value_exits_2_with_line(self, tmp_path, capsys, section, key, value):
+        state = tmp_path / "state.npy"
+        np.save(state, random_low_rank_state(3, 1, seed=5).data)
+        text = {
+            "pca": PCA_CFG,
+            "run": PCA_CFG.replace("verbosity = 0\n", "verbosity = 0\njobs = 1\n"),
+            "xy": XY_CFG,
+            "custom": CUSTOM_CFG.format(state=state),
+            "wstate": WSTATE_CFG,
+        }[section]
+        lines = text.splitlines()
+        line = next(i for i, ln in enumerate(lines) if ln.split(" = ")[0] == key)
+        lines[line] = f"{key} = {value}"
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line + 1}:" in err and repr(key) in err
+
+    def test_jobs_flag_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "pca.cfg"
+        cfg.write_text(PCA_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
+        assert "'jobs'" in capsys.readouterr().err
 
     def test_replay_is_bitwise_identical(self, tmp_path):
         cfg = tmp_path / "pca.cfg"

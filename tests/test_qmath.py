@@ -75,6 +75,40 @@ class TestDensityMatrix:
             PureState(np.array([1.0, 1.0]))
 
 
+def _known_factor(name):
+    """A purification factor A with a closed form, for three kinds of state."""
+    if name == "rank_deficient":
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        return a / np.linalg.norm(a)
+    if name == "maximally_mixed":
+        return np.eye(8, dtype=complex) / np.sqrt(8)
+    return np.eye(8, dtype=complex)[:, [5]]  # basis state |101>
+
+
+class TestFactor:
+    @pytest.mark.parametrize("name", ["rank_deficient", "maximally_mixed", "basis"])
+    @pytest.mark.parametrize("given", [True, False])
+    def test_reproduces_data(self, name, given):
+        a = _known_factor(name)
+        data = a @ a.conj().T
+        rho = DensityMatrix(data, factor=a) if given else DensityMatrix(data)
+        f = rho.factor()
+        assert f.shape[0] == 8 and not f.flags.writeable
+        assert np.abs(f @ f.conj().T - rho.data).max() < 1e-14
+
+    def test_eigh_factor_is_cached_and_has_the_state_rank(self):
+        rho = DensityMatrix.basis_state(3, "101")
+        assert rho.factor() is rho.factor()
+        assert rho.factor().shape == (8, 1)
+        a = _known_factor("rank_deficient")
+        assert DensityMatrix(a @ a.conj().T).factor().shape == (8, 2)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="factor"):
+            DensityMatrix(np.eye(4) / 4, factor=np.eye(2))
+
+
 class TestApplyUnitary:
     def test_identity_fixes_state(self):
         rho = DensityMatrix.basis_state(1, "0")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqse.ansatz import (
     BlockKind,
@@ -11,6 +12,7 @@ from vqse.ansatz import (
     rotation_y,
     shift_parameter,
 )
+from vqse.experiments import random_low_rank_state
 from vqse.hamiltonians import (
     AdaptiveHamiltonian,
     cost_exact,
@@ -108,6 +110,15 @@ class TestParameterShiftRule:
         assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("n_ancilla", [0, 1, 3])  # rank 1, 2 and full at n = 3
+    def test_exact_matches_dense_reference_on_given_factor(self, kind, n_ancilla):
+        rho = random_low_rank_state(3, n_ancilla, seed=60 + n_ancilla)
+        a = LayeredAnsatz.random(3, 2, kind, 70 + n_ancilla)
+        h = adaptive_hamiltonian(3, 2)
+        ref = dense_shift_gradient(rho, a, h)
+        assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
     @pytest.mark.parametrize("n,layers", [(2, 1), (3, 2), (5, 1)])
     def test_sampled_matches_full_forward_reference(self, kind, n, layers):
         rho = random_density_matrix(n, seed=40 + n)
@@ -131,6 +142,37 @@ class TestParameterShiftRule:
         assert np.array_equal(g1, g2)
         exact = param_shift_gradient(rho, a, h)
         assert np.abs(g1 - exact).max() < 0.1
+
+
+@st.composite
+def adjoint_cases(draw):
+    """Untrained circuit, rank-r state (factor given or from eigh), adaptive H."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(list(BlockKind)))
+    layers = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    factor /= np.linalg.norm(factor)
+    given_factor = draw(st.booleans())
+    rho = DensityMatrix(factor @ factor.conj().T, factor=factor if given_factor else None)
+    a = LayeredAnsatz.random(n, layers, kind, rng)
+    m = draw(st.integers(1, 2))
+    marked = draw(st.lists(st.integers(0, 2**n - 1), min_size=m, max_size=m, unique=True))
+    local = default_local_weights(n, m)
+    glob = global_from_local(local, m).with_bitstrings([format(i, f"0{n}b") for i in marked])
+    t = draw(st.integers(0, 20)) / 20  # f(t) = t on this schedule
+    h = AdaptiveHamiltonian(local=local, global_part=glob, f_of_t=StepwiseSchedule(20, 1), t=t)
+    return rho, a, h
+
+
+class TestAdjointProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(adjoint_cases())
+    def test_factor_path_matches_dense_shift_reference(self, case):
+        rho, a, h = case
+        ref = dense_shift_gradient(rho, a, h)
+        assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
 
 
 class TestSchedule:
