@@ -454,6 +454,13 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
         top = 2 ** cfg[qubits] if qubits else None
         if cfg["m"] < 1 or (top is not None and cfg["m"] > top):
             fail("m", f"must lie in [1, {top or '2^n'}], got {cfg['m']}")
+    if experiment == "xy":
+        if not 2 <= cfg["N"] <= 12:
+            fail("N", f"must lie in [2, 12] (dense diagonalization), got {cfg['N']}")
+        if cfg["keep"] >= cfg["N"]:
+            fail("keep", f"must be below N={cfg['N']} (a strict sub-block), got {cfg['keep']}")
+        if cfg["locate"] and len(cfg["h_grid"]) < 3:
+            fail("h_grid", f"needs at least 3 field values to locate, got {len(cfg['h_grid'])}")
     total, period = ("iters", "update_every") if experiment == "wstate" else ("n_max", "s")
     if cfg[total] % cfg[period]:
         fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")

@@ -243,62 +243,130 @@ def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     return partial_trace(full, range(spec.keep)), float(w[0])
 
 
-def _ground_gap(spec: SpinChainSpec) -> float:
-    w = np.linalg.eigvalsh(xy_hamiltonian(spec))
-    return float(w[1] - w[0])
+def _ground_residual(ham: np.ndarray, keep: int, N: int) -> tuple[float, float]:
+    """1 - lambda_1 (top Schmidt weight of the product-seeking ground vector) and the gap, from one eigh."""
+    w, v = np.linalg.eigh(ham)
+    vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep, N)
+    return 1.0 - _reduced_top_eigenvalue(vec / np.linalg.norm(vec), keep, N), float(w[1] - w[0])
 
 
 def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     """1 - lambda_1 of the reduced ground state at field magnitude h."""
-    reduced, _ = xy_ground_reduced(_with_h(spec, h))
-    return float(1.0 - exact_eigs(reduced)[0][0])
+    return _ground_residual(xy_hamiltonian(_with_h(spec, h)), spec.keep, spec.N)[0]
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
     return SpinChainSpec(spec.N, spec.J_x, spec.J_y, float(h), spec.gamma, spec.keep)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 70) -> float:
-    for _ in range(iters):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if f(m1) < f(m2):
-            hi = m2
+class _FieldLine:
+    """H(h) = H_J + h H_f: the dense coupling part plus the unit field's nonzeros.
+
+    H_f is the diagonal -cos(gamma) sum Sz plus one single-flip entry per site
+    per column.  With no x field H commutes with the parity prod sigma^z, and
+    `blocks` holds the even and odd basis indices.
+    """
+
+    def __init__(self, spec: SpinChainSpec):
+        N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
+        idx = np.arange(d)
+        ones = ((idx[:, None] >> np.arange(N)) & 1).sum(axis=1)
+        self.coupling = xy_hamiltonian(_with_h(spec, 0.0))
+        # flat (row, column) positions: the diagonal, then one bit flip per site
+        self.index = np.concatenate([idx] + [idx ^ (1 << j) for j in range(N)]) * d + np.tile(idx, N + 1)
+        self.values = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
+        self.blocks = (np.flatnonzero(ones % 2 == 0), np.flatnonzero(ones % 2)) if sin == 0.0 else None
+
+    def at(self, h: float) -> np.ndarray:
+        ham = self.coupling.copy()
+        ham.reshape(-1)[self.index] += h * self.values
+        return ham
+
+    def gap(self, h: float) -> float:
+        w = np.linalg.eigvalsh(self.at(h))
+        return float(w[1] - w[0])
+
+    def parity_split(self, h: float) -> float:
+        """E_even - E_odd, the difference of the two parity blocks' ground energies."""
+        ham = self.at(h)
+        even, odd = (np.linalg.eigvalsh(ham[np.ix_(b, b)])[0] for b in self.blocks)
+        return float(even - odd)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, rounds: int = 59) -> float:
+    """Golden-section minimum of f on [lo, hi] in rounds + 2 evaluations of f.
+
+    59 rounds shrink the bracket by 0.618^59 < (2/3)^70, about 5e-13.
+    """
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(rounds):
+        if fa < fb:
+            hi, b, fb = b, a, fa
+            a = hi - _INV_PHI * (hi - lo)
+            fa = f(a)
         else:
-            lo = m1
+            lo, a, fa = a, b, fb
+            b = lo + _INV_PHI * (hi - lo)
+            fb = f(b)
     return 0.5 * (lo + hi)
+
+
+def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
+    """A sign change of f inside [lo, hi], bisected down to adjacent floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = f(mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return mid
 
 
 def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance: float = 1e-8) -> float:
     """Field magnitude where the ground state factorizes (1 - lambda_1 < tol).
 
-    Two candidate searches cover the two ways a factorizing point shows up
-    at finite size: a smooth minimum of 1 - lambda_1 (unique gapped product
-    ground state) and an exact level crossing (symmetry-protected doublet
-    whose degenerate space contains the product states).  Crossings are
-    localized by minimizing the ground gap; 1 - lambda_1 itself is not
-    smooth there because the nearby ground states are cat-like.
+    At finite size a factorizing point is a minimum of 1 - lambda_1 (a unique
+    product ground state) or an exact level crossing, whose degenerate ground
+    space holds the product states (1 - lambda_1 jumps there).  Candidates:
+
+    * the minimum of 1 - lambda_1, golden-searched around the best grid point;
+    * at gamma = 0, where H commutes with the parity prod sigma^z, each sign
+      change of E_even - E_odd between grid neighbours, bisected to adjacent
+      floats; found whatever the spacing unless two crossings share a cell;
+    * at gamma != 0, each dip of the ground gap on the grid, golden-searched;
+      a crossing that shows no dip on the grid is missed.
+
+    The smallest residual wins.  H(h) = H_J + h H_f is built once.  Cost: one
+    eigh per grid point, candidate and residual round (61 per golden search);
+    61 eigvalsh per gap search; two half-width eigvalsh per bisection step.
     """
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
-    residuals = np.array([factorization_residual(spec, h) for h in hs])
-    gaps = np.array([_ground_gap(_with_h(spec, h)) for h in hs])
+    line = _FieldLine(spec)
 
-    candidates: list[float] = []
+    def residual_and_gap(h):
+        return _ground_residual(line.at(h), spec.keep, spec.N)
+
+    residuals, gaps = np.array([residual_and_gap(h) for h in hs]).T
     k = int(np.argmin(residuals))
     lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
-    candidates.append(_golden_min(lambda h: factorization_residual(spec, h), lo, hi))
-    for k in range(1, hs.size - 1):
-        if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]:
-            candidates.append(
-                _golden_min(lambda h: _ground_gap(_with_h(spec, h)), hs[k - 1], hs[k + 1])
-            )
+    candidates = [_golden_min(lambda h: residual_and_gap(h)[0], lo, hi)]
+    if line.blocks is not None:
+        splits = [line.parity_split(h) for h in hs]
+        for i in range(hs.size - 1):
+            if (splits[i] > 0) != (splits[i + 1] > 0):
+                candidates.append(_bisect_sign_change(line.parity_split, hs[i], hs[i + 1], splits[i]))
+    else:
+        for k in range(1, hs.size - 1):
+            if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]:
+                candidates.append(_golden_min(line.gap, hs[k - 1], hs[k + 1]))
 
-    best_h, best_r = None, np.inf
-    for h in candidates:
-        r = factorization_residual(spec, h)
-        if r < best_r:
-            best_h, best_r = float(h), r
+    best_r, best_h = min(((residual_and_gap(h)[0], float(h)) for h in candidates), key=lambda c: c[0])
     if best_r >= tolerance:
         raise FactorizationNotFound(
             f"no factorizing field in [{hs[0]}, {hs[-1]}]: best residual {best_r:.3e}"

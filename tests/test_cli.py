@@ -141,6 +141,10 @@ class TestRunCommand:
         ("pca", "s", "7"),  # n_max = 30
         ("xy", "m", "5"),  # the reduced state has keep = 2 qubits
         ("xy", "keep", "1"),
+        ("xy", "keep", "4"),  # N = 4
+        ("xy", "N", "13"),
+        ("xy", "N", "1"),
+        ("xy", "h_grid", "0.5,0.9"),  # locate needs three fields
         ("xy", "s", "3"),
         ("custom", "m", "0"),
         ("custom", "s", "3"),
@@ -166,6 +170,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}:{line + 1}:" in err and repr(key) in err
+
+    def test_two_field_grid_runs_without_locate(self, tmp_path):
+        cfg = tmp_path / "xy.cfg"
+        cfg.write_text(XY_CFG.replace("h_grid = 0.5,0.65,0.7071,0.75,0.9", "h_grid = 0.5,0.9\nlocate = false"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "factorizing_field = none" in (out / "xy_summary.txt").read_text()
 
     def test_jobs_flag_below_one_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "pca.cfg"

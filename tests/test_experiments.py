@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqse.ansatz import BlockKind, LayeredAnsatz, prepare_eigenvector
 from vqse.experiments import (
@@ -9,7 +10,10 @@ from vqse.experiments import (
     LoopConfig,
     NoiseSpec,
     SpinChainSpec,
+    _FieldLine,
+    _golden_min,
     eigenvector_preparation_gates,
+    factorization_residual,
     locate_factorization,
     pca_experiment,
     random_low_rank_state,
@@ -26,6 +30,9 @@ from vqse.experiments import (
 from vqse.qmath import exact_eigs, fidelity_pure, purity
 from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
+# the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
+FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
+AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, h=1.0, gamma=np.pi / 3, keep=4)
 
 
 class TestRandomLowRankState:
@@ -89,6 +96,29 @@ class TestXYChain:
         lam = exact_eigs(red)[0]
         assert np.abs(lam - np.sort(svals**2)[::-1]).max() < 1e-10
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        N=st.integers(2, 8),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, np.pi)),
+        jx=st.floats(-2.0, 2.0),
+        jy=st.floats(-2.0, 2.0),
+        h=st.floats(0.0, 3.0),
+    )
+    def test_affine_field_line_matches_dense(self, N, gamma, jx, jy, h):
+        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=1)
+        line = _FieldLine(spec)
+        ham = line.at(h)
+        assert np.abs(ham - xy_hamiltonian(spec)).max() <= 1e-13
+        assert (line.blocks is not None) == (gamma == 0.0)
+        if gamma == 0.0:
+            odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)
+            assert np.all(ham[np.ix_(~odd, odd)] == 0.0)
+            assert np.array_equal(line.blocks[1], np.flatnonzero(odd))
+            # the lower of the two parity ground energies is the ground energy
+            e_odd = np.linalg.eigvalsh(ham[np.ix_(odd, odd)])[0]
+            e_even = e_odd + line.parity_split(h)
+            assert min(e_even, e_odd) == pytest.approx(np.linalg.eigvalsh(ham)[0], abs=1e-12)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SpinChainSpec(N=13, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
@@ -114,6 +144,39 @@ class TestFactorization:
         red, _ = xy_ground_reduced(
             SpinChainSpec(6, -1.0, -0.5, h_star, np.pi / 3, 3))
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
+
+    @pytest.mark.parametrize("grid", [np.arange(0.4, 1.01, 0.1), np.arange(0.3, 2.01, 0.1)],
+                             ids=["0.4-1.0", "0.3-2.0"])
+    def test_transverse_point_on_coarse_grids(self, grid):
+        # the finite ring's ground level crosses N/2 times up to sqrt(Jx Jy);
+        # each crossing is a parity sign change, whatever the grid spacing
+        h_star = locate_factorization(FM_RING, grid)
+        assert abs(h_star - np.sqrt(0.5)) < 1e-10
+        assert factorization_residual(FM_RING, h_star) < 1e-12
+
+    def test_afm_crossing_on_three_point_grid(self):
+        # at gamma = pi/3, h = 1 is an exact level crossing, not a smooth
+        # minimum of 1 - lambda_1: the gap dip finds it
+        h_star = locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
+        assert abs(h_star - 1.0) < 1e-10
+        assert factorization_residual(AFM_RING, h_star) < 1e-12
+
+    def test_search_cost_in_full_diagonalizations(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(a.shape[-1])
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
+        assert calls.count(2**AFM_RING.N) <= 144
+
+    @pytest.mark.parametrize("rounds", [0, 10, 59])
+    def test_golden_search_evaluates_once_per_round(self, rounds):
+        seen = []
+        x = _golden_min(lambda h: seen.append(h) or (h - 0.3) ** 2, 0.0, 1.0, rounds)
+        assert len(seen) == rounds + 2
+        assert abs(x - 0.3) <= 0.5 * 0.6180339887498949**rounds + 1e-7
 
     def test_noninteracting_everywhere_factorized(self):
         spec = SpinChainSpec(N=4, J_x=0.0, J_y=0.0, h=0.5, gamma=0.0, keep=2)
