@@ -24,13 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qmath import (
-    DensityMatrix,
-    PureState,
-    bitstring_to_index,
-    _conjugate,
-    _apply_left,
-)
+from .qmath import DensityMatrix, PureState, bitstring_to_index, _apply_left
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # control = first target qubit (the gate's most significant index bit)
@@ -218,13 +212,16 @@ def build_unitary(a: LayeredAnsatz) -> np.ndarray:
 
 
 def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
-    """V(theta) rho V(theta)^dag, applied block by block."""
+    """V(theta) rho V(theta)^dag as the factor V A of rho = A A^dag, block by block.
+
+    The 2^n x 2^n transformed matrix is built only if its `data` is read.
+    """
     if rho.n != a.n:
         raise ValueError(f"state has n={rho.n}, ansatz has n={a.n}")
-    data = rho.data
+    factor = rho.factor()
     for mat, pair in zip(a.block_matrices(), a.block_pairs):
-        data = _conjugate(data, mat, pair, a.n)
-    return DensityMatrix(data, validate=False)
+        factor = _apply_left(factor, mat, pair, a.n)
+    return DensityMatrix(factor=factor, validate=False)
 
 
 def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:

@@ -41,7 +41,6 @@ from .qmath import (
     depolarizing_channel,
     exact_eigs,
     fidelity_pure,
-    partial_trace,
     purity,
     PAULI_X,
 )
@@ -140,7 +139,7 @@ def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
     is needed: for the sign-fixed QR of a Gaussian matrix g that column is
     g[:, 0] / |g[:, 0]|, so the whole d x d matrix is drawn (keeping the
     seeded stream) but never factorized.  Entries are real and generically
-    non-sparse; the state keeps its purification factor.
+    non-sparse; the state is held as the factor t with rho = t t^T.
     """
     if n + n_ancilla > 12:
         raise ValueError("n + n_ancilla must not exceed 12")
@@ -148,9 +147,7 @@ def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
     d = 2 ** (n + n_ancilla)
     g = rng.standard_normal((d, d))
     psi = g[:, 0] / np.linalg.norm(g[:, 0])
-    t = psi.reshape(2**n, 2**n_ancilla)
-    data = np.outer(psi, psi) if n_ancilla == 0 else t @ t.T
-    return DensityMatrix(data.astype(complex), validate=False, factor=t)
+    return DensityMatrix(factor=psi.reshape(2**n, 2**n_ancilla), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +201,13 @@ def _product_seeking_vector(ground: np.ndarray, keep: int, N: int) -> np.ndarray
 
     best_vec = ground[:, 0]
     best_val = lam1(best_vec)
+    phis = np.linspace(0.0, np.pi, 361, endpoint=False)
     for i in range(d):
         for j in range(i + 1, d):
             vi, vj = ground[:, i], ground[:, j]
-            phis = np.linspace(0.0, np.pi, 361, endpoint=False)
-            vals = [lam1(np.cos(p) * vi + np.sin(p) * vj) for p in phis]
-            k = int(np.argmax(vals))
+            k = int(np.argmax([lam1(np.cos(p) * vi + np.sin(p) * vj) for p in phis]))
             lo, hi = phis[k] - np.pi / 360, phis[k] + np.pi / 360
-            for _ in range(60):
-                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                f1 = lam1(np.cos(m1) * vi + np.sin(m1) * vj)
-                f2 = lam1(np.cos(m2) * vi + np.sin(m2) * vj)
-                if f1 < f2:
-                    lo = m1
-                else:
-                    hi = m2
-            p = 0.5 * (lo + hi)
+            p = _golden_min(lambda q: -lam1(np.cos(q) * vi + np.sin(q) * vj), lo, hi)
             cand = np.cos(p) * vi + np.sin(p) * vj
             val = lam1(cand)
             if val > best_val:
@@ -238,9 +226,9 @@ def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     w, v = np.linalg.eigh(xy_hamiltonian(spec))
     ground = v[:, w - w[0] <= GROUND_DEGENERACY_TOL]
     vec = _product_seeking_vector(ground, spec.keep, spec.N)
-    amp = vec / np.linalg.norm(vec)
-    full = DensityMatrix(np.outer(amp, amp).astype(complex), validate=False)
-    return partial_trace(full, range(spec.keep)), float(w[0])
+    # the ground vector as a (kept sites x rest) matrix M = U S W^T: rho_keep = (U S)(U S)^T
+    u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**spec.keep, -1), full_matrices=False)
+    return DensityMatrix(factor=u * s, validate=False), float(w[0])
 
 
 def _ground_residual(ham: np.ndarray, keep: int, N: int) -> tuple[float, float]:

@@ -29,31 +29,10 @@ import numpy as np
 
 from .ansatz import LayeredAnsatz, prepare_eigenvector
 from .qmath import DensityMatrix
-from .solver import EigenEstimate
+# re-exported: the training loop in solver records these errors, and solver cannot import metrics
+from .solver import ZERO_EIGENVALUE_TOL, EigenErrors, EigenEstimate, eigen_errors  # noqa: F401
 
-ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
-
-
-class EigenErrors(NamedTuple):
-    eps_lambda: float
-    eps_rel: float
-    n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
-
-
-def eigen_errors(exact: np.ndarray, est: EigenEstimate, m: int) -> EigenErrors:
-    """Absolute and relative eigenvalue errors over the top m estimates.
-
-    Relative-error terms with an exact eigenvalue at numerical zero are
-    excluded from the sum and counted in n_excluded.
-    """
-    exact = np.asarray(exact, dtype=float)
-    if est.m < m or exact.size < m:
-        raise ValueError(f"need at least m={m} exact values and estimates")
-    d = exact[:m] - est.lambdas[:m]
-    nz = exact[:m] > ZERO_EIGENVALUE_TOL
-    eps_rel = float(((d[nz] / exact[:m][nz]) ** 2).sum())
-    return EigenErrors(float((d**2).sum()), eps_rel, int(m - nz.sum()))
 
 
 def eigenvector_error(rho: DensityMatrix, a: LayeredAnsatz, est: EigenEstimate) -> float:

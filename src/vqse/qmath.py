@@ -1,11 +1,11 @@
-"""Dense complex linear algebra substrate for small qubit registers.
+"""Complex linear algebra substrate for small qubit registers (n <= 12).
 
-Everything here works on explicit 2^n x 2^n arrays (n <= 12), which keeps the
-code transparent and lets exact eigendecomposition serve as the ground-truth
-oracle for the rest of the package.  A density matrix also carries a
-purification factor A with rho = A A^dag (given at construction or computed
-once from its eigendecomposition); the exact gradient evolves that 2^n x r
-array instead of the 2^n x 2^n matrix.
+The variational circuit acts only on a purification factor A of a state,
+rho = A A^dag, a 2^n x r array; the outcome probabilities are the squared
+row norms of A.  A state built from A alone builds its 2^n x 2^n matrix on
+first read.  The gate-level noisy circuit (unitaries and Kraus channels), the
+partial trace and the exact eigendecomposition (the ground-truth oracle for
+the rest of the package) work on that matrix.
 
 Bit convention used throughout the package: qubit 0 is the most significant
 bit of a computational-basis index, so for n=3 the basis state |011> sits at
@@ -53,31 +53,34 @@ def index_to_bitstring(i: int, n: int) -> str:
 class DensityMatrix:
     """An n-qubit mixed state: Hermitian, positive semidefinite, trace one.
 
-    The underlying array is held read-only.  Validation checks the three
-    invariants within fixed absolute tolerances; internal operations that
-    preserve them by construction skip the (eigenvalue) check for speed.
-
-    `factor`, when given, is a 2^n x r purification factor A with
-    data = A A^dag (the caller's promise; only its shape is checked).
+    Built from the 2^n x 2^n matrix `data`, a 2^n x r purification factor A
+    with rho = A A^dag, or both (the caller's promise that they agree; only
+    shapes are checked).  The missing form is computed from the other once,
+    on first read; both are held read-only.  The diagonal is read off `data`
+    when it was given, else as the squared row norms of A.  Validation checks
+    the three invariants within fixed absolute tolerances; internal operations
+    that preserve them by construction skip the (eigenvalue) check for speed.
     """
 
-    __slots__ = ("n", "data", "_factor")
+    __slots__ = ("n", "_data", "_factor", "_factor_only")
 
     def __init__(
-        self, data: np.ndarray, *, validate: bool = True, factor: np.ndarray | None = None
+        self, data: np.ndarray | None = None, *, validate: bool = True, factor: np.ndarray | None = None
     ):
-        data = np.array(data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError("density matrix must be square")
-        self.n = num_qubits(data.shape[0])
-        data.flags.writeable = False
-        self.data = data
+        if data is None and factor is None:
+            raise ValueError("need data, a factor or both")
+        if data is not None:
+            data = np.array(data, dtype=complex)
+            if data.ndim != 2 or data.shape[0] != data.shape[1]:
+                raise ValueError("density matrix must be square")
+            data.flags.writeable = False
         if factor is not None:
             factor = np.array(factor, dtype=complex)
-            if factor.ndim != 2 or factor.shape[0] != data.shape[0]:
-                raise ValueError(f"factor of shape {factor.shape} does not fit {self.dim} rows")
+            if factor.ndim != 2 or (data is not None and factor.shape[0] != data.shape[0]):
+                raise ValueError(f"factor of shape {factor.shape} does not fit the state")
             factor.flags.writeable = False
-        self._factor = factor
+        self.n = num_qubits((factor if data is None else data).shape[0])
+        self._data, self._factor, self._factor_only = data, factor, data is None
         if validate:
             self.validate()
 
@@ -95,8 +98,17 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {wmin:.3e}")
 
     @property
+    def data(self) -> np.ndarray:
+        """The 2^n x 2^n matrix (read-only); A A^dag on a factor-only state."""
+        if self._data is None:
+            data = self._factor @ self._factor.conj().T
+            data.flags.writeable = False
+            self._data = data
+        return self._data
+
+    @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return 2**self.n
 
     def factor(self) -> np.ndarray:
         """A 2^n x r array A with A A^dag = rho (read-only).
@@ -117,6 +129,8 @@ class DensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal of rho: standard-basis outcome probabilities."""
+        if self._factor_only:
+            return (self._factor.real**2 + self._factor.imag**2).sum(axis=1)
         return self.data.diagonal().real.copy()
 
     @classmethod

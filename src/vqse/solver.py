@@ -1,5 +1,5 @@
 """Optimization engine: parameter-shift gradients, Adam/GD steppers, the
-adaptive training loop, eigenvalue readout and the shot planner.
+adaptive training loop, eigenvalue readout and its errors, and the shot planner.
 
 The training loop follows a fixed iteration budget n_max.  With the adaptive
 cost, every s iterations (s divides n_max) the transformed state is measured
@@ -12,13 +12,13 @@ to plain gradient descent on a constant Hamiltonian.
 
 Gradients are dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2,
 the parameter-shift identity under half-angle rotation generators.  With
-shots > 0 this is how they are measured: one loop walks the blocks in order,
-conjugates each shifted block onto the state entering it, runs the result
-through the later blocks and samples it, as a measurement of the shifted
-circuit would be.  With exact costs the same derivative is computed in
-adjoint form (Jones & Gacon, arXiv:2009.02823) on a purification factor
-rho = A A^dag: the 2^n x r states psi_b = B_{b-1} ... B_0 A are kept, a
-backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
+shots > 0 this is how they are measured.  Both paths act only on a
+purification factor rho = A A^dag and keep its 2^n x r forward states
+psi_b = B_{b-1} ... B_0 A.  The sampled loop applies each shifted block to
+the psi_b entering it, runs the result through the later blocks and samples
+it, as a measurement of the shifted circuit would be.  With exact costs the
+same derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823):
+a backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
 each block's angles are read off one 4x4 environment Tr_rest[psi_b lam^dag].
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,9 @@ from .hamiltonians import (
     LocalWeights,
     sample_counts,
 )
-from .qmath import DensityMatrix, _apply_left, _conjugate, exact_eigs, index_to_bitstring
+from .qmath import DensityMatrix, _apply_left, exact_eigs, index_to_bitstring
+
+ZERO_EIGENVALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,27 @@ class EigenEstimate:
         return self.lambdas.size
 
 
+class EigenErrors(NamedTuple):
+    eps_lambda: float
+    eps_rel: float
+    n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
+
+
+def eigen_errors(exact: np.ndarray, est: EigenEstimate, m: int) -> EigenErrors:
+    """Absolute and relative eigenvalue errors over the top m estimates.
+
+    Relative-error terms with an exact eigenvalue at numerical zero are
+    excluded from the sum and counted in n_excluded.
+    """
+    exact = np.asarray(exact, dtype=float)
+    if est.m < m or exact.size < m:
+        raise ValueError(f"need at least m={m} exact values and estimates")
+    d = exact[:m] - est.lambdas[:m]
+    nz = exact[:m] > ZERO_EIGENVALUE_TOL
+    eps_rel = float(((d[nz] / exact[:m][nz]) ** 2).sum())
+    return EigenErrors(float((d**2).sum()), eps_rel, int(m - nz.sum()))
+
+
 @dataclass(frozen=True)
 class ShotPlan:
     """Measurement budget meeting a relative-error / failure-probability target.
@@ -166,48 +189,54 @@ def param_shift_gradient(
 
     With shots > 0 each shifted circuit's C is estimated from `shots` fresh
     samples, drawn in parameter order, + before -.  With shots == 0 the same
-    derivative is computed in adjoint form on the factor A of rho = A A^dag
-    (see `_adjoint_gradient`).
+    derivative is computed in adjoint form (see `_adjoint_gradient`).  Both
+    start from the forward states of the factor A of rho = A A^dag.
     """
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
     mats = a.block_matrices()
+    states = _forward_states(rho.factor(), a, mats)
     if shots == 0:
-        return _adjoint_gradient(rho.factor(), a, energies, mats)
+        return _adjoint_gradient(states, a, energies, mats)
     pairs, w = a.block_pairs, a.kind.angles_per_block
     rng = np.random.default_rng(rng)
     grad = np.empty(a.theta.size)
-    for b, state in enumerate(_forward_states(rho, a, mats)):
+    for b, state in enumerate(states[:-1]):
         for j in range(w):
             val = {}
             for sign in (+1.0, -1.0):
                 angles = a.block_angles(b).copy()
                 angles[j] += sign * np.pi / 2
-                moved = _conjugate(state, block_unitary(a.kind, angles), pairs[b], a.n)
+                moved = _apply_left(state, block_unitary(a.kind, angles), pairs[b], a.n)
                 for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
-                    moved = _conjugate(moved, mat, pair, a.n)
-                counts = sample_counts(DensityMatrix(moved, validate=False), shots, rng)
+                    moved = _apply_left(moved, mat, pair, a.n)
+                counts = sample_counts(DensityMatrix(factor=moved, validate=False), shots, rng)
                 val[sign] = float(energies @ counts) / shots
             grad[b * w + j] = 0.5 * (val[+1.0] - val[-1.0])
     return grad
 
 
-def _adjoint_gradient(
-    factor: np.ndarray, a: LayeredAnsatz, energies: np.ndarray, mats
-) -> np.ndarray:
-    """Exact dC/dtheta of C = Tr(V A A^dag V^dag H): one forward, one backward sweep.
+def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
+    """The factors psi_0 = A and psi_{b+1} = B_b psi_b for b = 0 .. B-1; psi_B = V A."""
+    states = [factor]
+    for mat, pair in zip(mats, a.block_pairs):
+        states.append(_apply_left(states[-1], mat, pair, a.n))
+    return states
 
-    Forward: psi_0 = A, psi_{b+1} = B_b psi_b.  Backward from lam = H psi_B:
-    block b's angles get 2 Re Tr(dB_j G_b) with the 4x4 environment
-    G_b = Tr_rest[psi_b lam^dag], then lam <- B_b^dag lam.
+
+def _adjoint_gradient(
+    states: list[np.ndarray], a: LayeredAnsatz, energies: np.ndarray, mats
+) -> np.ndarray:
+    """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) from the forward states psi_b.
+
+    One backward sweep from lam = H psi_B: block b's angles get
+    2 Re Tr(dB_j G_b) with the 4x4 environment G_b = Tr_rest[psi_b lam^dag],
+    then lam <- B_b^dag lam.
     """
     pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
-    states = [factor]
-    for mat, pair in zip(mats, pairs):
-        states.append(_apply_left(states[-1], mat, pair, n))
-    lam = energies[:, None] * states.pop()
-    shape = (2,) * n + (factor.shape[1],)
+    lam = energies[:, None] * states[-1]
+    shape = (2,) * n + (states[0].shape[1],)
     grad = np.empty(a.theta.size)
     for b in range(a.n_blocks - 1, -1, -1):
         # sum out every qubit but the pair, and the columns; brick pairs ascend,
@@ -220,15 +249,6 @@ def _adjoint_gradient(
         if b:
             lam = _apply_left(lam, mats[b].conj().T, pairs[b], n)
     return grad
-
-
-def _forward_states(rho: DensityMatrix, a: LayeredAnsatz, mats) -> Iterator[np.ndarray]:
-    """States entering each block: rho_b = (U_b ... U_1) rho (.)^dag, b=0..B-1."""
-    state = rho.data
-    yield state
-    for mat, pair in zip(mats[:-1], a.block_pairs[:-1]):
-        state = _conjugate(state, mat, pair, a.n)
-        yield state
 
 
 @dataclass(frozen=True)
@@ -340,11 +360,8 @@ def optimize(
         c = float(h.energies() @ p)
         if np.isnan(c):
             raise FloatingPointError(f"cost became NaN at iteration {k}")
-        lam_est = -np.sort(-p)[: cost.m]
-        eps_abs = float(((lam_exact - lam_est) ** 2).sum())
-        nz = lam_exact > 1e-12
-        eps_rel = float((((lam_exact - lam_est)[nz] / lam_exact[nz]) ** 2).sum())
-        trace.append(TracePoint(k, t, c, eps_abs, eps_rel))
+        errs = eigen_errors(lam_exact, read_estimate(rho_t, cost.m), cost.m)
+        trace.append(TracePoint(k, t, c, errs.eps_lambda, errs.eps_rel))
         if callback is not None:
             callback(k, t, current, c, rho_t)
         return rho_t

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqse.ansatz import (
     CNOT,
@@ -18,7 +19,7 @@ from vqse.ansatz import (
     rotation_z,
     shift_parameter,
 )
-from vqse.qmath import DensityMatrix, apply_unitary, fidelity_pure, random_density_matrix
+from vqse.qmath import DensityMatrix, fidelity_pure, random_density_matrix
 
 
 class TestStructure:
@@ -106,15 +107,34 @@ class TestBlockDerivatives:
         assert np.array_equal(block_derivatives(BlockKind.RY_CZ, np.zeros(4))[0], expected)
 
 
+@st.composite
+def factored_states(draw):
+    """Rank-r state whose factor is given with its matrix, given alone, or left to eigh."""
+    n = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    factor /= np.linalg.norm(factor)
+    data = factor @ factor.conj().T
+    form = draw(st.sampled_from(["data and factor", "factor only", "data only"]))
+    if form == "factor only":
+        rho = DensityMatrix(factor=factor)
+    else:
+        rho = DensityMatrix(data, factor=factor if form == "data and factor" else None)
+    kind = draw(st.sampled_from(list(BlockKind)))
+    return rho, LayeredAnsatz.random(n, draw(st.integers(1, 2)), kind, rng)
+
+
 class TestApplyAnsatz:
-    def test_matches_build_unitary(self):
-        rho = random_density_matrix(3, seed=6)
-        for kind in BlockKind:
-            a = LayeredAnsatz.random(3, 2, kind, 7)
-            via_blocks = apply_ansatz(rho, a)
-            v = build_unitary(a)
-            via_matrix = apply_unitary(rho, v, range(3))
-            assert np.linalg.norm(via_blocks.data - via_matrix.data) < 1e-10
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(factored_states())
+    def test_matches_build_unitary(self, case):
+        rho, a = case
+        v = build_unitary(a)
+        dense = v @ rho.data @ v.conj().T
+        out = apply_ansatz(rho, a)
+        assert np.abs(out.data - dense).max() < 1e-12
+        assert np.abs(out.diagonal() - dense.diagonal().real).max() < 1e-12
 
     def test_zero_angle_rycz_fixes_diagonal_state(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))

@@ -88,11 +88,17 @@ def _known_factor(name):
 
 class TestFactor:
     @pytest.mark.parametrize("name", ["rank_deficient", "maximally_mixed", "basis"])
-    @pytest.mark.parametrize("given", [True, False])
+    @pytest.mark.parametrize("given", [True, False, "factor only"])
     def test_reproduces_data(self, name, given):
         a = _known_factor(name)
         data = a @ a.conj().T
-        rho = DensityMatrix(data, factor=a) if given else DensityMatrix(data)
+        if given == "factor only":
+            rho = DensityMatrix(factor=a)
+            assert np.abs(rho.data - data).max() < 1e-15
+            assert not rho.data.flags.writeable and rho.data is rho.data
+            assert np.abs(rho.diagonal() - rho.data.diagonal().real).max() < 1e-15
+        else:
+            rho = DensityMatrix(data, factor=a) if given else DensityMatrix(data)
         f = rho.factor()
         assert f.shape[0] == 8 and not f.flags.writeable
         assert np.abs(f @ f.conj().T - rho.data).max() < 1e-14
@@ -107,6 +113,12 @@ class TestFactor:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="factor"):
             DensityMatrix(np.eye(4) / 4, factor=np.eye(2))
+        with pytest.raises(ValueError, match="factor"):
+            DensityMatrix()
+        with pytest.raises(ValueError, match="power of two"):
+            DensityMatrix(factor=np.ones((3, 1)) / np.sqrt(3))
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(factor=np.ones((4, 1)) / 4)
 
 
 class TestApplyUnitary:

@@ -345,6 +345,12 @@ class TestOptimize:
                        OptimizerConfig(), rng)
         assert np.array_equal(res.transformed.data, apply_ansatz(rho, res.ansatz).data)
 
+    def test_nan_cost_raises_before_the_error_formula(self):
+        rho = random_density_matrix(2, seed=1)
+        a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.full(4, np.nan))
+        with pytest.raises(FloatingPointError, match="NaN"):
+            optimize(rho, a, cost_config(2, 2), StepwiseSchedule(2, 1), OptimizerConfig(), 0)
+
     def test_deterministic_replay(self):
         rho = random_density_matrix(2, seed=6)
         cfg = cost_config(2, 2, "adaptive")
