@@ -72,30 +72,22 @@ class BlockKind(Enum):
 
     @property
     def axes(self) -> str:
-        """R_y, or G(a, b, c) = R_z(c) R_y(b) R_z(a); a palindrome, see `rotations`."""
+        """R_y, or G(a, b, c) = R_z(c) R_y(b) R_z(a)."""
         return "y" if self is BlockKind.RY_CZ else "zyz"
 
     @property
     def angles_per_block(self) -> int:
         return 4 * len(self.axes)
 
-    def rotation_factors(self, angles: np.ndarray, dagger: bool = False) -> list[list[np.ndarray]]:
+    def rotation_factors(self, angles: np.ndarray) -> list[list[np.ndarray]]:
         """Elementary factors of each of the four rotations, in the order they act."""
-        axes = self.axes
-        k = len(axes)
-        t = angles.tolist()
-        if dagger:
-            t = [-x for i in range(0, 4 * k, k) for x in reversed(t[i : i + k])]
-        factors = [_ROTATION[ax](x) for ax, x in zip(axes * 4, t)]
+        k = len(self.axes)
+        factors = [_ROTATION[ax](x) for ax, x in zip(self.axes * 4, angles.tolist())]
         return [factors[i : i + k] for i in range(0, 4 * k, k)]
 
-    def rotations(self, angles: np.ndarray, dagger: bool = False) -> list[np.ndarray]:
-        """The block's four single-qubit rotations, or their inverses.
-
-        R_y(t)^dag = R_y(-t) and G(a, b, c)^dag = G(-c, -b, -a): each inverse
-        is the same rotation of the reversed, negated angles.
-        """
-        return [_product(f) for f in self.rotation_factors(angles, dagger)]
+    def rotations(self, angles: np.ndarray) -> list[np.ndarray]:
+        """The block's four single-qubit rotations: (pre0, pre1, post0, post1)."""
+        return [_product(f) for f in self.rotation_factors(angles)]
 
     @classmethod
     def parse(cls, name: str) -> "BlockKind":
@@ -202,13 +194,17 @@ def shift_parameter(a: LayeredAnsatz, index: int, delta: float) -> LayeredAnsatz
     return replace(a, theta=theta)
 
 
+def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
+    """The walk psi_0 = A, psi_{b+1} = B_b psi_b over a's block matrices; psi_B = V A."""
+    states = [factor]
+    for mat, pair in zip(mats, a.block_pairs):
+        states.append(_apply_left(states[-1], mat, pair, a.n))
+    return states
+
+
 def build_unitary(a: LayeredAnsatz) -> np.ndarray:
     """Materialize V(theta) as a dense 2^n x 2^n matrix."""
-    d = 2**a.n
-    v = np.eye(d, dtype=complex)
-    for mat, pair in zip(a.block_matrices(), a.block_pairs):
-        v = _apply_left(v, mat, pair, a.n)
-    return v
+    return _forward_states(np.eye(2**a.n, dtype=complex), a, a.block_matrices())[-1]
 
 
 def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
@@ -218,9 +214,7 @@ def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
     """
     if rho.n != a.n:
         raise ValueError(f"state has n={rho.n}, ansatz has n={a.n}")
-    factor = rho.factor()
-    for mat, pair in zip(a.block_matrices(), a.block_pairs):
-        factor = _apply_left(factor, mat, pair, a.n)
+    factor = _forward_states(rho.factor(), a, a.block_matrices())[-1]
     return DensityMatrix(factor=factor, validate=False)
 
 

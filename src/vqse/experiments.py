@@ -39,7 +39,6 @@ from .qmath import (
     apply_channel,
     apply_unitary,
     depolarizing_channel,
-    exact_eigs,
     fidelity_pure,
     purity,
     PAULI_X,
@@ -137,16 +136,16 @@ def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
     A Haar-random real orthogonal matrix acts on |0...0> of n + n_ancilla
     qubits and the ancillas are traced out.  Only the matrix's first column
     is needed: for the sign-fixed QR of a Gaussian matrix g that column is
-    g[:, 0] / |g[:, 0]|, so the whole d x d matrix is drawn (keeping the
-    seeded stream) but never factorized.  Entries are real and generically
-    non-sparse; the state is held as the factor t with rho = t t^T.
+    g[:, 0] / |g[:, 0]|: g is drawn row by row (the same seeded stream) and
+    each row's first entry kept, in O(d) memory.  Entries are real and
+    generically non-sparse; the state is held as the factor t, rho = t t^T.
     """
     if n + n_ancilla > 12:
         raise ValueError("n + n_ancilla must not exceed 12")
     rng = np.random.default_rng(seed)
     d = 2 ** (n + n_ancilla)
-    g = rng.standard_normal((d, d))
-    psi = g[:, 0] / np.linalg.norm(g[:, 0])
+    g0 = np.array([rng.standard_normal(d)[0] for _ in range(d)])
+    psi = g0 / np.linalg.norm(g0)
     return DensityMatrix(factor=psi.reshape(2**n, 2**n_ancilla), validate=False)
 
 
@@ -401,7 +400,6 @@ class PcaResult:
 
 
 def _eigensolver_single_run(rho: DensityMatrix, m: int, loop: LoopConfig, i: int, child) -> PcaRun:
-    exact = exact_eigs(rho)[0]
     rng = np.random.default_rng(child)
     a = LayeredAnsatz.random(rho.n, loop.layers, loop.kind, rng)
     res = optimize(rho, a, loop.cost_config(rho.n, m), loop.schedule(), loop.optimizer, rng)
@@ -413,7 +411,7 @@ def _eigensolver_single_run(rho: DensityMatrix, m: int, loop: LoopConfig, i: int
         rho=rho,
         a=res.ansatz,
         est=res.estimate,
-        exact=exact,
+        exact=rho.eigenvalues(),
         cost=res.trace[-1].cost,
         lowest_energies=levels,
         purity=pur,
@@ -448,6 +446,7 @@ def eigensolver_experiment(
     are independent of `jobs` (parallelism only changes wall time) and two
     experiments with the same seed share initial angles run by run.
     """
+    exact = rho.eigenvalues()  # cached on rho, so the runs (and workers) reuse it
     children = np.random.SeedSequence(seed).spawn(runs)
     tasks = [(rho, m, loop, i, children[i]) for i in range(runs)]
     out_runs = _parallel_map(_eigensolver_single_run, tasks, jobs)
@@ -461,7 +460,7 @@ def eigensolver_experiment(
         n=rho.n,
         m=m,
         variant=variant_label or loop.cost_variant,
-        exact_lambdas=exact_eigs(rho)[0],
+        exact_lambdas=exact,
         runs=out_runs,
         rps_targets=targets,
         rps_final=[runs_per_success(finals, t) for t in targets],
@@ -501,7 +500,7 @@ class SweepPoint(NamedTuple):
 def xy_sweep_point(spec: SpinChainSpec, m: int, loop: LoopConfig, runs: int, seed: int) -> SweepPoint:
     """Best-of-`runs` estimate of the top-m reduced spectrum at one field."""
     reduced, _ = xy_ground_reduced(spec)
-    exact = exact_eigs(reduced)[0]
+    exact = reduced.eigenvalues()
     n = reduced.n
     cost = loop.cost_config(n, m)
     schedule = loop.schedule()
@@ -589,7 +588,7 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
     for b in range(a.n_blocks - 1, -1, -1):
         pair = a.block_pairs[b]
-        pre0, pre1, post0, post1 = a.kind.rotations(a.block_angles(b), dagger=True)
+        pre0, pre1, post0, post1 = (r.conj().T for r in a.kind.rotations(a.block_angles(b)))
         gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
                   Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
     return gates

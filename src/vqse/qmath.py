@@ -57,12 +57,13 @@ class DensityMatrix:
     with rho = A A^dag, or both (the caller's promise that they agree; only
     shapes are checked).  The missing form is computed from the other once,
     on first read; both are held read-only.  The diagonal is read off `data`
-    when it was given, else as the squared row norms of A.  Validation checks
-    the three invariants within fixed absolute tolerances; internal operations
-    that preserve them by construction skip the (eigenvalue) check for speed.
+    when it was given, else as the squared row norms of A; the spectrum comes
+    from A.  Validation checks the three invariants within fixed absolute
+    tolerances; internal operations that preserve them by construction skip
+    the (eigenvalue) check for speed.
     """
 
-    __slots__ = ("n", "_data", "_factor", "_factor_only")
+    __slots__ = ("n", "_data", "_factor", "_factor_only", "_eigenvalues")
 
     def __init__(
         self, data: np.ndarray | None = None, *, validate: bool = True, factor: np.ndarray | None = None
@@ -80,7 +81,7 @@ class DensityMatrix:
                 raise ValueError(f"factor of shape {factor.shape} does not fit the state")
             factor.flags.writeable = False
         self.n = num_qubits((factor if data is None else data).shape[0])
-        self._data, self._factor, self._factor_only = data, factor, data is None
+        self._data, self._factor, self._factor_only, self._eigenvalues = data, factor, data is None, None
         if validate:
             self.validate()
 
@@ -126,6 +127,20 @@ class DensityMatrix:
             factor.flags.writeable = False
             self._factor = factor
         return self._factor
+
+    def eigenvalues(self) -> np.ndarray:
+        """All 2^n eigenvalues, descending: the squared singular values of A, zero-padded.
+
+        Computed once and read-only; like `exact_eigs`, raises unless they sum to 1.
+        """
+        if self._eigenvalues is None:
+            s = np.linalg.svd(self.factor(), compute_uv=False)
+            w = np.concatenate([s**2, np.zeros(self.dim - s.size)])
+            if abs(w.sum() - 1.0) > TRACE_TOL:
+                raise ValueError(f"eigenvalues sum to {w.sum()}, not 1")
+            w.flags.writeable = False
+            self._eigenvalues = w
+        return self._eigenvalues
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal of rho: standard-basis outcome probabilities."""

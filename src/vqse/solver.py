@@ -13,13 +13,15 @@ to plain gradient descent on a constant Hamiltonian.
 Gradients are dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2,
 the parameter-shift identity under half-angle rotation generators.  With
 shots > 0 this is how they are measured.  Both paths act only on a
-purification factor rho = A A^dag and keep its 2^n x r forward states
-psi_b = B_{b-1} ... B_0 A.  The sampled loop applies each shifted block to
-the psi_b entering it, runs the result through the later blocks and samples
-it, as a measurement of the shifted circuit would be.  With exact costs the
-same derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823):
-a backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
-each block's angles are read off one 4x4 environment Tr_rest[psi_b lam^dag].
+purification factor rho = A A^dag and read its 2^n x r forward states
+psi_b = B_{b-1} ... B_0 A off one walk of the circuit; the training loop
+walks once per step, and that walk also records the step's row.  The
+sampled loop applies each shifted block to the psi_b entering it, runs the
+result through the later blocks and samples it, as a measurement of the
+shifted circuit would be.  With exact costs the same derivative is computed
+in adjoint form (Jones & Gacon, arXiv:2009.02823): a backward state
+lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and each block's
+angles are read off one 4x4 environment Tr_rest[psi_b lam^dag].
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, apply_ansatz, block_derivatives, block_unitary
+from .ansatz import LayeredAnsatz, _forward_states, apply_ansatz, block_derivatives, block_unitary
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
@@ -38,7 +40,7 @@ from .hamiltonians import (
     LocalWeights,
     sample_counts,
 )
-from .qmath import DensityMatrix, _apply_left, exact_eigs, index_to_bitstring
+from .qmath import DensityMatrix, _apply_left, index_to_bitstring
 
 ZERO_EIGENVALUE_TOL = 1e-12
 
@@ -189,18 +191,21 @@ def param_shift_gradient(
 
     With shots > 0 each shifted circuit's C is estimated from `shots` fresh
     samples, drawn in parameter order, + before -.  With shots == 0 the same
-    derivative is computed in adjoint form (see `_adjoint_gradient`).  Both
-    start from the forward states of the factor A of rho = A A^dag.
+    derivative is computed in adjoint form (see `_adjoint_gradient`).  This is
+    one walk of the factor A of rho = A A^dag, then `_gradient` on that walk.
     """
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
     mats = a.block_matrices()
-    states = _forward_states(rho.factor(), a, mats)
+    return _gradient(_forward_states(rho.factor(), a, mats), a, mats, energies, shots, rng)
+
+
+def _gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray, shots: int, rng) -> np.ndarray:
+    """dC/dtheta from one walk: its forward states psi_b and the block matrices `mats`."""
     if shots == 0:
-        return _adjoint_gradient(states, a, energies, mats)
-    pairs, w = a.block_pairs, a.kind.angles_per_block
-    rng = np.random.default_rng(rng)
+        return _adjoint_gradient(states, a, mats, energies)
+    pairs, w, rng = a.block_pairs, a.kind.angles_per_block, np.random.default_rng(rng)
     grad = np.empty(a.theta.size)
     for b, state in enumerate(states[:-1]):
         for j in range(w):
@@ -217,17 +222,7 @@ def param_shift_gradient(
     return grad
 
 
-def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
-    """The factors psi_0 = A and psi_{b+1} = B_b psi_b for b = 0 .. B-1; psi_B = V A."""
-    states = [factor]
-    for mat, pair in zip(mats, a.block_pairs):
-        states.append(_apply_left(states[-1], mat, pair, a.n))
-    return states
-
-
-def _adjoint_gradient(
-    states: list[np.ndarray], a: LayeredAnsatz, energies: np.ndarray, mats
-) -> np.ndarray:
+def _adjoint_gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray) -> np.ndarray:
     """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) from the forward states psi_b.
 
     One backward sweep from lam = H psi_B: block b's angles get
@@ -335,38 +330,36 @@ def optimize(
 
     Trace rows hold the cost after each step under the Hamiltonian in force,
     plus the oracle eigenvalue errors eps_abs / eps_rel of the current top-m
-    diagonal against the exact spectrum (available classically here).  Row 0
-    records the starting point.  A NaN cost aborts the run.
+    diagonal against the exact spectrum `rho.eigenvalues()`.  Row 0 records
+    the starting point.  A NaN cost aborts the run.
 
-    Each row's transformed state V rho V^dag also serves the adaptive update
-    that follows it; the last one gives the final estimate and is returned as
-    `transformed`.  `callback(k, t, ansatz,
-    cost_value, transformed)`, when given, fires after every recorded row.
+    Each row builds the block matrices and walks the factor once; the walk
+    yields the row's transformed state V A (so V rho V^dag), which serves the
+    adaptive update, and the next step's gradient at the same theta.  The
+    last one gives the final estimate and is returned as `transformed`.
+    `callback(k, t, ansatz, cost_value, transformed)` fires after every row.
     """
     rng = np.random.default_rng(rng)
-    lam_exact = exact_eigs(rho)[0][: cost.m]
-    if cost.variant == "local":
-        h: Hamiltonian = cost.local
-    elif cost.variant == "global":
-        h = cost.global_part
-    else:
-        h = cost.local  # f(0) = 0: the loop starts from the local Hamiltonian
+    lam_exact = rho.eigenvalues()[: cost.m]
+    # f(0) = 0: the adaptive loop starts from the local Hamiltonian
+    h: Hamiltonian = cost.global_part if cost.variant == "global" else cost.local
     stepper = _Stepper(optimizer, a.theta.size)
     trace = []
 
-    def record(k: int, t: float, current: LayeredAnsatz) -> DensityMatrix:
-        rho_t = apply_ansatz(rho, current)
-        p = rho_t.diagonal()
-        c = float(h.energies() @ p)
+    def record(k: int, t: float, current: LayeredAnsatz):
+        mats = current.block_matrices()
+        states = _forward_states(rho.factor(), current, mats)
+        rho_t = DensityMatrix(factor=states[-1], validate=False)
+        c = float(h.energies() @ rho_t.diagonal())
         if np.isnan(c):
             raise FloatingPointError(f"cost became NaN at iteration {k}")
         errs = eigen_errors(lam_exact, read_estimate(rho_t, cost.m), cost.m)
         trace.append(TracePoint(k, t, c, errs.eps_lambda, errs.eps_rel))
         if callback is not None:
             callback(k, t, current, c, rho_t)
-        return rho_t
+        return rho_t, states, mats
 
-    rho_t = record(0, 0.0, a)
+    rho_t, states, mats = record(0, 0.0, a)
     for k in range(1, schedule.n_max + 1):
         t = schedule.t(k)
         if cost.variant == "adaptive" and schedule.is_update(k):
@@ -377,12 +370,11 @@ def optimize(
                 f_of_t=schedule,
                 t=t,
             )
-        grad = param_shift_gradient(rho, a, h, cost.shots, rng)
+        grad = _gradient(states, a, mats, h.energies(), cost.shots, rng)
         a = LayeredAnsatz(a.n, a.layers, a.kind, stepper.step(a.theta, grad))
-        rho_t = record(k, t, a)
+        rho_t, states, mats = record(k, t, a)
 
-    est = read_estimate(rho_t, cost.m, cost.shots, rng)
     return OptimizeResult(
         theta_opt=a.theta, trace=trace, final_hamiltonian=h, ansatz=a, transformed=rho_t,
-        estimate=est,
+        estimate=read_estimate(rho_t, cost.m, cost.shots, rng),
     )

@@ -61,6 +61,14 @@ class TestRandomLowRankState:
         with pytest.raises(ValueError):
             random_low_rank_state(9, 4, seed=0)
 
+    @pytest.mark.parametrize("n, n_ancilla, seed", [(3, 0, 4), (4, 4, 7), (6, 2, 1), (8, 2, 1234)])
+    def test_row_by_row_draw_is_column_zero_of_the_full_draw(self, n, n_ancilla, seed):
+        # the seeded stream of a (d, d) draw, kept bit for bit
+        g = np.random.default_rng(seed).standard_normal((2 ** (n + n_ancilla),) * 2)
+        psi = g[:, 0] / np.linalg.norm(g[:, 0])
+        got = random_low_rank_state(n, n_ancilla, seed).factor()
+        assert np.array_equal(got, psi.reshape(2**n, 2**n_ancilla))
+
 
 class TestXYChain:
     def test_hamiltonian_is_symmetric(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqse.qmath import (
     DensityMatrix,
@@ -236,6 +237,37 @@ class TestExactEigs:
         w1, v1 = exact_eigs(rho)
         w2, v2 = exact_eigs(rho)
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A rank-r state on n qubits given as its factor, its matrix, or both."""
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 2**n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    a /= np.linalg.norm(a)
+    form = draw(st.sampled_from(["factor", "data", "both"]))
+    if form == "factor":
+        return DensityMatrix(factor=a, validate=False)
+    return DensityMatrix(a @ a.conj().T, factor=a if form == "both" else None)
+
+
+class TestEigenvalues:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(spectrum_cases())
+    def test_factor_spectrum_matches_exact_eigs(self, rho):
+        w = rho.eigenvalues()
+        assert w.shape == (rho.dim,)
+        assert np.abs(w - exact_eigs(rho)[0]).max() < 1e-12
+        assert not w.flags.writeable
+        assert rho.eigenvalues() is w
+
+    def test_unnormalized_factor_raises(self):
+        a = np.ones((4, 2)) / np.sqrt(8)
+        assert np.allclose(DensityMatrix(factor=a, validate=False).eigenvalues(), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="sum to"):
+            DensityMatrix(factor=1.1 * a, validate=False).eigenvalues()
 
 
 class TestPurityFidelity:

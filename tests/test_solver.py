@@ -337,6 +337,33 @@ class TestOptimize:
         assert h.t == 1.0 and h.f == 1.0
         assert np.isclose(max(h.energies()), 1.0)
 
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_one_walk_per_step(self, monkeypatch, shots):
+        # every theta is walked once, for its trace row and the next gradient;
+        # the sampled shifts' tails are not full walks
+        import vqse.ansatz
+        import vqse.solver
+
+        calls = {"walks": 0, "blocks": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(vqse.solver, "_forward_states", counting("walks", vqse.solver._forward_states))
+        monkeypatch.setattr(vqse.ansatz, "block_unitary", counting("blocks", vqse.ansatz.block_unitary))
+        rho = random_density_matrix(3, seed=4)
+        rng = np.random.default_rng(2)
+        a = LayeredAnsatz.random(3, 2, BlockKind.RY_CZ, rng)
+        n_max = 10
+        optimize(rho, a, cost_config(3, 2, "adaptive", shots), StepwiseSchedule(n_max, 5),
+                 OptimizerConfig(), rng)
+        assert calls["walks"] == n_max + 1
+        if shots == 0:
+            assert calls["blocks"] == a.n_blocks * (n_max + 1)
+
     def test_returns_final_transformed_state(self):
         rho = random_density_matrix(3, seed=4)
         rng = np.random.default_rng(2)

@@ -85,5 +85,7 @@ def test_tracer_counts_forwards_on_pca_and_wstate(tmp_path):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["solver.iterations"] == 8 + 3 * 4  # [xy]: n_max iterations per field
-    assert metrics["ansatz.forwards_per_iter"] > 0
+    # one walk per step, plus the starting point of each run: 25 walks over 20 steps
+    assert 0 < metrics["ansatz.forwards_per_iter"] <= 1.25
+    assert metrics["qmath.exact_eigs.calls"] == 0
     assert metrics["hamiltonians.sample_counts.calls"] > 0
