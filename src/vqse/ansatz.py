@@ -14,13 +14,15 @@ G(a, b, c) = R_z(c) R_y(b) R_z(a).  Under this convention every angle enters
 through a half-angle Pauli generator, so the +-pi/2 parameter-shift rule used
 by the optimizer is exact.  Global phases are considered irrelevant; compare
 unitaries via |Tr(U^dag W)| / 2^n and states via fidelity.
+
+Blocks are built as stacks: a circuit's B blocks, their derivatives or their
+parameter-shifted copies each come from one vectorized `BlockKind` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
@@ -33,15 +35,16 @@ CNOT = np.array(
 )
 
 
-def rotation_y(theta: float) -> np.ndarray:
-    """R_y(theta) = exp(i theta sigma_y / 2)."""
+def rotation_y(theta) -> np.ndarray:
+    """R_y(theta) = exp(i theta sigma_y / 2); an array of angles gives a (..., 2, 2) stack."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, s], [-s, c]], dtype=complex)
+    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2)).astype(complex)
 
 
-def rotation_z(theta: float) -> np.ndarray:
-    """R_z(theta) = exp(i theta sigma_z / 2)."""
-    return np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
+def rotation_z(theta) -> np.ndarray:
+    """R_z(theta) = exp(i theta sigma_z / 2); an array of angles gives a (..., 2, 2) stack."""
+    diag, zero = (np.exp(1j * theta / 2), np.exp(-1j * theta / 2)), np.zeros(np.shape(theta))
+    return np.stack([diag[0], zero, zero, diag[1]], axis=-1).reshape(np.shape(theta) + (2, 2))
 
 
 _ROTATION = {"y": rotation_y, "z": rotation_z}
@@ -49,9 +52,17 @@ _ROTATION = {"y": rotation_y, "z": rotation_z}
 _GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex), "z": np.diag([0.5j, -0.5j])}
 
 
-def _product(factors: list[np.ndarray]) -> np.ndarray:
-    """Product of factors given in the order they act (first factor rightmost)."""
-    return reduce(np.matmul, factors[::-1])
+def _chain(factors: np.ndarray) -> np.ndarray:
+    """Product over axis -3 of factors given in the order they act (first factor rightmost)."""
+    out = factors[..., -1, :, :]
+    for i in range(factors.shape[-3] - 2, -1, -1):
+        out = out @ factors[..., i, :, :]
+    return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of every 2x2 pair of two stacks, as one broadcast product."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 class BlockKind(Enum):
@@ -60,7 +71,10 @@ class BlockKind(Enum):
     A block's angles split into four equal groups, one rotation each: (pre on
     pair[0], pre on pair[1], post on pair[0], post on pair[1]).  Each
     rotation is a product of elementary rotations R_k, one per angle, about
-    the axes in `axes` (in the order they act).
+    the axes in `axes` (in the order they act).  Blocks are built as stacks:
+    each builder takes angles of shape (..., angles_per_block), forms every
+    elementary rotation with vectorized cos / sin / exp, and finishes with
+    broadcast Kronecker products and one batched matmul.
     """
 
     RY_CZ = "rycz"
@@ -79,15 +93,43 @@ class BlockKind(Enum):
     def angles_per_block(self) -> int:
         return 4 * len(self.axes)
 
-    def rotation_factors(self, angles: np.ndarray) -> list[list[np.ndarray]]:
-        """Elementary factors of each of the four rotations, in the order they act."""
-        k = len(self.axes)
-        factors = [_ROTATION[ax](x) for ax, x in zip(self.axes * 4, angles.tolist())]
-        return [factors[i : i + k] for i in range(0, 4 * k, k)]
+    def _factors(self, angles) -> np.ndarray:
+        """Elementary factors of the four rotations, in the order they act: (..., 4, k, 2, 2)."""
+        groups = np.asarray(angles, dtype=float)
+        groups = groups.reshape(groups.shape[:-1] + (4, len(self.axes)))
+        return np.stack([_ROTATION[ax](groups[..., i]) for i, ax in enumerate(self.axes)], axis=-3)
 
-    def rotations(self, angles: np.ndarray) -> list[np.ndarray]:
-        """The block's four single-qubit rotations: (pre0, pre1, post0, post1)."""
-        return [_product(f) for f in self.rotation_factors(angles)]
+    def rotations(self, angles) -> np.ndarray:
+        """The four single-qubit rotations (pre0, pre1, post0, post1): (..., 4, 2, 2)."""
+        return _chain(self._factors(angles))
+
+    def _blocks(self, rotations: np.ndarray) -> np.ndarray:
+        """kron(post0, post1) . entangler . kron(pre0, pre1) for rotations (..., 4, 2, 2)."""
+        pre = _kron(rotations[..., 0, :, :], rotations[..., 1, :, :])
+        post = _kron(rotations[..., 2, :, :], rotations[..., 3, :, :])
+        return post @ self.entangler @ pre
+
+    def unitaries(self, angles) -> np.ndarray:
+        """4x4 block unitaries, (..., 4, 4); wire order (pair[0], pair[1]) = (MSB, LSB)."""
+        return self._blocks(self.rotations(angles))
+
+    def derivatives(self, angles) -> np.ndarray:
+        """dB/dtheta_j for every angle j of every block: (..., angles_per_block, 4, 4).
+
+        Angle j's elementary factor R_k(t) is replaced by (i sigma_k / 2) R_k(t).
+        That product only permutes, negates and halves entries, so a derivative
+        that is exactly zero stays exactly zero.
+        """
+        factors = self._factors(angles)
+        k, w = len(self.axes), self.angles_per_block
+        derived = np.stack([_GENERATOR[ax] for ax in self.axes]) @ factors
+        # [..., q, i, j]: factor j of rotation q, with factor i derived
+        swapped = np.where(np.eye(k, dtype=bool)[:, :, None, None],
+                           derived[..., None, :, :, :], factors[..., None, :, :, :])
+        d_rot = _chain(swapped).reshape(factors.shape[:-4] + (w, 2, 2))
+        # derivative j = q k + i changes rotation q only
+        own = (np.arange(w) // k)[:, None, None, None] == np.arange(4)[:, None, None]
+        return self._blocks(np.where(own, d_rot[..., :, None, :, :], _chain(factors)[..., None, :, :, :]))
 
     @classmethod
     def parse(cls, name: str) -> "BlockKind":
@@ -107,30 +149,8 @@ def brick_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def block_unitary(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
-    """4x4 unitary of one block; wire order (pair[0], pair[1]) = (MSB, LSB)."""
-    return _assemble(kind, kind.rotations(angles))
-
-
-def block_derivatives(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
-    """dB/dtheta_j for every angle j of one block, stacked as (angles, 4, 4).
-
-    Angle j's elementary factor R_k(t) is replaced by (i sigma_k / 2) R_k(t).
-    That product only permutes, negates and halves entries, so a derivative
-    that is exactly zero stays exactly zero.
-    """
-    factors = kind.rotation_factors(angles)
-    rotations = [_product(f) for f in factors]
-    out = []
-    for q, group in enumerate(factors):
-        for i, ax in enumerate(kind.axes):
-            derived = group[:i] + [_GENERATOR[ax] @ group[i]] + group[i + 1 :]
-            out.append(_assemble(kind, rotations[:q] + [_product(derived)] + rotations[q + 1 :]))
-    return np.array(out)
-
-
-def _assemble(kind: BlockKind, rotations: list[np.ndarray]) -> np.ndarray:
-    pre0, pre1, post0, post1 = rotations
-    return np.kron(post0, post1) @ kind.entangler @ np.kron(pre0, pre1)
+    """4x4 unitary of one block: the one-block case of `kind.unitaries`."""
+    return kind.unitaries(angles)
 
 
 @dataclass(frozen=True)
@@ -177,12 +197,14 @@ class LayeredAnsatz:
     def n_blocks(self) -> int:
         return self.layers * len(brick_pairs(self.n))
 
-    def block_angles(self, b: int) -> np.ndarray:
-        w = self.kind.angles_per_block
-        return self.theta[b * w : (b + 1) * w]
+    @property
+    def block_angles(self) -> np.ndarray:
+        """theta as a (blocks, angles per block) array."""
+        return self.theta.reshape(self.n_blocks, self.kind.angles_per_block)
 
-    def block_matrices(self) -> list[np.ndarray]:
-        return [block_unitary(self.kind, self.block_angles(b)) for b in range(self.n_blocks)]
+    def block_matrices(self) -> np.ndarray:
+        """The (blocks, 4, 4) stack of block unitaries."""
+        return self.kind.unitaries(self.block_angles)
 
 
 def shift_parameter(a: LayeredAnsatz, index: int, delta: float) -> LayeredAnsatz:

@@ -97,10 +97,6 @@ class NoiseSpec:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.p_depol_1q == 0.0 and self.p_depol_2q == 0.0 and self.gamma_ad == 0.0
-
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -586,9 +582,8 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
     if len(z) != a.n:
         raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
-    for b in range(a.n_blocks - 1, -1, -1):
-        pair = a.block_pairs[b]
-        pre0, pre1, post0, post1 = (r.conj().T for r in a.kind.rotations(a.block_angles(b)))
+    daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
+    for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):
         gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
                   Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
     return gates
@@ -596,19 +591,19 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
 
 def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -> DensityMatrix:
     """Run a gate list from |0...0>, inserting noise channels after each gate."""
+    noise = noise or NoiseSpec()
+    # each channel is built once per call; a gate on k > 1 qubits gets the 2-qubit one
+    depol = {k: depolarizing_channel(p, k) for k, p in ((1, noise.p_depol_1q), (2, noise.p_depol_2q)) if p > 0}
+    damping = amplitude_damping_channel(noise.gamma_ad) if noise.gamma_ad > 0 else None
     rho = DensityMatrix.basis_state(n, 0)
     for g in gates:
         rho = apply_unitary(rho, g.matrix, g.targets)
-        if noise is not None and not noise.is_noiseless:
-            if len(g.targets) == 1:
-                if noise.p_depol_1q > 0:
-                    rho = apply_channel(rho, depolarizing_channel(noise.p_depol_1q, 1), g.targets)
-            else:
-                if noise.p_depol_2q > 0:
-                    rho = apply_channel(rho, depolarizing_channel(noise.p_depol_2q, 2), g.targets)
-            if noise.gamma_ad > 0:
-                for q in g.targets:
-                    rho = apply_channel(rho, amplitude_damping_channel(noise.gamma_ad), (q,))
+        channel = depol.get(min(len(g.targets), 2))
+        if channel is not None:
+            rho = apply_channel(rho, channel, g.targets)
+        if damping is not None:
+            for q in g.targets:
+                rho = apply_channel(rho, damping, (q,))
     return rho
 
 

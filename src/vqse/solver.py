@@ -16,12 +16,13 @@ shots > 0 this is how they are measured.  Both paths act only on a
 purification factor rho = A A^dag and read its 2^n x r forward states
 psi_b = B_{b-1} ... B_0 A off one walk of the circuit; the training loop
 walks once per step, and that walk also records the step's row.  The
-sampled loop applies each shifted block to the psi_b entering it, runs the
-result through the later blocks and samples it, as a measurement of the
-shifted circuit would be.  With exact costs the same derivative is computed
-in adjoint form (Jones & Gacon, arXiv:2009.02823): a backward state
-lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and each block's
-angles are read off one 4x4 environment Tr_rest[psi_b lam^dag].
+sampled loop builds every shifted block in one stacked call, applies each to
+the psi_b entering it, runs the result through the later blocks and samples
+it, as a measurement of the shifted circuit would be.  With exact costs the
+same derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823):
+a backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
+each block's angles are read off one 4x4 environment Tr_rest[psi_b lam^dag]
+against the stack of all block derivatives, built once per gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, _forward_states, apply_ansatz, block_derivatives, block_unitary
+from .ansatz import LayeredAnsatz, _forward_states, apply_ansatz
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
@@ -206,19 +207,21 @@ def _gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray, shots: int, 
     if shots == 0:
         return _adjoint_gradient(states, a, mats, energies)
     pairs, w, rng = a.block_pairs, a.kind.angles_per_block, np.random.default_rng(rng)
+    # shifted[b, j, 0 / 1]: block b with angle j moved by +pi/2 / -pi/2
+    angles = np.tile(a.block_angles[:, None, None, :], (1, w, 2, 1))
+    angles[:, np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
+    shifted = a.kind.unitaries(angles)
     grad = np.empty(a.theta.size)
     for b, state in enumerate(states[:-1]):
         for j in range(w):
-            val = {}
-            for sign in (+1.0, -1.0):
-                angles = a.block_angles(b).copy()
-                angles[j] += sign * np.pi / 2
-                moved = _apply_left(state, block_unitary(a.kind, angles), pairs[b], a.n)
+            val = []
+            for block in shifted[b, j]:
+                moved = _apply_left(state, block, pairs[b], a.n)
                 for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
                     moved = _apply_left(moved, mat, pair, a.n)
                 counts = sample_counts(DensityMatrix(factor=moved, validate=False), shots, rng)
-                val[sign] = float(energies @ counts) / shots
-            grad[b * w + j] = 0.5 * (val[+1.0] - val[-1.0])
+                val.append(float(energies @ counts) / shots)
+            grad[b * w + j] = 0.5 * (val[0] - val[1])
     return grad
 
 
@@ -233,13 +236,13 @@ def _adjoint_gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray) -> n
     lam = energies[:, None] * states[-1]
     shape = (2,) * n + (states[0].shape[1],)
     grad = np.empty(a.theta.size)
+    derivs = a.kind.derivatives(a.block_angles)
     for b in range(a.n_blocks - 1, -1, -1):
         # sum out every qubit but the pair, and the columns; brick pairs ascend,
         # so the pair axes stay in (MSB, LSB) order
         rest = [q for q in range(n + 1) if q not in pairs[b]]
         env = np.tensordot(states[b].reshape(shape), lam.conj().reshape(shape), axes=(rest, rest))
-        derivs = block_derivatives(a.kind, a.block_angles(b))
-        traces = np.tensordot(derivs, env.reshape(4, 4), ([1, 2], [1, 0]))  # Tr(dB_j G_b)
+        traces = np.tensordot(derivs[b], env.reshape(4, 4), ([1, 2], [1, 0]))  # Tr(dB_j G_b)
         grad[b * w : (b + 1) * w] = 2.0 * traces.real
         if b:
             lam = _apply_left(lam, mats[b].conj().T, pairs[b], n)
@@ -343,6 +346,7 @@ def optimize(
     lam_exact = rho.eigenvalues()[: cost.m]
     # f(0) = 0: the adaptive loop starts from the local Hamiltonian
     h: Hamiltonian = cost.global_part if cost.variant == "global" else cost.local
+    energies = h.energies()  # re-read only when h changes
     stepper = _Stepper(optimizer, a.theta.size)
     trace = []
 
@@ -350,7 +354,7 @@ def optimize(
         mats = current.block_matrices()
         states = _forward_states(rho.factor(), current, mats)
         rho_t = DensityMatrix(factor=states[-1], validate=False)
-        c = float(h.energies() @ rho_t.diagonal())
+        c = float(energies @ rho_t.diagonal())
         if np.isnan(c):
             raise FloatingPointError(f"cost became NaN at iteration {k}")
         errs = eigen_errors(lam_exact, read_estimate(rho_t, cost.m), cost.m)
@@ -370,7 +374,8 @@ def optimize(
                 f_of_t=schedule,
                 t=t,
             )
-        grad = _gradient(states, a, mats, h.energies(), cost.shots, rng)
+            energies = h.energies()
+        grad = _gradient(states, a, mats, energies, cost.shots, rng)
         a = LayeredAnsatz(a.n, a.layers, a.kind, stepper.step(a.theta, grad))
         rho_t, states, mats = record(k, t, a)
 

@@ -1,5 +1,7 @@
 """Tests for the layered brick-pattern ansatz."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from vqse.ansatz import (
     BlockKind,
     LayeredAnsatz,
     apply_ansatz,
-    block_derivatives,
     block_unitary,
     brick_pairs,
     build_unitary,
@@ -93,7 +94,7 @@ class TestBlockDerivatives:
     def test_matches_half_of_pi_shifted_block(self, kind):
         # R_k(t + pi) = R_k(t) i sigma_k, so dB/dtheta_j = B(theta + pi e_j) / 2
         angles = np.random.default_rng(4).uniform(-np.pi, np.pi, kind.angles_per_block)
-        derivs = block_derivatives(kind, angles)
+        derivs = kind.derivatives(angles)
         assert derivs.shape == (kind.angles_per_block, 4, 4)
         for j in range(kind.angles_per_block):
             shifted = angles.copy()
@@ -104,7 +105,78 @@ class TestBlockDerivatives:
         # pre rotation on pair[0] at t = 0: CZ (dR_y(0) x I), dR_y(0) = [[0, 1/2], [-1/2, 0]]
         d_ry = np.array([[0.0, 0.5], [-0.5, 0.0]])
         expected = CZ @ np.kron(d_ry, np.eye(2))
-        assert np.array_equal(block_derivatives(BlockKind.RY_CZ, np.zeros(4))[0], expected)
+        assert np.array_equal(BlockKind.RY_CZ.derivatives(np.zeros(4))[0], expected)
+
+
+_REFERENCE_ROTATION = {"y": rotation_y, "z": rotation_z}
+_REFERENCE_GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex),
+                        "z": np.diag([0.5j, -0.5j])}
+SPECIAL_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+
+
+def _reference_block(kind, angles, derived=None):
+    """One block, one rotation at a time: (rotations, unitary).
+
+    Each rotation is the product of rotation_y / rotation_z factors in the
+    order they act; with `derived` = j, angle j's factor R_k is replaced by
+    (i sigma_k / 2) R_k.  The block is kron(post) . entangler . kron(pre).
+    """
+    k = len(kind.axes)
+    rotations = []
+    for q in range(4):
+        factors = [_REFERENCE_ROTATION[ax](angles[q * k + i]) for i, ax in enumerate(kind.axes)]
+        if derived is not None and derived // k == q:
+            i = derived % k
+            factors[i] = _REFERENCE_GENERATOR[kind.axes[i]] @ factors[i]
+        rotations.append(reduce(np.matmul, factors[::-1]))
+    pre0, pre1, post0, post1 = rotations
+    return rotations, np.kron(post0, post1) @ kind.entangler @ np.kron(pre0, pre1)
+
+
+@st.composite
+def angle_stacks(draw):
+    """A block kind and angles of shape lead + (angles per block,), with exact
+    0, +-pi/2 and +-pi mixed into uniform draws."""
+    kind = draw(st.sampled_from(list(BlockKind)))
+    w = kind.angles_per_block
+    blocks = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (blocks,), (blocks, w, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = rng.uniform(-np.pi, np.pi, lead + (w,))
+    special = rng.random(angles.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
+    return kind, angles
+
+
+class TestBlockStacks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(angle_stacks())
+    def test_every_slice_matches_the_per_block_reference(self, case):
+        kind, angles = case
+        lead, w = angles.shape[:-1], kind.angles_per_block
+        rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
+        derivatives = kind.derivatives(angles)
+        assert rotations.shape == lead + (4, 2, 2)
+        assert unitaries.shape == lead + (4, 4)
+        assert derivatives.shape == lead + (w, 4, 4)
+        for idx in np.ndindex(lead):
+            ref_rotations, ref_unitary = _reference_block(kind, angles[idx])
+            assert np.array_equal(rotations[idx], np.array(ref_rotations))
+            assert np.array_equal(unitaries[idx], ref_unitary)
+            for j in range(w):
+                assert np.array_equal(derivatives[idx][j], _reference_block(kind, angles[idx], j)[1])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(angle_stacks())
+    def test_every_slice_matches_the_single_block_call(self, case):
+        kind, angles = case
+        rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
+        derivatives = kind.derivatives(angles)
+        for idx in np.ndindex(angles.shape[:-1]):
+            assert np.array_equal(rotations[idx], kind.rotations(angles[idx]))
+            assert np.array_equal(unitaries[idx], kind.unitaries(angles[idx]))
+            assert np.array_equal(unitaries[idx], block_unitary(kind, angles[idx]))
+            assert np.array_equal(derivatives[idx], kind.derivatives(angles[idx]))
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vqse.ansatz import BlockKind, LayeredAnsatz, prepare_eigenvector
 from vqse.experiments import (
     FactorizationNotFound,
+    Gate,
     LoopConfig,
     NoiseSpec,
     SpinChainSpec,
@@ -27,7 +28,7 @@ from vqse.experiments import (
     xy_spectroscopy_sweep,
     xy_sweep_point,
 )
-from vqse.qmath import exact_eigs, fidelity_pure, purity
+from vqse.qmath import PAULI_I, PAULI_X, exact_eigs, fidelity_pure, purity
 from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -224,6 +225,22 @@ class TestWStateCircuit:
         noise = NoiseSpec(p_depol_1q=0.002, p_depol_2q=0.02)
         rho = run_circuit(3, w_preparation_gates(), noise)
         assert 0.90 < fidelity_pure(rho, w_state()) < 1.0
+
+    def test_each_gate_damps_each_of_its_targets(self):
+        # |11> from one X per qubit, then an identity on the pair: each qubit decays
+        # after its X and again after the pair gate
+        gamma = 0.1
+        gates = [Gate(PAULI_X, (0,)), Gate(PAULI_X, (1,)), Gate(np.eye(4, dtype=complex), (0, 1))]
+        rho = run_circuit(2, gates, NoiseSpec(gamma_ad=gamma))
+        assert rho.diagonal()[3] == pytest.approx((1 - gamma) ** 4, abs=1e-14)
+
+    def test_depolarizing_channel_follows_gate_arity(self):
+        # on |00>: the 1-qubit channel after the 1-qubit gate leaves P(q0 = 0) = 1 - p1 / 2,
+        # then the 2-qubit channel after the pair gate mixes in I/4 with weight p2
+        p1, p2 = 0.1, 0.2
+        gates = [Gate(PAULI_I, (0,)), Gate(np.eye(4, dtype=complex), (0, 1))]
+        rho = run_circuit(2, gates, NoiseSpec(p_depol_1q=p1, p_depol_2q=p2))
+        assert rho.diagonal()[0] == pytest.approx((1 - p2) * (1 - p1 / 2) + p2 / 4, abs=1e-14)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):

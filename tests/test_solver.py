@@ -337,23 +337,44 @@ class TestOptimize:
         assert h.t == 1.0 and h.f == 1.0
         assert np.isclose(max(h.energies()), 1.0)
 
+    def test_rows_are_costed_under_the_hamiltonian_in_force(self):
+        # the last update sets f = 1, so the final row's cost is under the global part
+        rho = random_density_matrix(3, seed=4)
+        rng = np.random.default_rng(2)
+        a = LayeredAnsatz.random(3, 1, BlockKind.RY_CZ, rng)
+        res = optimize(rho, a, cost_config(3, 2, "adaptive"), StepwiseSchedule(10, 5),
+                       OptimizerConfig(), rng)
+        expected = res.final_hamiltonian.energies() @ res.transformed.diagonal()
+        assert res.trace[-1].cost == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("shots", [0, 64])
     def test_one_walk_per_step(self, monkeypatch, shots):
-        # every theta is walked once, for its trace row and the next gradient;
-        # the sampled shifts' tails are not full walks
-        import vqse.ansatz
+        # every theta is walked once, for its trace row and the next gradient,
+        # from one stack of its block unitaries; each step's gradient builds one
+        # stack of derivatives (exact) or of shifted blocks (sampled); the
+        # sampled shifts' tails are not full walks
         import vqse.solver
 
-        calls = {"walks": 0, "blocks": 0}
+        calls = {"walks": 0, "unitary stacks": 0, "shifted stacks": 0, "derivative stacks": 0}
+        unitaries, derivatives = BlockKind.unitaries, BlockKind.derivatives
 
-        def counting(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
+        def walks(*args):
+            calls["walks"] += 1
+            return forward_states(*args)
 
-        monkeypatch.setattr(vqse.solver, "_forward_states", counting("walks", vqse.solver._forward_states))
-        monkeypatch.setattr(vqse.ansatz, "block_unitary", counting("blocks", vqse.ansatz.block_unitary))
+        def counted_unitaries(kind, angles):
+            # a walk's stack is (blocks, w); a shifted stack is (blocks, w, 2, w)
+            calls["shifted stacks" if np.ndim(angles) == 4 else "unitary stacks"] += 1
+            return unitaries(kind, angles)
+
+        def counted_derivatives(kind, angles):
+            calls["derivative stacks"] += 1
+            return derivatives(kind, angles)
+
+        forward_states = vqse.solver._forward_states
+        monkeypatch.setattr(vqse.solver, "_forward_states", walks)
+        monkeypatch.setattr(BlockKind, "unitaries", counted_unitaries)
+        monkeypatch.setattr(BlockKind, "derivatives", counted_derivatives)
         rho = random_density_matrix(3, seed=4)
         rng = np.random.default_rng(2)
         a = LayeredAnsatz.random(3, 2, BlockKind.RY_CZ, rng)
@@ -361,8 +382,9 @@ class TestOptimize:
         optimize(rho, a, cost_config(3, 2, "adaptive", shots), StepwiseSchedule(n_max, 5),
                  OptimizerConfig(), rng)
         assert calls["walks"] == n_max + 1
-        if shots == 0:
-            assert calls["blocks"] == a.n_blocks * (n_max + 1)
+        assert calls["unitary stacks"] == n_max + 1
+        assert calls["derivative stacks"] == (n_max if shots == 0 else 0)
+        assert calls["shifted stacks"] == (n_max if shots else 0)
 
     def test_returns_final_transformed_state(self):
         rho = random_density_matrix(3, seed=4)
