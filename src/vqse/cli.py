@@ -207,8 +207,9 @@ def _loop_from(cfg: dict, n_max_key="n_max", s_key="s") -> LoopConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    """A real scalar (Python or numpy) as repr(float(x)), which float() reads back."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 

@@ -154,32 +154,10 @@ GROUND_DEGENERACY_TOL = 1e-9
 
 def xy_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     """Dense real-symmetric chain Hamiltonian (the SySy product is real)."""
-    N = spec.N
-    d = 2**N
-    hz, hx = spec.h * np.cos(spec.gamma), spec.h * np.sin(spec.gamma)
-    ham = np.zeros((d, d))
-    idx = np.arange(d)
-    bits = (idx[:, None] >> np.arange(N - 1, -1, -1)[None, :]) & 1
-    # field: -hz sum_j Sz_j on the diagonal, -hx sum_j Sx_j flipping one bit
-    ham[idx, idx] = -hz * 0.5 * (1 - 2 * bits).sum(axis=1)
-    for j in range(N):
-        mj = 1 << (N - 1 - j)
-        ham[idx ^ mj, idx] += -hx * 0.5
-        k = (j + 1) % N
-        mk = 1 << (N - 1 - k)
-        flip = idx ^ mj ^ mk
-        ham[flip, idx] += -spec.J_x * 0.25
-        # <i'|Sy Sy|i> = -(-1)^(b_j + b_k) / 4
-        ham[flip, idx] += spec.J_y * 0.25 * (1 - 2 * bits[:, j]) * (1 - 2 * bits[:, k])
-    return ham
+    return _FieldLine(spec).at(spec.h)
 
 
-def _reduced_top_eigenvalue(vec: np.ndarray, keep: int, N: int) -> float:
-    s = np.linalg.svd(vec.reshape(2**keep, 2 ** (N - keep)), compute_uv=False)
-    return float(s[0] ** 2)
-
-
-def _product_seeking_vector(ground: np.ndarray, keep: int, N: int) -> np.ndarray:
+def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
     """Deterministic choice inside a (near-)degenerate real ground space.
 
     Picks the combination of ground vectors whose reduced state has the
@@ -192,7 +170,7 @@ def _product_seeking_vector(ground: np.ndarray, keep: int, N: int) -> np.ndarray
         return ground[:, 0]
 
     def lam1(v):
-        return _reduced_top_eigenvalue(v, keep, N)
+        return np.linalg.svd(v.reshape(2**keep, -1), compute_uv=False)[0] ** 2
 
     best_vec = ground[:, 0]
     best_val = lam1(best_vec)
@@ -210,32 +188,30 @@ def _product_seeking_vector(ground: np.ndarray, keep: int, N: int) -> np.ndarray
     return best_vec
 
 
-def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
-    """Reduced ground state on the first `keep` sites, plus the ground energy.
+def _ground(ham: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt U, S of the product-seeking ground vector, and the spectrum, from one eigh.
 
-    When the ground level is (near-)degenerate the representative vector is
-    the deterministic product-seeking combination; reduced spectra close to
-    level crossings depend on this choice and the convention is documented
-    here once.
+    The normalized ground vector as a (kept sites x rest) matrix is M = U S W^T,
+    so the reduced state is (U S)(U S)^T and its top eigenvalue lambda_1 = S[0]^2.
+    When the ground level is (near-)degenerate the vector is the deterministic
+    product-seeking combination; reduced spectra close to level crossings
+    depend on this choice and the convention is documented here once.
     """
-    w, v = np.linalg.eigh(xy_hamiltonian(spec))
-    ground = v[:, w - w[0] <= GROUND_DEGENERACY_TOL]
-    vec = _product_seeking_vector(ground, spec.keep, spec.N)
-    # the ground vector as a (kept sites x rest) matrix M = U S W^T: rho_keep = (U S)(U S)^T
-    u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**spec.keep, -1), full_matrices=False)
-    return DensityMatrix(factor=u * s, validate=False), float(w[0])
-
-
-def _ground_residual(ham: np.ndarray, keep: int, N: int) -> tuple[float, float]:
-    """1 - lambda_1 (top Schmidt weight of the product-seeking ground vector) and the gap, from one eigh."""
     w, v = np.linalg.eigh(ham)
-    vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep, N)
-    return 1.0 - _reduced_top_eigenvalue(vec / np.linalg.norm(vec), keep, N), float(w[1] - w[0])
+    vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep)
+    u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
+    return u, s, w
+
+
+def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
+    """Reduced ground state on the first `keep` sites, plus the ground energy."""
+    u, s, w = _ground(xy_hamiltonian(spec), spec.keep)
+    return DensityMatrix(factor=u * s, validate=False), float(w[0])
 
 
 def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     """1 - lambda_1 of the reduced ground state at field magnitude h."""
-    return _ground_residual(xy_hamiltonian(_with_h(spec, h)), spec.keep, spec.N)[0]
+    return float(1.0 - _ground(xy_hamiltonian(_with_h(spec, h)), spec.keep)[1][0] ** 2)
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
@@ -245,16 +221,24 @@ def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
 class _FieldLine:
     """H(h) = H_J + h H_f: the dense coupling part plus the unit field's nonzeros.
 
-    H_f is the diagonal -cos(gamma) sum Sz plus one single-flip entry per site
-    per column.  With no x field H commutes with the parity prod sigma^z, and
-    `blocks` holds the even and odd basis indices.
+    H_J = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) on the ring; H_f is the
+    diagonal -cos(gamma) sum Sz plus one single-flip entry per site per column.
+    With no x field H commutes with the parity prod sigma^z, and `blocks`
+    holds the even and odd basis indices.
     """
 
     def __init__(self, spec: SpinChainSpec):
         N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
         idx = np.arange(d)
-        ones = ((idx[:, None] >> np.arange(N)) & 1).sum(axis=1)
-        self.coupling = xy_hamiltonian(_with_h(spec, 0.0))
+        bits = (idx[:, None] >> np.arange(N - 1, -1, -1)) & 1  # column j: site j
+        ones = bits.sum(axis=1)
+        self.coupling = np.zeros((d, d))
+        for j in range(N):
+            k = (j + 1) % N
+            flip = idx ^ (1 << (N - 1 - j)) ^ (1 << (N - 1 - k))
+            self.coupling[flip, idx] += -spec.J_x * 0.25
+            # <i'|Sy Sy|i> = -(-1)^(b_j + b_k) / 4
+            self.coupling[flip, idx] += spec.J_y * 0.25 * (1 - 2 * bits[:, j]) * (1 - 2 * bits[:, k])
         # flat (row, column) positions: the diagonal, then one bit flip per site
         self.index = np.concatenate([idx] + [idx ^ (1 << j) for j in range(N)]) * d + np.tile(idx, N + 1)
         self.values = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
@@ -333,7 +317,8 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     line = _FieldLine(spec)
 
     def residual_and_gap(h):
-        return _ground_residual(line.at(h), spec.keep, spec.N)
+        _, s, w = _ground(line.at(h), spec.keep)
+        return float(1.0 - s[0] ** 2), float(w[1] - w[0])
 
     residuals, gaps = np.array([residual_and_gap(h) for h in hs]).T
     k = int(np.argmin(residuals))

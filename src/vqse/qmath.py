@@ -3,9 +3,9 @@
 The variational circuit acts only on a purification factor A of a state,
 rho = A A^dag, a 2^n x r array; the outcome probabilities are the squared
 row norms of A.  A state built from A alone builds its 2^n x 2^n matrix on
-first read.  The gate-level noisy circuit (unitaries and Kraus channels), the
-partial trace and the exact eigendecomposition (the ground-truth oracle for
-the rest of the package) work on that matrix.
+first read.  The gate-level noisy circuit (one superoperator contraction per
+unitary or channel), the partial trace and the exact eigendecomposition (the
+ground-truth oracle for the rest of the package) work on that matrix.
 
 Bit convention used throughout the package: qubit 0 is the most significant
 bit of a computational-basis index, so for n=3 the basis state |011> sits at
@@ -197,10 +197,12 @@ class PureState:
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    All operators act on the same k target qubits (k = arity).
+    All operators act on the same k target qubits (k = arity).  The map is
+    applied as its superoperator S = sum_K kron(K, K*), built once here: read
+    row-major, vec(K rho K^dag) = kron(K, K*) vec(rho) (see `_conjugate`).
     """
 
-    __slots__ = ("operators", "arity")
+    __slots__ = ("operators", "arity", "superoperator")
 
     def __init__(self, operators, *, validate: bool = True):
         ops = [np.array(k, dtype=complex) for k in operators]
@@ -211,6 +213,7 @@ class KrausChannel:
         if any(k.shape != (dim, dim) for k in ops):
             raise ValueError("Kraus operators must be square and equal-sized")
         self.operators = ops
+        self.superoperator = sum(np.kron(k, k.conj()) for k in ops)
         if validate:
             s = sum(k.conj().T @ k for k in ops)
             if np.abs(s - np.eye(dim)).max() > HERMITICITY_TOL:
@@ -263,17 +266,20 @@ def _apply_left(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: in
 
 
 def _conjugate(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Return (op on targets) mat (op on targets)^dagger without embedding op."""
-    out = _apply_left(mat, op, targets, n)
-    # right multiplication by op^dag  ==  conjugating rows of mat^dag
-    out = _apply_left(out.conj().T, op, targets, n)
-    return out.conj().T
+    """Apply the superoperator `op` on targets to the 2^n x 2^n matrix mat.
+
+    Read row-major, mat is a vector on 2n qubits (row bits, then column bits),
+    and K mat K^dag is kron(K, K*) on the row and column copies of the
+    targets: one contraction per gate or channel.
+    """
+    doubled = targets + tuple(n + t for t in targets)
+    return _apply_left(mat.reshape(-1, 1), op, doubled, 2 * n).reshape(mat.shape)
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:
     """Conjugate rho by a unitary acting on the given target qubits.
 
-    The unitary is embedded by tensor contraction on both sides; the full
+    The unitary is applied as kron(u, u*) by one tensor contraction; the full
     2^n x 2^n operator is never materialized.
     """
     u = np.asarray(u, dtype=complex)
@@ -283,7 +289,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:
         raise ValueError(f"operator shape {u.shape} does not match {len(targets)} targets")
     if np.abs(u @ u.conj().T - np.eye(dim)).max() > UNITARITY_TOL:
         raise ValueError("matrix is not unitary")
-    return DensityMatrix(_conjugate(rho.data, u, targets, rho.n), validate=False)
+    return DensityMatrix(_conjugate(rho.data, np.kron(u, u.conj()), targets, rho.n), validate=False)
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets) -> DensityMatrix:
@@ -291,10 +297,7 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets) -> DensityMatri
     targets = _check_targets(targets, rho.n)
     if len(targets) != ch.arity:
         raise ValueError(f"channel arity {ch.arity} does not match targets {targets}")
-    out = np.zeros_like(rho.data)
-    for k in ch.operators:
-        out = out + _conjugate(rho.data, k, targets, rho.n)
-    return DensityMatrix(out, validate=False)
+    return DensityMatrix(_conjugate(rho.data, ch.superoperator, targets, rho.n), validate=False)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -44,6 +44,9 @@ from .hamiltonians import (
 from .qmath import DensityMatrix, _apply_left, index_to_bitstring
 
 ZERO_EIGENVALUE_TOL = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -255,9 +258,6 @@ class OptimizerConfig:
 
     kind: str = "adam"
     lr: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("adam", "gd"):
@@ -278,11 +278,11 @@ class _Stepper:
         if cfg.kind == "gd":
             return theta - cfg.lr * grad
         self.k += 1
-        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * grad**2
-        mh = self.m / (1 - cfg.beta1**self.k)
-        vh = self.v / (1 - cfg.beta2**self.k)
-        return theta - cfg.lr * mh / (np.sqrt(vh) + cfg.epsilon)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad**2
+        mh = self.m / (1 - ADAM_BETA1**self.k)
+        vh = self.v / (1 - ADAM_BETA2**self.k)
+        return theta - cfg.lr * mh / (np.sqrt(vh) + ADAM_EPSILON)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,28 @@ class TestRunCommand:
         header = (out / "xy_sweep.csv").read_text().splitlines()[0]
         assert header.startswith("h,exact_lambda_1") and header.endswith("eps_abs,eps_rel,best_cost")
 
+    @pytest.mark.parametrize("text, experiment", [(PCA_CFG, "pca"), (XY_CFG, "xy"), (WSTATE_CFG, "wstate")],
+                             ids=["pca", "xy", "wstate"])
+    def test_every_number_reads_back_with_float(self, tmp_path, text, experiment):
+        # a numpy scalar written by repr reads `np.float64(1.0)`, which float() rejects
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        cells = [(csv.name, cell) for csv in out.glob("*.csv")
+                 for row in csv.read_text().splitlines()[1:] for cell in row.split(",")]
+        text_keys = {"experiment", "cost", "est_bitstrings", "bound_cost_degenerate"}
+        for line in (out / f"{experiment}_summary.txt").read_text().splitlines():
+            key, sep, value = line.partition(" = ")
+            if sep and key not in text_keys:
+                cells += [(key, x) for x in value.split(",")]
+        assert cells
+        for where, cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                pytest.fail(f"{where}: {cell!r} is not a number")
+
     def test_custom_experiment_from_npy(self, tmp_path):
         rho = random_low_rank_state(3, 1, seed=5)
         state_path = tmp_path / "state.npy"

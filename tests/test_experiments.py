@@ -1,5 +1,7 @@
 """Tests for the three application experiments."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from vqse.experiments import (
     xy_spectroscopy_sweep,
     xy_sweep_point,
 )
-from vqse.qmath import PAULI_I, PAULI_X, exact_eigs, fidelity_pure, purity
+from vqse.qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, exact_eigs, fidelity_pure, purity
 from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -69,6 +71,29 @@ class TestRandomLowRankState:
         psi = g[:, 0] / np.linalg.norm(g[:, 0])
         got = random_low_rank_state(n, n_ancilla, seed).factor()
         assert np.array_equal(got, psi.reshape(2**n, 2**n_ancilla))
+
+
+def pauli_chain_hamiltonian(spec):
+    """H = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) - h cos(gamma) sum Sz - h sin(gamma) sum Sx.
+
+    Built from Pauli matrices by np.kron, S = sigma / 2, one bond per site j
+    to j + 1 mod N (so N = 2 counts its one pair twice).
+    """
+    N = spec.N
+
+    def spins(*site_ops):
+        ops = [PAULI_I] * N
+        for j, op in site_ops:
+            ops[j] = op / 2
+        return functools.reduce(np.kron, ops)
+
+    ham = np.zeros((2**N, 2**N), dtype=complex)
+    for j in range(N):
+        k = (j + 1) % N
+        ham -= spec.J_x * spins((j, PAULI_X), (k, PAULI_X)) + spec.J_y * spins((j, PAULI_Y), (k, PAULI_Y))
+        ham -= spec.h * (np.cos(spec.gamma) * spins((j, PAULI_Z)) + np.sin(spec.gamma) * spins((j, PAULI_X)))
+    assert np.abs(ham.imag).max() == 0.0
+    return ham.real
 
 
 class TestXYChain:
@@ -117,7 +142,9 @@ class TestXYChain:
         spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=1)
         line = _FieldLine(spec)
         ham = line.at(h)
-        assert np.abs(ham - xy_hamiltonian(spec)).max() <= 1e-13
+        want = pauli_chain_hamiltonian(spec)
+        assert np.abs(ham - want).max() <= 1e-13
+        assert np.abs(xy_hamiltonian(spec) - want).max() <= 1e-13
         assert (line.blocks is not None) == (gamma == 0.0)
         if gamma == 0.0:
             odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)

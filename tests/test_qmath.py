@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vqse import qmath
 from vqse.qmath import (
     DensityMatrix,
     KrausChannel,
@@ -329,6 +330,72 @@ class TestChannels:
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(ValueError, match="trace preserving"):
             KrausChannel([np.eye(2) * 0.5])
+
+
+def embedded(op, targets, n):
+    """op on `targets` (in that order) as a dense 2^n x 2^n matrix.
+
+    kron(op, I) acts on the qubits reordered as targets + rest; the
+    permutation P sends that order back to qubit 0 first.
+    """
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    full = np.kron(op, np.eye(2 ** (n - len(targets))))
+    perm = np.zeros((2**n, 2**n))
+    for i in range(2**n):
+        bits = format(i, f"0{n}b")
+        perm[i, int("".join(bits[q] for q in order), 2)] = 1.0
+    return perm @ full @ perm.T
+
+
+def _damping_pair(gamma_a, gamma_b):
+    """Independent amplitude damping on two qubits, as one 2-qubit channel."""
+    a, b = amplitude_damping_channel(gamma_a), amplitude_damping_channel(gamma_b)
+    return KrausChannel([np.kron(x, y) for x in a.operators for y in b.operators])
+
+
+@st.composite
+def channel_cases(draw):
+    """A random state, k = 1 or 2 unordered targets, and a channel or unitary on them."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(2, n)))
+    targets = draw(st.permutations(range(n)))[:k]
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["depolarizing", "damping", "unitary"]))
+    if kind == "depolarizing":
+        ch = depolarizing_channel(draw(st.floats(0.0, 1.0)), arity=k)
+    elif kind == "damping":
+        rates = [draw(st.floats(0.0, 1.0)) for _ in range(k)]
+        ch = amplitude_damping_channel(rates[0]) if k == 1 else _damping_pair(*rates)
+    else:
+        ch = KrausChannel([random_unitary(2**k, seed)])
+    return random_density_matrix(n, seed=seed), ch, targets
+
+
+class TestSuperoperator:
+    """Each gate or channel is one contraction of its superoperator on vec(rho)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(channel_cases())
+    def test_matches_dense_kraus_sum(self, case):
+        rho, ch, targets = case
+        dense = [embedded(k, targets, rho.n) for k in ch.operators]
+        want = sum(e @ rho.data @ e.conj().T for e in dense)
+        assert np.abs(apply_channel(rho, ch, targets).data - want).max() <= 1e-14
+        if len(ch.operators) == 1:
+            got = apply_unitary(rho, ch.operators[0], targets).data
+            assert np.abs(got - want).max() <= 1e-14
+
+    def test_one_contraction_per_call(self, monkeypatch):
+        calls = []
+        real = qmath._apply_left
+        monkeypatch.setattr(qmath, "_apply_left", lambda *args: calls.append(args) or real(*args))
+        rho = random_density_matrix(3, seed=1)
+        apply_channel(rho, depolarizing_channel(0.1, arity=2), [2, 0])
+        assert len(calls) == 1
+        apply_channel(rho, amplitude_damping_channel(0.2), [1])
+        assert len(calls) == 2
+        apply_unitary(rho, CNOT, [0, 2])
+        assert len(calls) == 3
 
 
 class TestInvariantPreservation:
