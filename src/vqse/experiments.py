@@ -17,6 +17,7 @@ numpy SeedSequence spawning so results are independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,6 +35,7 @@ from .metrics import (
 )
 from .qmath import (
     DensityMatrix,
+    KrausChannel,
     PureState,
     amplitude_damping_channel,
     apply_channel,
@@ -96,6 +98,15 @@ class NoiseSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+
+    @functools.cached_property
+    def channels(self) -> tuple[KrausChannel | None, KrausChannel | None, KrausChannel | None]:
+        """1-qubit depolarizing, 2-qubit depolarizing and damping channel (None if off), built once."""
+        return (
+            depolarizing_channel(self.p_depol_1q, 1) if self.p_depol_1q > 0 else None,
+            depolarizing_channel(self.p_depol_2q, 2) if self.p_depol_2q > 0 else None,
+            amplitude_damping_channel(self.gamma_ad) if self.gamma_ad > 0 else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -576,14 +587,11 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
 
 def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -> DensityMatrix:
     """Run a gate list from |0...0>, inserting noise channels after each gate."""
-    noise = noise or NoiseSpec()
-    # each channel is built once per call; a gate on k > 1 qubits gets the 2-qubit one
-    depol = {k: depolarizing_channel(p, k) for k, p in ((1, noise.p_depol_1q), (2, noise.p_depol_2q)) if p > 0}
-    damping = amplitude_damping_channel(noise.gamma_ad) if noise.gamma_ad > 0 else None
+    depol_1q, depol_2q, damping = (noise or NoiseSpec()).channels
     rho = DensityMatrix.basis_state(n, 0)
     for g in gates:
         rho = apply_unitary(rho, g.matrix, g.targets)
-        channel = depol.get(min(len(g.targets), 2))
+        channel = depol_1q if len(g.targets) == 1 else depol_2q
         if channel is not None:
             rho = apply_channel(rho, channel, g.targets)
         if damping is not None:

@@ -214,6 +214,7 @@ class KrausChannel:
             raise ValueError("Kraus operators must be square and equal-sized")
         self.operators = ops
         self.superoperator = sum(np.kron(k, k.conj()) for k in ops)
+        self.superoperator.flags.writeable = False
         if validate:
             s = sum(k.conj().T @ k for k in ops)
             if np.abs(s - np.eye(dim)).max() > HERMITICITY_TOL:
@@ -256,9 +257,24 @@ def _check_targets(targets, n: int) -> tuple[int, ...]:
 
 
 def _apply_left(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Return (op embedded on targets) @ mat, contracting only the row indices."""
+    """Return (op embedded on targets) @ mat, contracting only the row indices.
+
+    Targets q, q+1, ..., q+k-1 in ascending order (every brick pair, every
+    single qubit) are one contiguous group of row bits: viewed as
+    (2^q, 2^k, rest), mat takes op as one batched matmul.  When the 2^q
+    batches outnumber the rest (the last pairs of a thin factor), one matmul
+    with the target bits moved to the front is faster than 2^q small ones.
+    Other target sets are contracted by tensordot over the split row axes.
+    """
     k = len(targets)
     cols = mat.shape[1]
+    q = min(targets, default=0)
+    if list(targets) == list(range(q, q + k)):
+        view = mat.reshape(2**q, 2**k, -1)
+        if 2**q <= view.shape[2]:
+            return np.matmul(op, view).reshape(2**n, cols)
+        out = op @ view.swapaxes(0, 1).reshape(2**k, -1)
+        return out.reshape(2**k, 2**q, -1).swapaxes(0, 1).reshape(2**n, cols)
     t = mat.reshape((2,) * n + (cols,))
     op_t = op.reshape((2,) * (2 * k))
     out = np.tensordot(op_t, t, axes=(tuple(range(k, 2 * k)), targets))

@@ -16,13 +16,16 @@ shots > 0 this is how they are measured.  Both paths act only on a
 purification factor rho = A A^dag and read its 2^n x r forward states
 psi_b = B_{b-1} ... B_0 A off one walk of the circuit; the training loop
 walks once per step, and that walk also records the step's row.  The
-sampled loop builds every shifted block in one stacked call, applies each to
-the psi_b entering it, runs the result through the later blocks and samples
-it, as a measurement of the shifted circuit would be.  With exact costs the
-same derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823):
-a backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, and
-each block's angles are read off one 4x4 environment Tr_rest[psi_b lam^dag]
-against the stack of all block derivatives, built once per gradient.
+sampled gradient builds every shifted block in one stacked call and walks
+all shifted circuits together as column groups of one wide array: at block
+b the copies in flight get B_b in one contraction, and the copies of psi_b
+shifted at block b join them.  Each finished copy is then sampled, as a
+measurement of its shifted circuit would be.  With exact costs the same
+derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823): a
+backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, each
+block's 4x4 environment Tr_rest[psi_b lam^dag] is one matmul into a stack,
+and all angles are read off that stack in one einsum against the stack of
+block derivatives.
 """
 
 from __future__ import annotations
@@ -206,50 +209,51 @@ def param_shift_gradient(
 
 
 def _gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray, shots: int, rng) -> np.ndarray:
-    """dC/dtheta from one walk: its forward states psi_b and the block matrices `mats`."""
+    """dC/dtheta from one walk: its forward states psi_b and the block matrices `mats`.
+
+    With shots > 0 the shifted circuits are column groups of one wide array,
+    in angle order with + before -: at block b the copies in flight get B_b in
+    one contraction, then the 2w copies of psi_b shifted at block b join them.
+    """
     if shots == 0:
         return _adjoint_gradient(states, a, mats, energies)
-    pairs, w, rng = a.block_pairs, a.kind.angles_per_block, np.random.default_rng(rng)
+    pairs, n, w, rng = a.block_pairs, a.n, a.kind.angles_per_block, np.random.default_rng(rng)
     # shifted[b, j, 0 / 1]: block b with angle j moved by +pi/2 / -pi/2
     angles = np.tile(a.block_angles[:, None, None, :], (1, w, 2, 1))
     angles[:, np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
     shifted = a.kind.unitaries(angles)
-    grad = np.empty(a.theta.size)
-    for b, state in enumerate(states[:-1]):
-        for j in range(w):
-            val = []
-            for block in shifted[b, j]:
-                moved = _apply_left(state, block, pairs[b], a.n)
-                for mat, pair in zip(mats[b + 1 :], pairs[b + 1 :]):
-                    moved = _apply_left(moved, mat, pair, a.n)
-                counts = sample_counts(DensityMatrix(factor=moved, validate=False), shots, rng)
-                val.append(float(energies @ counts) / shots)
-            grad[b * w + j] = 0.5 * (val[0] - val[1])
-    return grad
+    rank = states[0].shape[1]
+    wide = np.empty((2**n, 0), dtype=complex)
+    for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
+        if b:
+            wide = _apply_left(wide, mats[b], pair, n)
+        fresh = [_apply_left(state, block, pair, n) for block in shifted[b].reshape(2 * w, 4, 4)]
+        wide = np.concatenate([wide] + fresh, axis=1)
+    copies = (DensityMatrix(factor=wide[:, s : s + rank], validate=False) for s in range(0, wide.shape[1], rank))
+    val = np.array([float(energies @ sample_counts(copy, shots, rng)) for copy in copies]) / shots
+    return 0.5 * (val[0::2] - val[1::2])
 
 
 def _adjoint_gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray) -> np.ndarray:
     """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) from the forward states psi_b.
 
-    One backward sweep from lam = H psi_B: block b's angles get
-    2 Re Tr(dB_j G_b) with the 4x4 environment G_b = Tr_rest[psi_b lam^dag],
-    then lam <- B_b^dag lam.
+    One backward sweep from lam = H psi_B stacks every block's 4x4 environment
+    G_b = Tr_rest[psi_b lam^dag], then sets lam <- B_b^dag lam.  For the pair
+    (q, q+1), G_b is one matmul of the two factors with the pair's two row
+    bits moved to the front, (4, rest) @ (rest, 4).  All angles'
+    2 Re Tr(dB_j G_b) then come from one einsum against the stack of block
+    derivatives.
     """
-    pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
+    pairs, n = a.block_pairs, a.n
     lam = energies[:, None] * states[-1]
-    shape = (2,) * n + (states[0].shape[1],)
-    grad = np.empty(a.theta.size)
-    derivs = a.kind.derivatives(a.block_angles)
+    env = np.empty((a.n_blocks, 4, 4), dtype=complex)
     for b in range(a.n_blocks - 1, -1, -1):
-        # sum out every qubit but the pair, and the columns; brick pairs ascend,
-        # so the pair axes stay in (MSB, LSB) order
-        rest = [q for q in range(n + 1) if q not in pairs[b]]
-        env = np.tensordot(states[b].reshape(shape), lam.conj().reshape(shape), axes=(rest, rest))
-        traces = np.tensordot(derivs[b], env.reshape(4, 4), ([1, 2], [1, 0]))  # Tr(dB_j G_b)
-        grad[b * w : (b + 1) * w] = 2.0 * traces.real
+        psi, lam_t = (m.reshape(2 ** pairs[b][0], 4, -1).swapaxes(0, 1).reshape(4, -1) for m in (states[b], lam))
+        env[b] = psi @ lam_t.conj().T
         if b:
             lam = _apply_left(lam, mats[b].conj().T, pairs[b], n)
-    return grad
+    traces = np.einsum("bjik,bki->bj", a.kind.derivatives(a.block_angles), env)  # Tr(dB_j G_b)
+    return 2.0 * traces.real.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,18 @@ class TestWStateCircuit:
         rho = run_circuit(2, gates, NoiseSpec(p_depol_1q=p1, p_depol_2q=p2))
         assert rho.diagonal()[0] == pytest.approx((1 - p2) * (1 - p1 / 2) + p2 / 4, abs=1e-14)
 
+    def test_channels_built_once_per_noise_model(self, monkeypatch):
+        import vqse.experiments
+
+        built = []
+        real = vqse.experiments.depolarizing_channel
+        monkeypatch.setattr(vqse.experiments, "depolarizing_channel", lambda p, k: built.append(k) or real(p, k))
+        noise = NoiseSpec(p_depol_1q=0.003, p_depol_2q=0.03, gamma_ad=0.01)
+        first = run_circuit(3, w_preparation_gates(), noise)
+        again = run_circuit(3, w_preparation_gates(), noise)
+        assert sorted(built) == [1, 2]
+        assert np.array_equal(first.data, again.data)
+
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(p_depol_1q=1.5)

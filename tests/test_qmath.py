@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,6 +398,50 @@ class TestSuperoperator:
         assert len(calls) == 2
         apply_unitary(rho, CNOT, [0, 2])
         assert len(calls) == 3
+
+
+@st.composite
+def apply_left_cases(draw):
+    """A column stack on n qubits, 1-3 targets and a real or complex operator on them.
+
+    The targets are one ascending run (a matmul, batched or with the target
+    bits moved to the front), the same run descending, or drawn in any order
+    (a tensordot), so every form of `_apply_left` is hit.
+    """
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, n)))
+    layout = draw(st.sampled_from(["ascending", "descending", "any"]))
+    if layout == "any":
+        targets = tuple(draw(st.permutations(range(n)))[:k])
+    else:
+        start = draw(st.integers(0, n - k))
+        targets = tuple(range(start, start + k))[:: 1 if layout == "ascending" else -1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = rng.standard_normal((2**k, 2**k))
+    if draw(st.booleans()):
+        op = op + 1j * rng.standard_normal(op.shape)
+    cols = draw(st.integers(1, 4))
+    mat = rng.standard_normal((2**n, cols)) + 1j * rng.standard_normal((2**n, cols))
+    return mat, op, targets, n
+
+
+class TestApplyLeft:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(apply_left_cases())
+    def test_matches_dense_embedded_operator(self, case):
+        mat, op, targets, n = case
+        one_run = targets == tuple(range(targets[0], targets[0] + len(targets)))
+        with mock.patch.object(qmath.np, "tensordot", wraps=np.tensordot) as tensordot:
+            got = qmath._apply_left(mat, op, targets, n)
+            from_list = qmath._apply_left(mat, op, list(targets), n)
+        # one ascending run of row bits is a matmul; every other target set a tensordot
+        assert tensordot.call_count == (0 if one_run else 2)
+        assert np.abs(got - embedded(op, targets, n) @ mat).max() <= 1e-13
+        assert np.array_equal(from_list, got)
+
+    def test_no_targets_is_the_identity(self):
+        rho = random_density_matrix(2, seed=1)
+        assert np.array_equal(apply_unitary(rho, np.eye(1), []).data, rho.data)
 
 
 class TestInvariantPreservation:

@@ -119,13 +119,34 @@ class TestParameterShiftRule:
         assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kind", list(BlockKind))
-    @pytest.mark.parametrize("n,layers", [(2, 1), (3, 2), (5, 1)])
-    def test_sampled_matches_full_forward_reference(self, kind, n, layers):
-        rho = random_density_matrix(n, seed=40 + n)
+    # (4, 2, None) is the xy_afm_shots circuit on a full-rank state; rank 1
+    # leaves a single column behind the last pair
+    @pytest.mark.parametrize("n,layers,rank", [(2, 1, None), (3, 2, None), (5, 1, None), (4, 2, None), (4, 2, 1)])
+    def test_sampled_matches_full_forward_reference(self, kind, n, layers, rank):
+        rho = random_density_matrix(n, rank=rank, seed=40 + n)
         a = LayeredAnsatz.random(n, layers, kind, 50 + n)
         h = adaptive_hamiltonian(n, 2)
         ref = full_forward_sampled_gradient(rho, a, h, 300, seed=9)
         assert np.array_equal(param_shift_gradient(rho, a, h, shots=300, rng=9), ref)
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_sampled_contractions_linear_in_blocks(self, monkeypatch, kind, layers):
+        # one walk (B), the copies in flight through blocks 1..B-1 (B - 1) and
+        # the 2w shifted copies made at each block (2wB); re-walking every
+        # shifted circuit's tail would take B + wB(B + 1)
+        import vqse.ansatz
+        import vqse.solver
+
+        calls = []
+        real = vqse.solver._apply_left
+        for module in (vqse.ansatz, vqse.solver):
+            monkeypatch.setattr(module, "_apply_left", lambda *args: calls.append(args) or real(*args))
+        rho = random_density_matrix(4, seed=5)
+        a = LayeredAnsatz.random(4, layers, kind, 6)
+        param_shift_gradient(rho, a, adaptive_hamiltonian(4, 2), shots=100, rng=1)
+        blocks, w = a.n_blocks, kind.angles_per_block
+        assert len(calls) == 2 * blocks - 1 + 2 * w * blocks
 
     def test_flat_at_maximally_mixed_state(self):
         rho = DensityMatrix.maximally_mixed(2)
@@ -352,7 +373,8 @@ class TestOptimize:
         # every theta is walked once, for its trace row and the next gradient,
         # from one stack of its block unitaries; each step's gradient builds one
         # stack of derivatives (exact) or of shifted blocks (sampled); the
-        # sampled shifts' tails are not full walks
+        # sampled gradient walks its shifted copies as columns of one array,
+        # not as forward walks of their own
         import vqse.solver
 
         calls = {"walks": 0, "unitary stacks": 0, "shifted stacks": 0, "derivative stacks": 0}
