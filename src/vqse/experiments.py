@@ -33,17 +33,19 @@ from .metrics import (
     eigen_errors,
     runs_per_success,
 )
+from . import qmath
 from .qmath import (
     DensityMatrix,
     KrausChannel,
     PureState,
     amplitude_damping_channel,
-    apply_channel,
-    apply_unitary,
     depolarizing_channel,
     fidelity_pure,
     purity,
     PAULI_X,
+    _check_gate,
+    _check_unitary,
+    _interleaved,
 )
 from .solver import (
     CostConfig,
@@ -107,6 +109,32 @@ class NoiseSpec:
             depolarizing_channel(self.p_depol_2q, 2) if self.p_depol_2q > 0 else None,
             amplitude_damping_channel(self.gamma_ad) if self.gamma_ad > 0 else None,
         )
+
+    @functools.cached_property
+    def _superoperators(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def superoperator(self, k: int) -> np.ndarray:
+        """The noise after a k-qubit gate as one superoperator on qubit-interleaved vec(rho).
+
+        Depolarizing on the gate's targets (the 1-qubit channel after a 1-qubit
+        gate, else the 2-qubit one), then damping on each target: in interleaved
+        order each qubit's row and column bits are adjacent, so the damping is
+        a kron of per-qubit superoperators.  Built once per arity, read-only.
+        """
+        if k not in self._superoperators:
+            depol_1q, depol_2q, damping = self.channels
+            depol = depol_1q if k == 1 else depol_2q
+            sup = np.eye(4**k)
+            if depol is not None:
+                if depol.arity != k:
+                    raise ValueError(f"channel arity {depol.arity} does not match {k} targets")
+                sup = _interleaved(depol.superoperator, k)
+            if damping is not None:
+                sup = functools.reduce(np.kron, [damping.superoperator] * k, np.eye(1)) @ sup
+            sup.flags.writeable = False
+            self._superoperators[k] = sup
+        return self._superoperators[k]
 
 
 @dataclass(frozen=True)
@@ -586,18 +614,42 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
 
 
 def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -> DensityMatrix:
-    """Run a gate list from |0...0>, inserting noise channels after each gate."""
-    depol_1q, depol_2q, damping = (noise or NoiseSpec()).channels
-    rho = DensityMatrix.basis_state(n, 0)
+    """Run a gate list from |0...0>, with noise after each gate.
+
+    Each gate is followed by depolarizing on its targets (the 1-qubit channel
+    after a 1-qubit gate, the 2-qubit one otherwise), then amplitude damping
+    on each target.  The gate and its noise are fused into one superoperator
+    S = D_k kron(u, u*) (`NoiseSpec.superoperator`), which keeps that order.
+    vec(rho) is held in qubit-interleaved bit order r_0 c_0 r_1 c_1 ..., where
+    a gate on qubits q..q+k-1 acts on the one run of bits 2q..2q+2k-1, so each
+    gate is one `_apply_left` matmul; a gate with unsorted targets is first
+    given sorted ones by permuting its qubit axes, which the noise commutes
+    with.  Targets, shapes and unitarity are checked for the whole list
+    before any gate runs, unitarity as one stacked check per arity.
+    """
+    noise = noise or NoiseSpec()
+    checked = []
     for g in gates:
-        rho = apply_unitary(rho, g.matrix, g.targets)
-        channel = depol_1q if len(g.targets) == 1 else depol_2q
-        if channel is not None:
-            rho = apply_channel(rho, channel, g.targets)
-        if damping is not None:
-            for q in g.targets:
-                rho = apply_channel(rho, damping, (q,))
-    return rho
+        u, targets = _check_gate(g.matrix, g.targets, n)
+        if list(targets) != sorted(targets):
+            k, order = len(targets), np.argsort(targets)
+            u = u.reshape((2,) * 2 * k).transpose([*order, *(order + k)]).reshape(u.shape)
+            targets = tuple(sorted(targets))
+        checked.append((u, targets))
+    sups = [None] * len(checked)
+    for k in sorted({len(targets) for _, targets in checked}):
+        gate_ids = [i for i, (_, targets) in enumerate(checked) if len(targets) == k]
+        us = np.stack([checked[i][0] for i in gate_ids])
+        _check_unitary(us)
+        krons = (us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(-1, 4**k, 4**k)
+        for i, s in zip(gate_ids, noise.superoperator(k) @ _interleaved(krons, k)):
+            sups[i] = s
+    vec = np.zeros((4**n, 1), dtype=complex)
+    vec[0] = 1.0
+    for (_, targets), s in zip(checked, sups):
+        vec = qmath._apply_left(vec, s, tuple(b for t in targets for b in (2 * t, 2 * t + 1)), 2 * n)
+    rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return DensityMatrix(vec.reshape((2,) * 2 * n).transpose(rows_then_columns).reshape(2**n, 2**n), validate=False)
 
 
 class WStateRow(NamedTuple):

@@ -3,9 +3,12 @@
 The variational circuit acts only on a purification factor A of a state,
 rho = A A^dag, a 2^n x r array; the outcome probabilities are the squared
 row norms of A.  A state built from A alone builds its 2^n x 2^n matrix on
-first read.  The gate-level noisy circuit (one superoperator contraction per
-unitary or channel), the partial trace and the exact eigendecomposition (the
-ground-truth oracle for the rest of the package) work on that matrix.
+first read.  Gate and channel application (one superoperator contraction
+each), the partial trace and the exact eigendecomposition (the ground-truth
+oracle for the rest of the package) work on that matrix.  The noisy circuit
+(`experiments.run_circuit`) holds vec(rho) in qubit-interleaved bit order
+instead (`_interleaved`), where a gate fused with its noise is one
+superoperator matmul on a contiguous run of bits.
 
 Bit convention used throughout the package: qubit 0 is the most significant
 bit of a computational-basis index, so for n=3 the basis state |011> sits at
@@ -292,19 +295,42 @@ def _conjugate(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int
     return _apply_left(mat.reshape(-1, 1), op, doubled, 2 * n).reshape(mat.shape)
 
 
+def _interleaved(sup: np.ndarray, k: int) -> np.ndarray:
+    """A k-qubit superoperator (or a stack of them) in qubit-interleaved bit order.
+
+    `kron(K, K*)` orders its bits as the k row bits, then the k column bits;
+    interleaved order is r_0 c_0 r_1 c_1 ..., so each qubit's two bits are
+    adjacent and a per-qubit channel on several qubits is a plain kron.
+    """
+    axes = np.arange(2 * k).reshape(2, k).T.reshape(-1)  # 0, k, 1, k + 1, ...
+    p = np.arange(4**k).reshape((2,) * 2 * k).transpose(axes).reshape(-1)
+    return sup[..., p[:, None], p]
+
+
+def _check_gate(u, targets, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """u as a complex array and the checked targets; raise unless u's shape fits them."""
+    u = np.asarray(u, dtype=complex)
+    targets = _check_targets(targets, n)
+    dim = 2 ** len(targets)
+    if u.shape != (dim, dim):
+        raise ValueError(f"operator shape {u.shape} does not match {len(targets)} targets")
+    return u, targets
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    """Raise ValueError unless u (a square matrix, or a stack of equal-sized ones) is unitary."""
+    if np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > UNITARITY_TOL:
+        raise ValueError("matrix is not unitary")
+
+
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:
     """Conjugate rho by a unitary acting on the given target qubits.
 
     The unitary is applied as kron(u, u*) by one tensor contraction; the full
     2^n x 2^n operator is never materialized.
     """
-    u = np.asarray(u, dtype=complex)
-    targets = _check_targets(targets, rho.n)
-    dim = 2 ** len(targets)
-    if u.shape != (dim, dim):
-        raise ValueError(f"operator shape {u.shape} does not match {len(targets)} targets")
-    if np.abs(u @ u.conj().T - np.eye(dim)).max() > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary")
+    u, targets = _check_gate(u, targets, rho.n)
+    _check_unitary(u)
     return DensityMatrix(_conjugate(rho.data, np.kron(u, u.conj()), targets, rho.n), validate=False)
 
 

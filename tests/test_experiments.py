@@ -1,12 +1,15 @@
 """Tests for the three application experiments."""
 
 import functools
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqse.ansatz import BlockKind, LayeredAnsatz, prepare_eigenvector
+from vqse import qmath
+from vqse.ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector
 from vqse.experiments import (
     FactorizationNotFound,
     Gate,
@@ -30,7 +33,20 @@ from vqse.experiments import (
     xy_spectroscopy_sweep,
     xy_sweep_point,
 )
-from vqse.qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, exact_eigs, fidelity_pure, purity
+from vqse.qmath import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    amplitude_damping_channel,
+    apply_channel,
+    apply_unitary,
+    depolarizing_channel,
+    exact_eigs,
+    fidelity_pure,
+    purity,
+)
 from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -227,7 +243,91 @@ class TestFactorization:
             locate_factorization(spec, np.arange(0.3, 1.21, 0.1))
 
 
+# the noise model of configs/wstate.cfg
+SHIPPED_NOISE = NoiseSpec(p_depol_1q=0.002, p_depol_2q=0.02)
+
+
+def gate_by_gate(n, gates, noise):
+    """The noisy circuit from the public calls: unitary, depolarizing, then damping per target."""
+    rho = DensityMatrix.basis_state(n, 0)
+    for g in gates:
+        rho = apply_unitary(rho, g.matrix, g.targets)
+        p = noise.p_depol_1q if len(g.targets) == 1 else noise.p_depol_2q
+        if p > 0:
+            rho = apply_channel(rho, depolarizing_channel(p, len(g.targets)), g.targets)
+        if noise.gamma_ad > 0:
+            for q in g.targets:
+                rho = apply_channel(rho, amplitude_damping_channel(noise.gamma_ad), (q,))
+    return rho
+
+
+@st.composite
+def noisy_circuits(draw, on):
+    """n in [1, 4], 1-6 random 1- and 2-qubit unitaries, and noise rates switched by `on`.
+
+    Pairs are adjacent ascending, adjacent descending, or at least two
+    qubits apart in either order.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layouts = ["one"] + ["ascending", "descending"] * (n >= 2) + ["apart"] * (n >= 3)
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        layout = draw(st.sampled_from(layouts))
+        if layout == "one":
+            targets = (draw(st.integers(0, n - 1)),)
+        elif layout == "apart":
+            q = draw(st.integers(0, n - 3))
+            targets = (q, draw(st.integers(q + 2, n - 1)))[:: draw(st.sampled_from([1, -1]))]
+        else:
+            q = draw(st.integers(0, n - 2))
+            targets = (q, q + 1) if layout == "ascending" else (q + 1, q)
+        dim = 2 ** len(targets)
+        a, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        gates.append(Gate(a * (np.diag(r) / np.abs(np.diag(r))), targets))
+    rates = [draw(st.floats(0.01, 1.0)) if is_on else 0.0 for is_on in on]
+    return n, gates, NoiseSpec(*rates)
+
+
 class TestWStateCircuit:
+    @pytest.mark.parametrize("on", list(itertools.product([False, True], repeat=3)))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_fused_matches_gate_by_gate(self, on, data):
+        # on: whether p_depol_1q, p_depol_2q and gamma_ad are nonzero
+        n, gates, noise = data.draw(noisy_circuits(on))
+        got = run_circuit(n, gates, noise).data
+        assert np.abs(got - gate_by_gate(n, gates, noise).data).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (Gate(np.array([[1, 1], [0, 1]], dtype=complex), (0,)), "not unitary"),
+            (Gate(0.5 * CNOT, (0, 2)), "not unitary"),
+            (Gate(CNOT, (1, 1)), "duplicate"),
+            (Gate(PAULI_X, (3,)), "out of range"),
+            (Gate(CNOT, (0,)), "does not match"),
+        ],
+        ids=["non-unitary 1q", "non-unitary 2q", "duplicate target", "target out of range", "shape"],
+    )
+    def test_bad_gate_raises(self, gate, message):
+        with pytest.raises(ValueError, match=message):
+            run_circuit(3, w_preparation_gates() + [gate], SHIPPED_NOISE)
+
+    @pytest.mark.parametrize("circuit", ["w_preparation", "gcnotg_2_layers"])
+    def test_one_contraction_per_gate(self, monkeypatch, circuit):
+        if circuit == "w_preparation":
+            gates = w_preparation_gates()
+        else:
+            gates = eigenvector_preparation_gates(LayeredAnsatz.random(3, 2, BlockKind.G_CNOT_G, 4), "101")
+        calls = []
+        real = qmath._apply_left
+        monkeypatch.setattr(qmath, "_apply_left", lambda *args: calls.append(args) or real(*args))
+        with mock.patch.object(qmath.np, "tensordot", wraps=np.tensordot) as tensordot:
+            run_circuit(3, gates, SHIPPED_NOISE)
+        assert len(calls) == len(gates)
+        assert tensordot.call_count == 0
+
     def test_preparation_is_exact(self):
         rho = run_circuit(3, w_preparation_gates(), None)
         assert fidelity_pure(rho, w_state()) == pytest.approx(1.0)
