@@ -227,70 +227,131 @@ def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
     return best_vec
 
 
-def _ground(ham: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt U, S of the product-seeking ground vector, and the spectrum, from one eigh.
-
-    The normalized ground vector as a (kept sites x rest) matrix is M = U S W^T,
-    so the reduced state is (U S)(U S)^T and its top eigenvalue lambda_1 = S[0]^2.
-    When the ground level is (near-)degenerate the vector is the deterministic
-    product-seeking combination; reduced spectra close to level crossings
-    depend on this choice and the convention is documented here once.
-    """
-    w, v = np.linalg.eigh(ham)
-    vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep)
-    u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
-    return u, s, w
-
-
 def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     """Reduced ground state on the first `keep` sites, plus the ground energy."""
-    u, s, w = _ground(xy_hamiltonian(spec), spec.keep)
-    return DensityMatrix(factor=u * s, validate=False), float(w[0])
+    u, s, e0, _ = _FieldLine(spec).ground(spec.h, spec.keep)
+    return DensityMatrix(factor=u * s, validate=False), e0
 
 
 def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     """1 - lambda_1 of the reduced ground state at field magnitude h."""
-    return float(1.0 - _ground(xy_hamiltonian(_with_h(spec, h)), spec.keep)[1][0] ** 2)
+    return float(1.0 - _FieldLine(spec).ground(float(h), spec.keep)[1][0] ** 2)
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
     return SpinChainSpec(spec.N, spec.J_x, spec.J_y, float(h), spec.gamma, spec.keep)
 
 
-class _FieldLine:
-    """H(h) = H_J + h H_f: the dense coupling part plus the unit field's nonzeros.
+class _Sector(NamedTuple):
+    coupling: np.ndarray  # C_m on the sector's orbit representatives (a pair's real form)
+    field: np.ndarray  # F_m
+    # real sectors only: each basis state's representative's row (dim outside the
+    # sector) and its weight in that momentum state, to expand a block's vector
+    column: np.ndarray | None
+    amplitude: np.ndarray | None
 
-    H_J = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) on the ring; H_f is the
-    diagonal -cos(gamma) sum Sz plus one single-flip entry per site per column.
-    With no x field H commutes with the parity prod sigma^z, and `blocks`
-    holds the even and odd basis indices.
+
+class _FieldLine:
+    """H(h) = H_J + h H_f from their nonzeros, as a dense matrix or in translation sectors.
+
+    H_J = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) on the ring, one double-flip
+    entry per bond per column; H_f is the diagonal -cos(gamma) sum Sz plus one
+    single-flip entry per site per column.  With no x field H commutes with the
+    parity prod sigma^z, and `blocks` holds the even and odd basis indices.  At
+    any field H commutes with the translation T, and `sectors` holds its blocks
+    C_m + h F_m for m = 0..N/2, about 2^N/N rows per sector, built on first use.
     """
 
     def __init__(self, spec: SpinChainSpec):
         N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
+        self.N = N
         idx = np.arange(d)
         bits = (idx[:, None] >> np.arange(N - 1, -1, -1)) & 1  # column j: site j
         ones = bits.sum(axis=1)
-        self.coupling = np.zeros((d, d))
-        for j in range(N):
-            k = (j + 1) % N
-            flip = idx ^ (1 << (N - 1 - j)) ^ (1 << (N - 1 - k))
-            self.coupling[flip, idx] += -spec.J_x * 0.25
-            # <i'|Sy Sy|i> = -(-1)^(b_j + b_k) / 4
-            self.coupling[flip, idx] += spec.J_y * 0.25 * (1 - 2 * bits[:, j]) * (1 - 2 * bits[:, k])
-        # flat (row, column) positions: the diagonal, then one bit flip per site
-        self.index = np.concatenate([idx] + [idx ^ (1 << j) for j in range(N)]) * d + np.tile(idx, N + 1)
-        self.values = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
+        site, nxt = np.arange(N), (np.arange(N) + 1) % N
+        flips = idx ^ (1 << (N - 1 - site))[:, None] ^ (1 << (N - 1 - nxt))[:, None]
+        # <i'|Sy Sy|i> = -(-1)^(b_j + b_k) / 4
+        y_signs = ((1 - 2 * bits[:, site]) * (1 - 2 * bits[:, nxt])).T
+        # flat (row, column) positions: a double flip per bond, the diagonal, a single flip per site
+        rows = np.concatenate([flips.ravel(), idx] + [idx ^ (1 << j) for j in range(N)])
+        self.index = rows * d + np.tile(idx, 2 * N + 1)
+        self.values = np.zeros((2, self.index.size))  # the coupling's, the unit field's
+        self.values[0, : N * d] = (-spec.J_x * 0.25 + spec.J_y * 0.25 * y_signs).ravel()
+        self.values[1, N * d :] = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
         self.blocks = (np.flatnonzero(ones % 2 == 0), np.flatnonzero(ones % 2)) if sin == 0.0 else None
 
+    @functools.cached_property
+    def sectors(self) -> list[_Sector]:
+        """Blocks for T's eigenvalues e^(ik), k = 2 pi m / N, from orbit representatives.
+
+        A basis state x = T^l r (r the orbit's smallest member, period p_r) lies in
+        sector m's momentum state (1/sqrt p_r) sum_s e^(-iks) T^s r when m p_r is a
+        multiple of N.  An entry c of H in column r and row x adds c e^(ikl)
+        sqrt(p_r / p_x) to the block at (representative of x, r).  Sector N - m is
+        the complex conjugate of sector m; for 0 < m < N/2 the pair is held as the
+        one real block [[Re, -Im], [Im, Re]], whose levels are sector m's, each twice.
+        """
+        N, d = self.N, 2**self.N
+        idx = np.arange(d)
+        turns = np.stack([((idx << s) | (idx >> (N - s))) & (d - 1) for s in range(N)])
+        rep_of = turns.min(axis=0)
+        shift = -turns.argmin(axis=0) % N  # x = T^shift rep_of[x]
+        period = (np.roll(turns, -1, axis=0) == idx).argmax(axis=0) + 1
+        rows, cols = np.divmod(self.index, d)
+        on_rep = rep_of[cols] == cols
+        col, row, turn = cols[on_rep], rep_of[rows[on_rep]], shift[rows[on_rep]]
+        values = self.values[:, on_rep] * np.sqrt(period[col] / period[row])
+        sectors = []
+        for m in range(N // 2 + 1):
+            member = (rep_of == idx) & (m * period % N == 0)
+            dim = int(member.sum())
+            column = np.where(member, np.cumsum(member) - 1, dim)
+            both = member[row] & member[col]
+            blocks = np.zeros((2, dim, dim), dtype=complex)
+            np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]),
+                      values[:, both] * np.exp(2j * np.pi * m * turn[both] / N))
+            if 2 * m % N == 0:  # e^(ikl) = +-1
+                amplitude = np.cos(2 * np.pi * m * shift / N) / np.sqrt(period[rep_of])
+                sectors.append(_Sector(*blocks.real, column[rep_of], amplitude))
+            else:
+                real_form = np.block([[blocks.real, -blocks.imag], [blocks.imag, blocks.real]])
+                sectors.append(_Sector(*real_form, None, None))
+        return sectors
+
     def at(self, h: float) -> np.ndarray:
-        ham = self.coupling.copy()
-        ham.reshape(-1)[self.index] += h * self.values
+        ham = np.zeros((2**self.N,) * 2)
+        np.add.at(ham.reshape(-1), self.index, self.values[0] + h * self.values[1])
         return ham
 
+    def _levels(self, h: float) -> list[tuple[float, int]]:
+        """(level, sector) for the two lowest levels of every sector at h, lowest first."""
+        return sorted((float(e), i) for i, sector in enumerate(self.sectors)
+                      for e in np.linalg.eigvalsh(sector.coupling + h * sector.field)[:2])
+
     def gap(self, h: float) -> float:
-        w = np.linalg.eigvalsh(self.at(h))
-        return float(w[1] - w[0])
+        (e0, _), (e1, _) = self._levels(h)[:2]
+        return e1 - e0
+
+    def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Schmidt U, S of the ground vector at h, and the two lowest levels E0 <= E1.
+
+        The ground vector as a (kept sites x rest) matrix is M = U S W^T, so the
+        reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  A simple ground level
+        lies in a real sector (m = 0 or N/2; the other sectors' levels come in
+        conjugate pairs), and its vector is that block's.  A (near-)degenerate
+        one takes one dense eigh and the product-seeking combination, whose pick
+        depends on the basis eigh returns.
+        """
+        (e0, i), (e1, _) = self._levels(h)[:2]
+        if e1 - e0 <= GROUND_DEGENERACY_TOL:
+            w, v = np.linalg.eigh(self.at(h))
+            vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep)
+        else:
+            sector = self.sectors[i]
+            v = np.linalg.eigh(sector.coupling + h * sector.field)[1][:, 0]
+            vec = np.append(v, 0.0)[sector.column] * sector.amplitude
+        u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
+        return u, s, e0, e1
 
     def parity_split(self, h: float) -> float:
         """E_even - E_odd, the difference of the two parity blocks' ground energies."""
@@ -346,9 +407,12 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     * at gamma != 0, each dip of the ground gap on the grid, golden-searched;
       a crossing that shows no dip on the grid is missed.
 
-    The smallest residual wins.  H(h) = H_J + h H_f is built once.  Cost: one
-    eigh per grid point, candidate and residual round (61 per golden search);
-    61 eigvalsh per gap search; two half-width eigvalsh per bisection step.
+    The smallest residual wins.  H(h) = H_J + h H_f and its translation
+    sectors are built once.  Cost: one set of sector eigvalsh, plus one sector
+    eigh, per grid point, candidate and residual round (61 per golden search);
+    61 sets of sector eigvalsh per gap search; two half-width eigvalsh per
+    bisection step.  Only a (near-)degenerate ground level costs a full-size
+    eigh: on C7's AFM ring and [0.9, 1.0, 1.1], two per search.
     """
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
@@ -356,8 +420,8 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     line = _FieldLine(spec)
 
     def residual_and_gap(h):
-        _, s, w = _ground(line.at(h), spec.keep)
-        return float(1.0 - s[0] ** 2), float(w[1] - w[0])
+        _, s, e0, e1 = line.ground(h, spec.keep)
+        return float(1.0 - s[0] ** 2), e1 - e0
 
     residuals, gaps = np.array([residual_and_gap(h) for h in hs]).T
     k = int(np.argmin(residuals))

@@ -16,8 +16,10 @@ from vqse.experiments import (
     LoopConfig,
     NoiseSpec,
     SpinChainSpec,
+    GROUND_DEGENERACY_TOL,
     _FieldLine,
     _golden_min,
+    _product_seeking_vector,
     eigenvector_preparation_gates,
     factorization_residual,
     locate_factorization,
@@ -171,6 +173,52 @@ class TestXYChain:
             e_even = e_odd + line.parity_split(h)
             assert min(e_even, e_odd) == pytest.approx(np.linalg.eigvalsh(ham)[0], abs=1e-12)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        N=st.integers(2, 8),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, np.pi)),
+        jx=st.floats(-2.0, 2.0),
+        jy=st.floats(-2.0, 2.0),
+        h=st.floats(0.0, 3.0),
+    )
+    def test_translation_sectors_match_dense(self, N, gamma, jx, jy, h):
+        keep = N // 2
+        line = _FieldLine(SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=keep))
+        # sectors m and N - m (0 < m < N/2) share one real block of twice the size
+        assert sum(sector.coupling.shape[0] for sector in line.sectors) == 2**N
+        assert all(sector.coupling.dtype == sector.field.dtype == float for sector in line.sectors)
+        ham = line.at(h)
+        w = np.linalg.eigvalsh(ham)
+        (e0, m), (e1, _) = line._levels(h)[:2]
+        assert abs(e0 - w[0]) <= 1e-12 and abs(e1 - w[1]) <= 1e-12
+        # a degenerate ground level (up to 2^N-fold here) goes to the dense path
+        if e1 - e0 > GROUND_DEGENERACY_TOL:
+            assert m in (0, N / 2) and line.sectors[m].amplitude is not None
+            u, s, e0_ground, e1_ground = line.ground(h, keep)
+            assert (e0_ground, e1_ground) == (e0, e1)
+            v = np.linalg.eigh(ham)[1][:, 0]
+            want = np.linalg.svd(v.reshape(2**keep, -1), compute_uv=False)
+            assert np.abs(s - want).max() <= 1e-12
+
+    def test_sectors_built_on_first_use(self):
+        line = _FieldLine(FM_RING)
+        line.at(0.5)
+        line.parity_split(0.5)
+        assert "sectors" not in vars(line)
+        line.ground(0.5, FM_RING.keep)
+        assert "sectors" in vars(line)
+
+    def test_degenerate_ground_keeps_the_dense_tie_break(self):
+        # at h = 1 the AFM ring's ground level is a doublet (gap ~1e-14) holding
+        # two product states; which one is returned depends on the dense eigh basis
+        line = _FieldLine(AFM_RING)
+        assert line.gap(1.0) <= GROUND_DEGENERACY_TOL
+        w, v = np.linalg.eigh(line.at(1.0))
+        vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], AFM_RING.keep)
+        u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**AFM_RING.keep, -1), full_matrices=False)
+        red, _ = xy_ground_reduced(AFM_RING)
+        assert np.array_equal(red.factor(), u * s)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SpinChainSpec(N=13, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
@@ -222,6 +270,18 @@ class TestFactorization:
             monkeypatch.setattr(np.linalg, name, counted)
         locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
         assert calls.count(2**AFM_RING.N) <= 144
+
+    def test_search_diagonalizes_full_size_only_at_the_crossing(self, monkeypatch):
+        # the grid point h = 1 and the gap-dip candidate are degenerate; every
+        # other level comes from the translation sectors
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                calls.append(a.shape[-1])
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
+        assert calls.count(2**AFM_RING.N) <= 2
 
     @pytest.mark.parametrize("rounds", [0, 10, 59])
     def test_golden_search_evaluates_once_per_round(self, rounds):
