@@ -443,7 +443,7 @@ def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
 
 
 def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
-    """Qubit count, m and the update period, checked against each other."""
+    """Qubit count, m, the update period and the [xy] chain, checked against each other."""
 
     def fail(key: str, message: str):
         raise ConfigError(f"key {key!r} {message}", section[key][1] if key in section else None)
@@ -460,8 +460,19 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
             fail("N", f"must lie in [2, 12] (dense diagonalization), got {cfg['N']}")
         if cfg["keep"] >= cfg["N"]:
             fail("keep", f"must be below N={cfg['N']} (a strict sub-block), got {cfg['keep']}")
-        if cfg["locate"] and len(cfg["h_grid"]) < 3:
-            fail("h_grid", f"needs at least 3 field values to locate, got {len(cfg['h_grid'])}")
+        if len(cfg["h_grid"]) < (3 if cfg["locate"] else 1):
+            fail("h_grid", f"needs at least 3 fields to locate (else 1), got {len(cfg['h_grid'])}")
+        for key in ("Jx", "Jy", "gamma"):
+            if not np.isfinite(cfg[key]):
+                fail(key, f"must be finite, got {cfg[key]}")
+        if not np.isfinite(cfg["h_grid"]).all():
+            fail("h_grid", f"must hold finite fields, got {cfg['h_grid']}")
+        if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
+            fail("tolerance", f"must be finite and positive, got {cfg['tolerance']}")
+        # H(0) = 0 when Jx = Jy = 0: its ground space is the whole space, and the
+        # product-seeking choice would scan every pair of its 2^N vectors
+        if cfg["Jx"] == cfg["Jy"] == 0 and min(cfg["h_grid"]) <= 0 <= max(cfg["h_grid"]):
+            fail("h_grid", "must not reach 0 when Jx = Jy = 0 (H = 0 there)")
     total, period = ("iters", "update_every") if experiment == "wstate" else ("n_max", "s")
     if cfg[total] % cfg[period]:
         fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")

@@ -252,14 +252,14 @@ class _Sector(NamedTuple):
 
 
 class _FieldLine:
-    """H(h) = H_J + h H_f from their nonzeros, as a dense matrix or in translation sectors.
+    """H(h) = H_J + h H_f from their nonzeros, as a dense matrix or in symmetry sectors.
 
     H_J = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) on the ring, one double-flip
     entry per bond per column; H_f is the diagonal -cos(gamma) sum Sz plus one
-    single-flip entry per site per column.  With no x field H commutes with the
-    parity prod sigma^z, and `blocks` holds the even and odd basis indices.  At
-    any field H commutes with the translation T, and `sectors` holds its blocks
-    C_m + h F_m for m = 0..N/2, about 2^N/N rows per sector, built on first use.
+    single-flip entry per site per column.  `sectors` holds H's blocks C + h F,
+    about 2^N/N rows each, built on first use: one per momentum m = 0..N/2 of the
+    translation T, or per (m, parity) at gamma = 0, where H also commutes with
+    the parity prod sigma^z.
     """
 
     def __init__(self, spec: SpinChainSpec):
@@ -278,7 +278,7 @@ class _FieldLine:
         self.values = np.zeros((2, self.index.size))  # the coupling's, the unit field's
         self.values[0, : N * d] = (-spec.J_x * 0.25 + spec.J_y * 0.25 * y_signs).ravel()
         self.values[1, N * d :] = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
-        self.blocks = (np.flatnonzero(ones % 2 == 0), np.flatnonzero(ones % 2)) if sin == 0.0 else None
+        self.parity = ones % 2 if sin == 0.0 else np.zeros_like(ones)  # conserved with no x field
 
     @functools.cached_property
     def sectors(self) -> list[_Sector]:
@@ -290,6 +290,8 @@ class _FieldLine:
         sqrt(p_r / p_x) to the block at (representative of x, r).  Sector N - m is
         the complex conjugate of sector m; for 0 < m < N/2 the pair is held as the
         one real block [[Re, -Im], [Im, Re]], whose levels are sector m's, each twice.
+        At gamma = 0 each block is split by the parity of its representatives,
+        which is constant on an orbit.
         """
         N, d = self.N, 2**self.N
         idx = np.arange(d)
@@ -303,19 +305,20 @@ class _FieldLine:
         values = self.values[:, on_rep] * np.sqrt(period[col] / period[row])
         sectors = []
         for m in range(N // 2 + 1):
-            member = (rep_of == idx) & (m * period % N == 0)
-            dim = int(member.sum())
-            column = np.where(member, np.cumsum(member) - 1, dim)
-            both = member[row] & member[col]
-            blocks = np.zeros((2, dim, dim), dtype=complex)
-            np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]),
-                      values[:, both] * np.exp(2j * np.pi * m * turn[both] / N))
-            if 2 * m % N == 0:  # e^(ikl) = +-1
-                amplitude = np.cos(2 * np.pi * m * shift / N) / np.sqrt(period[rep_of])
-                sectors.append(_Sector(*blocks.real, column[rep_of], amplitude))
-            else:
-                real_form = np.block([[blocks.real, -blocks.imag], [blocks.imag, blocks.real]])
-                sectors.append(_Sector(*real_form, None, None))
+            for parity in range(self.parity.max() + 1):
+                member = (rep_of == idx) & (m * period % N == 0) & (self.parity == parity)
+                dim = int(member.sum())
+                column = np.where(member, np.cumsum(member) - 1, dim)
+                both = member[row] & member[col]
+                blocks = np.zeros((2, dim, dim), dtype=complex)
+                np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]),
+                          values[:, both] * np.exp(2j * np.pi * m * turn[both] / N))
+                if 2 * m % N == 0:  # e^(ikl) = +-1
+                    amplitude = np.cos(2 * np.pi * m * shift / N) / np.sqrt(period[rep_of])
+                    sectors.append(_Sector(*blocks.real, column[rep_of], amplitude))
+                else:
+                    real_form = np.block([[blocks.real, -blocks.imag], [blocks.imag, blocks.real]])
+                    sectors.append(_Sector(*real_form, None, None))
         return sectors
 
     def at(self, h: float) -> np.ndarray:
@@ -323,17 +326,17 @@ class _FieldLine:
         np.add.at(ham.reshape(-1), self.index, self.values[0] + h * self.values[1])
         return ham
 
+    def lowest(self, i: int, h: float) -> np.ndarray:
+        """The two lowest levels of sector i at h, ascending."""
+        sector = self.sectors[i]
+        return np.linalg.eigvalsh(sector.coupling + h * sector.field)[:2]
+
     def _levels(self, h: float) -> list[tuple[float, int]]:
         """(level, sector) for the two lowest levels of every sector at h, lowest first."""
-        return sorted((float(e), i) for i, sector in enumerate(self.sectors)
-                      for e in np.linalg.eigvalsh(sector.coupling + h * sector.field)[:2])
+        return sorted((float(e), i) for i in range(len(self.sectors)) for e in self.lowest(i, h))
 
-    def gap(self, h: float) -> float:
-        (e0, _), (e1, _) = self._levels(h)[:2]
-        return e1 - e0
-
-    def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Schmidt U, S of the ground vector at h, and the two lowest levels E0 <= E1.
+    def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+        """Schmidt U, S of the ground vector at h, its level E0 and its sector.
 
         The ground vector as a (kept sites x rest) matrix is M = U S W^T, so the
         reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  A simple ground level
@@ -351,13 +354,7 @@ class _FieldLine:
             v = np.linalg.eigh(sector.coupling + h * sector.field)[1][:, 0]
             vec = np.append(v, 0.0)[sector.column] * sector.amplitude
         u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
-        return u, s, e0, e1
-
-    def parity_split(self, h: float) -> float:
-        """E_even - E_odd, the difference of the two parity blocks' ground energies."""
-        ham = self.at(h)
-        even, odd = (np.linalg.eigvalsh(ham[np.ix_(b, b)])[0] for b in self.blocks)
-        return float(even - odd)
+        return u, s, e0, i
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -382,15 +379,17 @@ def _golden_min(f, lo: float, hi: float, rounds: int = 59) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
-    """A sign change of f inside [lo, hi], bisected down to adjacent floats."""
+def _bisect_sign_change(f, lo: float, hi: float) -> float:
+    """Where f turns from f(lo) <= 0 to f(hi) >= 0, bisected down to adjacent floats."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = f(mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
+        if f(mid) > 0:
             hi = mid
+        else:
+            lo = mid
     return mid
+
+
+FIELD_HALVINGS = 4  # times the search may halve every grid cell before it gives up
 
 
 def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance: float = 1e-8) -> float:
@@ -401,48 +400,48 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     space holds the product states (1 - lambda_1 jumps there).  Candidates:
 
     * the minimum of 1 - lambda_1, golden-searched around the best grid point;
-    * at gamma = 0, where H commutes with the parity prod sigma^z, each sign
-      change of E_even - E_odd between grid neighbours, bisected to adjacent
-      floats; found whatever the spacing unless two crossings share a cell;
-    * at gamma != 0, each dip of the ground gap on the grid, golden-searched;
-      a crossing that shows no dip on the grid is missed.
+    * where grid neighbours' ground levels lie in different sectors a and b
+      (`_FieldLine.sectors`), the sign change of E_a - E_b, the two sectors'
+      lowest levels, bisected to adjacent floats: one rule at every angle.
 
-    The smallest residual wins.  H(h) = H_J + h H_f and its translation
-    sectors are built once.  Cost: one set of sector eigvalsh, plus one sector
-    eigh, per grid point, candidate and residual round (61 per golden search);
-    61 sets of sector eigvalsh per gap search; two half-width eigvalsh per
-    bisection step.  Only a (near-)degenerate ground level costs a full-size
-    eigh: on C7's AFM ring and [0.9, 1.0, 1.1], two per search.
+    The smallest residual wins.  If it misses `tolerance`, every grid cell is
+    halved and the grid scanned again, up to `FIELD_HALVINGS` times; a crossing
+    is missed only if it shares a cell with another on the finest grid.  H(h)
+    and its sectors are built once.  Cost per scan: one set of sector eigvalsh,
+    plus one sector eigh, per grid point, candidate and residual round (61 per
+    golden search); one eigvalsh of each of the two sectors per bisection
+    step.  Only a (near-)degenerate ground level costs a full-size eigh: on
+    C7's AFM ring and [0.9, 1.0, 1.1], two per search.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
     line = _FieldLine(spec)
 
-    def residual_and_gap(h):
-        _, s, e0, e1 = line.ground(h, spec.keep)
-        return float(1.0 - s[0] ** 2), e1 - e0
+    def scan(h):  # 1 - lambda_1 and the ground level's sector at h
+        _, s, _, i = line.ground(h, spec.keep)
+        return float(1.0 - s[0] ** 2), i
 
-    residuals, gaps = np.array([residual_and_gap(h) for h in hs]).T
-    k = int(np.argmin(residuals))
-    lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
-    candidates = [_golden_min(lambda h: residual_and_gap(h)[0], lo, hi)]
-    if line.blocks is not None:
-        splits = [line.parity_split(h) for h in hs]
-        for i in range(hs.size - 1):
-            if (splits[i] > 0) != (splits[i + 1] > 0):
-                candidates.append(_bisect_sign_change(line.parity_split, hs[i], hs[i + 1], splits[i]))
-    else:
-        for k in range(1, hs.size - 1):
-            if gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]:
-                candidates.append(_golden_min(line.gap, hs[k - 1], hs[k + 1]))
+    def split(a, b):
+        return lambda h: line.lowest(a, h)[0] - line.lowest(b, h)[0]
 
-    best_r, best_h = min(((residual_and_gap(h)[0], float(h)) for h in candidates), key=lambda c: c[0])
-    if best_r >= tolerance:
-        raise FactorizationNotFound(
-            f"no factorizing field in [{hs[0]}, {hs[-1]}]: best residual {best_r:.3e}"
-        )
-    return best_h
+    for _ in range(FIELD_HALVINGS + 1):
+        residuals, sectors = zip(*map(scan, hs))
+        k = int(np.argmin(residuals))
+        lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
+        candidates = [_golden_min(lambda h: scan(h)[0], lo, hi)]
+        for h0, h1, a, b in zip(hs, hs[1:], sectors, sectors[1:]):
+            if a != b:
+                candidates.append(_bisect_sign_change(split(a, b), h0, h1))
+        best_r, best_h = min(((scan(h)[0], float(h)) for h in candidates), key=lambda c: c[0])
+        if best_r < tolerance:
+            return best_h
+        hs = np.sort(np.concatenate([hs, 0.5 * (hs[:-1] + hs[1:])]))
+    raise FactorizationNotFound(
+        f"no factorizing field in [{hs[0]}, {hs[-1]}]: best residual {best_r:.3e}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,12 @@ class TestRunCommand:
         ("xy", "N", "1"),
         ("xy", "h_grid", "0.5,0.9"),  # locate needs three fields
         ("xy", "s", "3"),
+        ("xy", "Jx", "nan"),
+        ("xy", "Jy", "inf"),
+        ("xy", "gamma", "nan"),
+        ("xy", "h_grid", "0.5,nan,0.9"),
+        ("xy", "tolerance", "nan"),
+        ("xy", "tolerance", "0"),
         ("custom", "m", "0"),
         ("custom", "s", "3"),
         ("wstate", "update_every", "3"),  # iters = 10
@@ -163,8 +169,8 @@ class TestRunCommand:
             "wstate": WSTATE_CFG,
         }[section]
         lines = text.splitlines()
-        line = next(i for i, ln in enumerate(lines) if ln.split(" = ")[0] == key)
-        lines[line] = f"{key} = {value}"
+        line = next((i for i, ln in enumerate(lines) if ln.split(" = ")[0] == key), len(lines))
+        lines[line:line + 1] = [f"{key} = {value}"]  # appended if the config does not set it
         cfg = tmp_path / "range.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -177,6 +183,21 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "factorizing_field = none" in (out / "xy_summary.txt").read_text()
+
+    @pytest.mark.parametrize("h_grid", ["0.0,0.5,0.9", "-0.5,0.5,0.9"])
+    def test_zero_hamiltonian_exits_2_with_line(self, tmp_path, capsys, h_grid):
+        # Jx = Jy = 0 and h = 0 (a grid point, or a crossing the search could bisect to) is H = 0
+        text = XY_CFG.replace("Jx = 1.0", "Jx = 0.0").replace("Jy = 0.5", "Jy = 0.0")
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(text.replace("h_grid = 0.5,0.65,0.7071,0.75,0.9", f"h_grid = {h_grid}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}:7:" in capsys.readouterr().err
+
+    def test_empty_grid_exits_2_without_locate(self, tmp_path, capsys):
+        cfg = tmp_path / "xy.cfg"
+        cfg.write_text(XY_CFG.replace("h_grid = 0.5,0.65,0.7071,0.75,0.9", "h_grid = ,\nlocate = false"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{cfg}:7:" in capsys.readouterr().err
 
     def test_jobs_flag_below_one_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "pca.cfg"

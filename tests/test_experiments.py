@@ -163,15 +163,9 @@ class TestXYChain:
         want = pauli_chain_hamiltonian(spec)
         assert np.abs(ham - want).max() <= 1e-13
         assert np.abs(xy_hamiltonian(spec) - want).max() <= 1e-13
-        assert (line.blocks is not None) == (gamma == 0.0)
         if gamma == 0.0:
             odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)
             assert np.all(ham[np.ix_(~odd, odd)] == 0.0)
-            assert np.array_equal(line.blocks[1], np.flatnonzero(odd))
-            # the lower of the two parity ground energies is the ground energy
-            e_odd = np.linalg.eigvalsh(ham[np.ix_(odd, odd)])[0]
-            e_even = e_odd + line.parity_split(h)
-            assert min(e_even, e_odd) == pytest.approx(np.linalg.eigvalsh(ham)[0], abs=1e-12)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -187,15 +181,21 @@ class TestXYChain:
         # sectors m and N - m (0 < m < N/2) share one real block of twice the size
         assert sum(sector.coupling.shape[0] for sector in line.sectors) == 2**N
         assert all(sector.coupling.dtype == sector.field.dtype == float for sector in line.sectors)
+        if gamma == 0.0:
+            # with no x field F = -sum Sz, diagonal with entries (ones - N/2): one parity per sector
+            for sector in line.sectors:
+                ones = np.diag(sector.field) + N / 2
+                assert np.unique(ones % 2).size <= 1
         ham = line.at(h)
         w = np.linalg.eigvalsh(ham)
-        (e0, m), (e1, _) = line._levels(h)[:2]
+        (e0, i), (e1, _) = line._levels(h)[:2]
         assert abs(e0 - w[0]) <= 1e-12 and abs(e1 - w[1]) <= 1e-12
         # a degenerate ground level (up to 2^N-fold here) goes to the dense path
         if e1 - e0 > GROUND_DEGENERACY_TOL:
-            assert m in (0, N / 2) and line.sectors[m].amplitude is not None
-            u, s, e0_ground, e1_ground = line.ground(h, keep)
-            assert (e0_ground, e1_ground) == (e0, e1)
+            # a simple level lies in a real sector (m = 0 or N/2), which expands its vector
+            assert line.sectors[i].amplitude is not None
+            u, s, e0_ground, i_ground = line.ground(h, keep)
+            assert (e0_ground, i_ground) == (e0, i)
             v = np.linalg.eigh(ham)[1][:, 0]
             want = np.linalg.svd(v.reshape(2**keep, -1), compute_uv=False)
             assert np.abs(s - want).max() <= 1e-12
@@ -203,7 +203,6 @@ class TestXYChain:
     def test_sectors_built_on_first_use(self):
         line = _FieldLine(FM_RING)
         line.at(0.5)
-        line.parity_split(0.5)
         assert "sectors" not in vars(line)
         line.ground(0.5, FM_RING.keep)
         assert "sectors" in vars(line)
@@ -212,7 +211,8 @@ class TestXYChain:
         # at h = 1 the AFM ring's ground level is a doublet (gap ~1e-14) holding
         # two product states; which one is returned depends on the dense eigh basis
         line = _FieldLine(AFM_RING)
-        assert line.gap(1.0) <= GROUND_DEGENERACY_TOL
+        (e0, _), (e1, _) = line._levels(1.0)[:2]
+        assert e1 - e0 <= GROUND_DEGENERACY_TOL
         w, v = np.linalg.eigh(line.at(1.0))
         vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], AFM_RING.keep)
         u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**AFM_RING.keep, -1), full_matrices=False)
@@ -245,20 +245,39 @@ class TestFactorization:
             SpinChainSpec(6, -1.0, -0.5, h_star, np.pi / 3, 3))
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
 
-    @pytest.mark.parametrize("grid", [np.arange(0.4, 1.01, 0.1), np.arange(0.3, 2.01, 0.1)],
-                             ids=["0.4-1.0", "0.3-2.0"])
+    @pytest.mark.parametrize("grid", [
+        np.arange(0.4, 1.01, 0.1),
+        np.arange(0.3, 2.01, 0.1),
+        [0.3, 0.8, 1.3],
+        [0.5, 0.75, 1.0],
+        [0.6, 0.9, 1.2],
+        np.arange(0.4, 1.01, 0.05),  # C7's
+    ], ids=["0.4-1.0", "0.3-2.0", "0.3-1.3x3", "0.5-1.0x3", "0.6-1.2x3", "C7"])
     def test_transverse_point_on_coarse_grids(self, grid):
         # the finite ring's ground level crosses N/2 times up to sqrt(Jx Jy);
-        # each crossing is a parity sign change, whatever the grid spacing
+        # each crossing changes the ground sector, whatever the grid spacing
         h_star = locate_factorization(FM_RING, grid)
-        assert abs(h_star - np.sqrt(0.5)) < 1e-10
+        assert abs(h_star - np.sqrt(0.5)) <= 1e-12
         assert factorization_residual(FM_RING, h_star) < 1e-12
 
-    def test_afm_crossing_on_three_point_grid(self):
-        # at gamma = pi/3, h = 1 is an exact level crossing, not a smooth
-        # minimum of 1 - lambda_1: the gap dip finds it
-        h_star = locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
-        assert abs(h_star - 1.0) < 1e-10
+    @pytest.mark.parametrize("grid", [
+        [0.9, 1.0, 1.1],
+        [0.6, 0.9, 1.2, 1.5],
+        [0.95, 1.05, 1.15],
+        [0.85, 1.05, 1.25],
+        [0.7, 1.05, 1.4],
+        [0.5, 0.8, 1.1, 1.4],
+        [0.99, 1.2, 1.4],
+        np.arange(0.4, 2.01, 0.2),
+        np.arange(0.3, 2.01, 0.25),
+        np.arange(0.5, 1.51, 0.1),  # C7's
+    ], ids=lambda grid: f"{grid[0]:g}-{grid[-1]:g}x{len(grid)}")
+    def test_afm_crossing_on_three_point_grid(self, grid):
+        # at gamma = pi/3, h = 1 is an exact level crossing (ground momentum
+        # 0 against pi), not a smooth minimum of 1 - lambda_1; where two earlier
+        # crossings share a grid cell with it, halving the cells separates them
+        h_star = locate_factorization(AFM_RING, grid)
+        assert abs(h_star - 1.0) <= 1e-12
         assert factorization_residual(AFM_RING, h_star) < 1e-12
 
     def test_search_cost_in_full_diagonalizations(self, monkeypatch):
@@ -272,7 +291,7 @@ class TestFactorization:
         assert calls.count(2**AFM_RING.N) <= 144
 
     def test_search_diagonalizes_full_size_only_at_the_crossing(self, monkeypatch):
-        # the grid point h = 1 and the gap-dip candidate are degenerate; every
+        # the grid point h = 1 and the bisected crossing are degenerate; every
         # other level comes from the translation sectors
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -295,6 +314,11 @@ class TestFactorization:
         h_star = locate_factorization(spec, [0.2, 0.5, 0.8])
         red, _ = xy_ground_reduced(SpinChainSpec(4, 0.0, 0.0, h_star, 0.0, 2))
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            locate_factorization(AFM_RING, [0.9, 1.0, 1.1], tolerance)
 
     def test_not_found_raises(self):
         # in-plane field on the ferromagnet admits no product ground state
