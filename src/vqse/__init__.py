@@ -43,6 +43,7 @@ from .solver import (
     ShotPlan,
     StepwiseSchedule,
     optimize,
+    optimize_runs,
     param_shift_gradient,
     plan_shots,
     readout,

@@ -217,10 +217,14 @@ def shift_parameter(a: LayeredAnsatz, index: int, delta: float) -> LayeredAnsatz
 
 
 def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
-    """The walk psi_0 = A, psi_{b+1} = B_b psi_b over a's block matrices; psi_B = V A."""
+    """The walk psi_0 = A, psi_{b+1} = B_b psi_b over a's block matrices; psi_B = V A.
+
+    `mats` is a (blocks, 4, 4) stack, or (runs, blocks, 4, 4) for runs in
+    lockstep: each run walks its own blocks and psi_b (b >= 1) is (runs, 2^n, r).
+    """
     states = [factor]
-    for mat, pair in zip(mats, a.block_pairs):
-        states.append(_apply_left(states[-1], mat, pair, a.n))
+    for b, pair in enumerate(a.block_pairs):
+        states.append(_apply_left(states[-1], mats[..., b, :, :], pair, a.n))
     return states
 
 

@@ -13,6 +13,8 @@
 
 All randomness flows from explicit seeds; per-run generators are derived via
 numpy SeedSequence spawning so results are independent of execution order.
+The runs of an experiment (or of one field point) train in lockstep
+(`solver.optimize_runs`); with jobs > 1 each worker takes a contiguous chunk.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .solver import (
     OptimizeResult,
     OptimizerConfig,
     StepwiseSchedule,
-    optimize,
+    optimize_runs,
     read_estimate,
 )
 
@@ -154,6 +156,13 @@ class LoopConfig:
     def schedule(self) -> StepwiseSchedule:
         return StepwiseSchedule(self.n_max, self.s)
 
+    def train(self, rho: DensityMatrix, m: int, seeds, callback=None) -> list[OptimizeResult]:
+        """One run per seed, from random angles drawn from its own generator, trained in lockstep."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        ansatze = [LayeredAnsatz.random(rho.n, self.layers, self.kind, rng) for rng in rngs]
+        cost = self.cost_config(rho.n, m)
+        return optimize_runs(rho, ansatze, cost, self.schedule(), self.optimizer, rngs, callback)
+
     def cost_config(self, n: int, m: int) -> CostConfig:
         local = default_local_weights(n, m, r1=self.r1, delta=self.delta)
         return CostConfig(
@@ -202,14 +211,15 @@ def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
     Picks the combination of ground vectors whose reduced state has the
     largest top eigenvalue; at a factorizing field this recovers the product
     ground state that a generic eigensolver basis hides inside the doublet.
-    Implemented as an angle scan with golden refinement over the best pair.
+    Implemented as an angle scan (one stacked SVD per pair) with golden
+    refinement over the best pair.
     """
     d = ground.shape[1]
     if d == 1:
         return ground[:, 0]
 
-    def lam1(v):
-        return np.linalg.svd(v.reshape(2**keep, -1), compute_uv=False)[0] ** 2
+    def lam1(v):  # of one vector, or of a stack of them
+        return np.linalg.svd(v.reshape(v.shape[:-1] + (2**keep, -1)), compute_uv=False)[..., 0] ** 2
 
     best_vec = ground[:, 0]
     best_val = lam1(best_vec)
@@ -217,7 +227,7 @@ def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
     for i in range(d):
         for j in range(i + 1, d):
             vi, vj = ground[:, i], ground[:, j]
-            k = int(np.argmax([lam1(np.cos(p) * vi + np.sin(p) * vj) for p in phis]))
+            k = int(np.argmax(lam1(np.cos(phis)[:, None] * vi + np.sin(phis)[:, None] * vj)))
             lo, hi = phis[k] - np.pi / 360, phis[k] + np.pi / 360
             p = _golden_min(lambda q: -lam1(np.cos(q) * vi + np.sin(q) * vj), lo, hi)
             cand = np.cos(p) * vi + np.sin(p) * vj
@@ -227,15 +237,30 @@ def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
     return best_vec
 
 
+def _check_nonzero_hamiltonian(spec: SpinChainSpec, lo: float, hi: float) -> None:
+    """Raise ValueError if H(h) = 0 for a field in [lo, hi], i.e. J_x = J_y = 0 and 0 in [lo, hi].
+
+    Its ground space would be the whole space, 2^N-fold degenerate, and
+    `_product_seeking_vector` would scan all of its pairs.
+    """
+    if spec.J_x == spec.J_y == 0 and lo <= 0 <= hi:
+        raise ValueError("the field must not reach 0 when J_x = J_y = 0 (H = 0 there)")
+
+
 def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     """Reduced ground state on the first `keep` sites, plus the ground energy."""
+    _check_nonzero_hamiltonian(spec, spec.h, spec.h)
     u, s, e0, _ = _FieldLine(spec).ground(spec.h, spec.keep)
     return DensityMatrix(factor=u * s, validate=False), e0
 
 
 def factorization_residual(spec: SpinChainSpec, h: float) -> float:
-    """1 - lambda_1 of the reduced ground state at field magnitude h."""
-    return float(1.0 - _FieldLine(spec).ground(float(h), spec.keep)[1][0] ** 2)
+    """1 - lambda_1 of the reduced ground state at field magnitude h, never below 0.
+
+    lambda_1 = S_0^2 of a normalized vector can round to just above 1.
+    """
+    _check_nonzero_hamiltonian(spec, h, h)
+    return max(0.0, float(1.0 - _FieldLine(spec).ground(float(h), spec.keep)[1][0] ** 2))
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
@@ -418,6 +443,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
+    _check_nonzero_hamiltonian(spec, hs[0], hs[-1])
     line = _FieldLine(spec)
 
     def scan(h):  # 1 - lambda_1 and the ground level's sector at h
@@ -482,35 +508,29 @@ class PcaResult:
         return min(r.eps_min_trace for r in self.runs)
 
 
-def _eigensolver_single_run(rho: DensityMatrix, m: int, loop: LoopConfig, i: int, child) -> PcaRun:
-    rng = np.random.default_rng(child)
-    a = LayeredAnsatz.random(rho.n, loop.layers, loop.kind, rng)
-    res = optimize(rho, a, loop.cost_config(rho.n, m), loop.schedule(), loop.optimizer, rng)
-
-    levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
-    est_wide = read_estimate(res.transformed, default_m_hat(m, rho.n))
+def _eigensolver_runs(rho: DensityMatrix, m: int, loop: LoopConfig, indexed_seeds) -> list[PcaRun]:
+    """Training runs on rho in lockstep, one per (run index, seed) pair, with their reports."""
+    results = loop.train(rho, m, [child for _, child in indexed_seeds])
     pur = purity(rho)
-    report = build_error_report(
-        rho=rho,
-        a=res.ansatz,
-        est=res.estimate,
-        exact=rho.eigenvalues(),
-        cost=res.trace[-1].cost,
-        lowest_energies=levels,
-        purity=pur,
-        est_wide=est_wide,
-    )
-    return PcaRun(
-        run_index=i,
-        result=res,
-        estimate=res.estimate,
-        report=report,
-        eps_final=report.eps_lambda,
-        eps_min_trace=min(p.eps_abs for p in res.trace),
-        purity=pur,
-        wide_lambdas=est_wide.lambdas,
-        final_levels=levels,
-    )
+    runs = []
+    for (i, _), res in zip(indexed_seeds, results):
+        levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
+        est_wide = read_estimate(res.transformed, default_m_hat(m, rho.n))
+        report = build_error_report(
+            rho, res.ansatz, res.estimate, rho.eigenvalues(), res.trace[-1].cost, levels, pur, est_wide
+        )
+        runs.append(PcaRun(
+            run_index=i,
+            result=res,
+            estimate=res.estimate,
+            report=report,
+            eps_final=report.eps_lambda,
+            eps_min_trace=min(p.eps_abs for p in res.trace),
+            purity=pur,
+            wide_lambdas=est_wide.lambdas,
+            final_levels=levels,
+        ))
+    return runs
 
 
 def eigensolver_experiment(
@@ -523,16 +543,16 @@ def eigensolver_experiment(
     jobs: int = 1,
     variant_label: str | None = None,
 ) -> PcaResult:
-    """K seeded training runs on one fixed state, with error reports.
+    """K seeded training runs on one fixed state, trained in lockstep, with error reports.
 
     Per-run generators are spawned children of the master seed, so results
-    are independent of `jobs` (parallelism only changes wall time) and two
-    experiments with the same seed share initial angles run by run.
+    are independent of `jobs` (each worker trains a contiguous chunk of the
+    runs; parallelism only changes wall time) and two experiments with the
+    same seed share initial angles run by run.
     """
     exact = rho.eigenvalues()  # cached on rho, so the runs (and workers) reuse it
-    children = np.random.SeedSequence(seed).spawn(runs)
-    tasks = [(rho, m, loop, i, children[i]) for i in range(runs)]
-    out_runs = _parallel_map(_eigensolver_single_run, tasks, jobs)
+    children = list(enumerate(np.random.SeedSequence(seed).spawn(runs)))
+    out_runs = _in_chunks(_eigensolver_runs, (rho, m, loop), children, jobs)
 
     if rps_targets is None:
         rps_targets = np.logspace(0, -12, 13)
@@ -581,20 +601,11 @@ class SweepPoint(NamedTuple):
 
 
 def xy_sweep_point(spec: SpinChainSpec, m: int, loop: LoopConfig, runs: int, seed: int) -> SweepPoint:
-    """Best-of-`runs` estimate of the top-m reduced spectrum at one field."""
+    """Best-of-`runs` estimate of the top-m reduced spectrum at one field, runs trained in lockstep."""
     reduced, _ = xy_ground_reduced(spec)
     exact = reduced.eigenvalues()
-    n = reduced.n
-    cost = loop.cost_config(n, m)
-    schedule = loop.schedule()
-    children = np.random.SeedSequence(seed).spawn(runs)
-    best: OptimizeResult | None = None
-    for i in range(runs):
-        rng = np.random.default_rng(children[i])
-        a = LayeredAnsatz.random(n, loop.layers, loop.kind, rng)
-        res = optimize(reduced, a, cost, schedule, loop.optimizer, rng)
-        if best is None or res.trace[-1].cost < best.trace[-1].cost:
-            best = res
+    results = loop.train(reduced, m, np.random.SeedSequence(seed).spawn(runs))
+    best = min(results, key=lambda res: res.trace[-1].cost)  # the first of equals
     errs = eigen_errors(exact, best.estimate, m)
     return SweepPoint(
         h=spec.h,
@@ -739,40 +750,48 @@ def w_state_mitigation_run(noise: NoiseSpec, loop: LoopConfig, seed) -> WStateRe
     recorded.  The learned eigenvector itself is scored once, noise-free,
     from the final parameters and the final estimate's top bitstring.
     """
+    return _w_state_runs(noise, loop, [seed])[0]
+
+
+def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResult]:
+    """Mitigation runs on one noisy preparation, one per seed, trained in lockstep."""
     psi = w_state()
     rho = run_circuit(3, w_preparation_gates(), noise)
     baseline = fidelity_pure(rho, psi)
 
     m = 1
-    cost = loop.cost_config(3, m)
-    schedule = loop.schedule()
-    rng = np.random.default_rng(seed)
-    a0 = LayeredAnsatz.random(3, loop.layers, loop.kind, rng)
+    rows: list[list[WStateRow]] = [[] for _ in seeds]
 
-    rows = []
-
-    def on_iteration(k: int, t: float, current: LayeredAnsatz, cost_value: float, transformed):
+    def on_iteration(run: int, k: int, t: float, current: LayeredAnsatz, cost_value: float, transformed):
         z1 = read_estimate(transformed, m).bitstrings[0]
         sigma = run_circuit(3, eigenvector_preparation_gates(current, z1), noise)
-        rows.append(WStateRow(k, cost_value, fidelity_pure(sigma, psi)))
+        rows[run].append(WStateRow(k, cost_value, fidelity_pure(sigma, psi)))
 
-    res = optimize(rho, a0, cost, schedule, loop.optimizer, rng, callback=on_iteration)
-    learned = prepare_eigenvector(res.ansatz, res.estimate.bitstrings[0])
-    return WStateResult(
-        baseline_fidelity=baseline,
-        rows=rows,
-        final_fidelity=rows[-1].fidelity_sigma,
-        eigenvector_fidelity=float(abs(np.vdot(psi.amplitudes, learned.amplitudes)) ** 2),
-        theta_opt=res.theta_opt,
-    )
+    out = []
+    for res, run_rows in zip(loop.train(rho, m, seeds, on_iteration), rows):
+        learned = prepare_eigenvector(res.ansatz, res.estimate.bitstrings[0])
+        out.append(WStateResult(
+            baseline_fidelity=baseline,
+            rows=run_rows,
+            final_fidelity=run_rows[-1].fidelity_sigma,
+            eigenvector_fidelity=float(abs(np.vdot(psi.amplitudes, learned.amplitudes)) ** 2),
+            theta_opt=res.theta_opt,
+        ))
+    return out
 
 
 def w_state_mitigation_runs(
     noise: NoiseSpec, loop: LoopConfig, runs: int, seed: int, jobs: int = 1
 ) -> list[WStateResult]:
-    """Independent seeded mitigation runs (the averaged protocol)."""
-    children = np.random.SeedSequence(seed).spawn(runs)
-    return _parallel_map(w_state_mitigation_run, [(noise, loop, c) for c in children], jobs)
+    """Independent seeded mitigation runs (the averaged protocol), trained in lockstep."""
+    return _in_chunks(_w_state_runs, (noise, loop), np.random.SeedSequence(seed).spawn(runs), jobs)
+
+
+def _in_chunks(fn, args: tuple, seeds: list, jobs: int) -> list:
+    """fn(*args, chunk) on `jobs` contiguous chunks of `seeds`, the results joined in order."""
+    size = max(1, -(-len(seeds) // max(1, jobs)))
+    chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+    return [out for part in _parallel_map(fn, [args + (chunk,) for chunk in chunks], jobs) for out in part]
 
 
 def _parallel_map(fn, tasks, jobs: int):

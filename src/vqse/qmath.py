@@ -267,17 +267,21 @@ def _apply_left(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: in
     (2^q, 2^k, rest), mat takes op as one batched matmul.  When the 2^q
     batches outnumber the rest (the last pairs of a thin factor), one matmul
     with the target bits moved to the front is faster than 2^q small ones.
-    Other target sets are contracted by tensordot over the split row axes.
+    On this path mat (..., 2^n, cols) and op (..., 2^k, 2^k) may carry a
+    leading run axis, read from their ndim: run i's op acts on run i's mat,
+    or on the one mat that has no run axis.  Other target sets are
+    contracted by tensordot over the split row axes.
     """
     k = len(targets)
-    cols = mat.shape[1]
+    cols = mat.shape[-1]
     q = min(targets, default=0)
     if list(targets) == list(range(q, q + k)):
-        view = mat.reshape(2**q, 2**k, -1)
-        if 2**q <= view.shape[2]:
-            return np.matmul(op, view).reshape(2**n, cols)
-        out = op @ view.swapaxes(0, 1).reshape(2**k, -1)
-        return out.reshape(2**k, 2**q, -1).swapaxes(0, 1).reshape(2**n, cols)
+        runs = max(mat.shape[:-2], op.shape[:-2], key=len)
+        view = mat.reshape(mat.shape[:-2] + (2**q, 2**k, -1))
+        if 2**q <= view.shape[-1]:
+            return np.matmul(op[..., None, :, :], view).reshape(runs + (2**n, cols))
+        out = op @ view.swapaxes(-3, -2).reshape(mat.shape[:-2] + (2**k, -1))
+        return out.reshape(runs + (2**k, 2**q, -1)).swapaxes(-3, -2).reshape(runs + (2**n, cols))
     t = mat.reshape((2,) * n + (cols,))
     op_t = op.reshape((2,) * (2 * k))
     out = np.tensordot(op_t, t, axes=(tuple(range(k, 2 * k)), targets))

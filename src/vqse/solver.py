@@ -8,7 +8,10 @@ of the global part, and the Hamiltonian is rebuilt as
 (1 - t) H_L + t H_G(t) with t = k / n_max.  Between updates the Hamiltonian
 is frozen, which makes the effective schedule f(t) stepwise-constant with
 f(0) = 0 and f(1) = 1.  For the fixed local / global costs the loop reduces
-to plain gradient descent on a constant Hamiltonian.
+to plain gradient descent on a constant Hamiltonian.  The loop trains R
+independent runs (restarts from different angles) in lockstep: every array
+of a step carries a leading run axis, and each run keeps its own
+Hamiltonian and generator, so its results are those of training it alone.
 
 Gradients are dC/dtheta_nu = [C(theta_nu + pi/2) - C(theta_nu - pi/2)] / 2,
 the parameter-shift identity under half-angle rotation generators.  With
@@ -20,7 +23,8 @@ sampled gradient builds every shifted block in one stacked call and walks
 all shifted circuits together as column groups of one wide array: at block
 b the copies in flight get B_b in one contraction, and the copies of psi_b
 shifted at block b join them.  Each finished copy is then sampled, as a
-measurement of its shifted circuit would be.  With exact costs the same
+measurement of its shifted circuit would be, all of a run's copies in one
+multinomial draw.  With exact costs the same
 derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823): a
 backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, each
 block's 4x4 environment Tr_rest[psi_b lam^dag] is one matmul into a stack,
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,56 +208,79 @@ def param_shift_gradient(
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
-    mats = a.block_matrices()
-    return _gradient(_forward_states(rho.factor(), a, mats), a, mats, energies, shots, rng)
+    angles = a.block_angles[None]
+    mats = a.kind.unitaries(angles)
+    states = _forward_states(rho.factor(), a, mats)
+    return _gradient(states, a, angles, mats, energies[None], shots, [np.random.default_rng(rng)])[0]
 
 
-def _gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray, shots: int, rng) -> np.ndarray:
-    """dC/dtheta from one walk: its forward states psi_b and the block matrices `mats`.
+def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shots: int, rngs) -> np.ndarray:
+    """dC/dtheta of R runs in lockstep, (R, P), from one walk of all of them.
 
-    With shots > 0 the shifted circuits are column groups of one wide array,
-    in angle order with + before -: at block b the copies in flight get B_b in
-    one contraction, then the 2w copies of psi_b shifted at block b join them.
+    `a` gives the circuit's shape; run i has block angles angles[i] (B, w),
+    block matrices mats[i], forward states psi_b[i] (psi_0 = A is shared),
+    energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
+    shifted circuits are column groups of one wide array, in angle order with
+    + before -: at block b the copies in flight get B_b in one contraction,
+    and the 2w copies of psi_b shifted at block b join them.  Each finished
+    copy's outcome distribution is its squared row norms summed over the
+    rank, clipped and normalized like `sample_counts`; one multinomial draw
+    per run samples all its copies, in the same stream order as one
+    `sample_counts` call per copy.
     """
     if shots == 0:
-        return _adjoint_gradient(states, a, mats, energies)
-    pairs, n, w, rng = a.block_pairs, a.n, a.kind.angles_per_block, np.random.default_rng(rng)
-    # shifted[b, j, 0 / 1]: block b with angle j moved by +pi/2 / -pi/2
-    angles = np.tile(a.block_angles[:, None, None, :], (1, w, 2, 1))
-    angles[:, np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
-    shifted = a.kind.unitaries(angles)
-    rank = states[0].shape[1]
-    wide = np.empty((2**n, 0), dtype=complex)
+        return _adjoint_gradient(states, a, angles, mats, energies)
+    pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
+    runs, rank = mats.shape[0], states[0].shape[-1]
+    # shifted[i, b, j, 0 / 1]: run i's block b with angle j moved by +pi/2 / -pi/2
+    shifted = np.tile(angles[..., None, None, :], (1, 1, w, 2, 1))
+    shifted[..., np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
+    shifted = a.kind.unitaries(shifted)
+    wide = np.empty((runs, 2**n, 0), dtype=complex)
     for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
         if b:
-            wide = _apply_left(wide, mats[b], pair, n)
-        fresh = [_apply_left(state, block, pair, n) for block in shifted[b].reshape(2 * w, 4, 4)]
-        wide = np.concatenate([wide] + fresh, axis=1)
-    copies = (DensityMatrix(factor=wide[:, s : s + rank], validate=False) for s in range(0, wide.shape[1], rank))
-    val = np.array([float(energies @ sample_counts(copy, shots, rng)) for copy in copies]) / shots
-    return 0.5 * (val[0::2] - val[1::2])
+            wide = _apply_left(wide, mats[:, b], pair, n)
+        blocks = shifted[:, b].reshape(runs, 2 * w, 4, 4).swapaxes(0, 1)  # copy by copy, all runs each
+        fresh = [_apply_left(state, block, pair, n) for block in blocks]
+        wide = np.concatenate([wide] + fresh, axis=-1)
+    # (runs, copies, 2^n) outcome probabilities, each copy's row contiguous
+    p = (wide.real**2 + wide.imag**2).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
+    p = np.clip(p, 0.0, None)
+    counts = np.stack([rng.multinomial(shots, q / q.sum(axis=-1, keepdims=True)) for rng, q in zip(rngs, p)])
+    # (1, 2^n) @ (2^n, 1) per copy is the dot of `energies @ counts`; a matrix-vector product rounds differently
+    val = (counts[:, :, None, :] @ energies[:, None, :, None]).reshape(runs, -1) / shots
+    return 0.5 * (val[:, 0::2] - val[:, 1::2])
 
 
-def _adjoint_gradient(states, a: LayeredAnsatz, mats, energies: np.ndarray) -> np.ndarray:
-    """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) from the forward states psi_b.
+def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray) -> np.ndarray:
+    """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) for R runs from their forward states.
 
-    One backward sweep from lam = H psi_B stacks every block's 4x4 environment
-    G_b = Tr_rest[psi_b lam^dag], then sets lam <- B_b^dag lam.  For the pair
-    (q, q+1), G_b is one matmul of the two factors with the pair's two row
-    bits moved to the front, (4, rest) @ (rest, 4).  All angles'
-    2 Re Tr(dB_j G_b) then come from one einsum against the stack of block
-    derivatives.
+    One backward sweep from lam = H psi_B stacks every run's and block's 4x4
+    environment G_b = Tr_rest[psi_b lam^dag], then sets lam <- B_b^dag lam.
+    For the pair (q, q+1), G_b is one matmul of the two factors with the
+    pair's two row bits moved to the front, (R, 4, rest) @ (R, rest, 4).  All
+    angles' 2 Re Tr(dB_j G_b) then come from one einsum against the stack of
+    block derivatives.
     """
     pairs, n = a.block_pairs, a.n
-    lam = energies[:, None] * states[-1]
-    env = np.empty((a.n_blocks, 4, 4), dtype=complex)
-    for b in range(a.n_blocks - 1, -1, -1):
-        psi, lam_t = (m.reshape(2 ** pairs[b][0], 4, -1).swapaxes(0, 1).reshape(4, -1) for m in (states[b], lam))
-        env[b] = psi @ lam_t.conj().T
+    runs, blocks = mats.shape[:2]
+    lam = energies[..., None] * states[-1]
+    daggers = mats.conj().swapaxes(-1, -2)
+    env = np.empty((runs, blocks, 4, 4), dtype=complex)
+    for b in range(blocks - 1, -1, -1):
+        psi, lam_t = (
+            m.reshape(m.shape[:-2] + (2 ** pairs[b][0], 4, -1)).swapaxes(-3, -2).reshape(m.shape[:-2] + (4, -1))
+            for m in (states[b], lam)
+        )
+        env[:, b] = psi @ lam_t.conj().swapaxes(-1, -2)
         if b:
-            lam = _apply_left(lam, mats[b].conj().T, pairs[b], n)
-    traces = np.einsum("bjik,bki->bj", a.kind.derivatives(a.block_angles), env)  # Tr(dB_j G_b)
-    return 2.0 * traces.real.reshape(-1)
+            lam = _apply_left(lam, daggers[:, b], pairs[b], n)
+    derivs = a.kind.derivatives(angles)
+    if blocks == 1:  # einsum sums in another order over a batch axis of length 1 than over a longer one
+        traces = np.stack([np.einsum("bjik,bki->bj", d, g) for d, g in zip(derivs, env)])
+    else:  # Tr(dB_j G_b)
+        traces = np.einsum("bjik,bki->bj", derivs.reshape((runs * blocks,) + derivs.shape[2:]), env.reshape(-1, 4, 4))
+    return 2.0 * traces.real.reshape(runs, -1)
 
 
 @dataclass(frozen=True)
@@ -271,10 +298,12 @@ class OptimizerConfig:
 
 
 class _Stepper:
-    def __init__(self, cfg: OptimizerConfig, size: int):
+    """Adam or gradient-descent steps on theta of any shape, elementwise ((R, P) for R runs)."""
+
+    def __init__(self, cfg: OptimizerConfig, shape):
         self.cfg = cfg
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.k = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -333,57 +362,95 @@ def optimize(
     rng=None,
     callback=None,
 ) -> OptimizeResult:
-    """Run the training loop and return the final parameters plus the trace.
+    """One training run: `optimize_runs` with R = 1.
 
-    Trace rows hold the cost after each step under the Hamiltonian in force,
-    plus the oracle eigenvalue errors eps_abs / eps_rel of the current top-m
-    diagonal against the exact spectrum `rho.eigenvalues()`.  Row 0 records
-    the starting point.  A NaN cost aborts the run.
-
-    Each row builds the block matrices and walks the factor once; the walk
-    yields the row's transformed state V A (so V rho V^dag), which serves the
-    adaptive update, and the next step's gradient at the same theta.  The
-    last one gives the final estimate and is returned as `transformed`.
     `callback(k, t, ansatz, cost_value, transformed)` fires after every row.
     """
-    rng = np.random.default_rng(rng)
-    lam_exact = rho.eigenvalues()[: cost.m]
+    hook = None if callback is None else (lambda run, *row: callback(*row))
+    return optimize_runs(rho, [a], cost, schedule, optimizer, [rng], hook)[0]
+
+
+def optimize_runs(
+    rho: DensityMatrix,
+    ansatze: Sequence[LayeredAnsatz],
+    cost: CostConfig,
+    schedule: StepwiseSchedule,
+    optimizer: OptimizerConfig,
+    rngs: Sequence,
+    callback=None,
+) -> list[OptimizeResult]:
+    """Train R runs on one state in lockstep; return each run's parameters and trace.
+
+    The runs share the circuit's shape and differ in their starting angles
+    (ansatze[i].theta) and generators (rngs[i], a seed or a Generator, drawn
+    from with shots > 0 in the same order as a run of its own).  Each run's
+    results are those of training it alone; only the numpy calls are shared.
+
+    Trace rows hold the cost after each step under the run's Hamiltonian in
+    force, plus the oracle eigenvalue errors eps_abs / eps_rel of the current
+    top-m diagonal against the exact spectrum `rho.eigenvalues()`.  Row 0
+    records the starting point.  A NaN cost aborts the training.
+
+    Each step builds every run's block matrices in one (R, B, 4, 4) stack and
+    walks the factor once for all runs; the walk yields each run's
+    transformed state V A (so V rho V^dag), which serves its trace row, its
+    adaptive update, and the next step's gradient at the same theta.  The
+    last one gives each run's final estimate and is returned as `transformed`.
+    `callback(run, k, t, ansatz, cost_value, transformed)` fires after every
+    row, once per run, in run order.
+    """
+    rngs = [np.random.default_rng(r) for r in rngs]
+    if not ansatze or len(rngs) != len(ansatze) or len({(b.n, b.layers, b.kind) for b in ansatze}) > 1:
+        raise ValueError("lockstep runs need one generator each and circuits of one shape")
+    a, runs, m = ansatze[0], len(ansatze), cost.m
+    factor, lam_exact = rho.factor(), rho.eigenvalues()[:m]
+    nonzero = lam_exact > ZERO_EIGENVALUE_TOL
     # f(0) = 0: the adaptive loop starts from the local Hamiltonian
-    h: Hamiltonian = cost.global_part if cost.variant == "global" else cost.local
-    energies = h.energies()  # re-read only when h changes
-    stepper = _Stepper(optimizer, a.theta.size)
-    trace = []
+    hams: list[Hamiltonian] = [cost.global_part if cost.variant == "global" else cost.local] * runs
+    energies = np.tile(hams[0].energies(), (runs, 1))  # row i re-read only when run i's H changes
+    theta = np.stack([b.theta for b in ansatze])
+    stepper = _Stepper(optimizer, theta.shape)
+    traces: list[list[TracePoint]] = [[] for _ in range(runs)]
 
-    def record(k: int, t: float, current: LayeredAnsatz):
-        mats = current.block_matrices()
-        states = _forward_states(rho.factor(), current, mats)
-        rho_t = DensityMatrix(factor=states[-1], validate=False)
-        c = float(energies @ rho_t.diagonal())
-        if np.isnan(c):
+    def record(k: int, t: float, theta: np.ndarray):
+        angles = theta.reshape(runs, a.n_blocks, -1)
+        mats = a.kind.unitaries(angles)
+        states = _forward_states(factor, a, mats)
+        psi = states[-1]
+        diag = (psi.real**2 + psi.imag**2).sum(axis=-1)
+        costs = (energies[:, None, :] @ diag[:, :, None]).reshape(runs)  # one dot per run, as in `_gradient`
+        if np.isnan(costs).any():
             raise FloatingPointError(f"cost became NaN at iteration {k}")
-        errs = eigen_errors(lam_exact, read_estimate(rho_t, cost.m), cost.m)
-        trace.append(TracePoint(k, t, c, errs.eps_lambda, errs.eps_rel))
-        if callback is not None:
-            callback(k, t, current, c, rho_t)
-        return rho_t, states, mats
+        # the arithmetic of eigen_errors on read_estimate's top m, for every run at once
+        top = np.take_along_axis(diag, np.argsort(-diag, axis=-1, kind="stable")[:, :m], axis=-1)
+        d = lam_exact - np.clip(top, 0.0, 1.0)
+        eps_abs, eps_rel = (d**2).sum(axis=-1), ((d[:, nonzero] / lam_exact[nonzero]) ** 2).sum(axis=-1)
+        for i in range(runs):
+            traces[i].append(TracePoint(k, t, float(costs[i]), float(eps_abs[i]), float(eps_rel[i])))
+            if callback is not None:
+                current = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
+                callback(i, k, t, current, float(costs[i]), DensityMatrix(factor=psi[i], validate=False))
+        return angles, mats, states
 
-    rho_t, states, mats = record(0, 0.0, a)
+    angles, mats, states = record(0, 0.0, theta)
     for k in range(1, schedule.n_max + 1):
         t = schedule.t(k)
         if cost.variant == "adaptive" and schedule.is_update(k):
-            measured = read_estimate(rho_t, cost.m, cost.shots, rng)
-            h = AdaptiveHamiltonian(
-                local=cost.local,
-                global_part=cost.global_part.with_bitstrings(measured.bitstrings),
-                f_of_t=schedule,
-                t=t,
-            )
-            energies = h.energies()
-        grad = _gradient(states, a, mats, energies, cost.shots, rng)
-        a = LayeredAnsatz(a.n, a.layers, a.kind, stepper.step(a.theta, grad))
-        rho_t, states, mats = record(k, t, a)
+            for i in range(runs):
+                measured = read_estimate(DensityMatrix(factor=states[-1][i], validate=False), m, cost.shots, rngs[i])
+                marked = cost.global_part.with_bitstrings(measured.bitstrings)
+                hams[i] = AdaptiveHamiltonian(local=cost.local, global_part=marked, f_of_t=schedule, t=t)
+                energies[i] = hams[i].energies()
+        grad = _gradient(states, a, angles, mats, energies, cost.shots, rngs)
+        theta = stepper.step(theta, grad)
+        angles, mats, states = record(k, t, theta)
 
-    return OptimizeResult(
-        theta_opt=a.theta, trace=trace, final_hamiltonian=h, ansatz=a, transformed=rho_t,
-        estimate=read_estimate(rho_t, cost.m, cost.shots, rng),
-    )
+    results = []
+    for i in range(runs):
+        final = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
+        rho_t = DensityMatrix(factor=states[-1][i], validate=False)
+        results.append(OptimizeResult(
+            theta_opt=final.theta, trace=traces[i], final_hamiltonian=hams[i], ansatz=final, transformed=rho_t,
+            estimate=read_estimate(rho_t, m, cost.shots, rngs[i]),
+        ))
+    return results

@@ -20,6 +20,7 @@ from vqse.experiments import (
     _FieldLine,
     _golden_min,
     _product_seeking_vector,
+    eigensolver_experiment,
     eigenvector_preparation_gates,
     factorization_residual,
     locate_factorization,
@@ -315,6 +316,28 @@ class TestFactorization:
         red, _ = xy_ground_reduced(SpinChainSpec(4, 0.0, 0.0, h_star, 0.0, 2))
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
 
+    def test_residual_is_never_negative(self):
+        # S_0^2 of the normalized product vector rounds to just above 1 at the
+        # h* found on the xy_afm_shots grid
+        h_star = locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
+        for h in (1.0, h_star):
+            assert factorization_residual(AFM_RING, h) >= 0.0
+
+    def test_zero_hamiltonian_is_refused_up_front(self):
+        # J_x = J_y = 0 makes H(0) = 0, whose 2^N-fold ground space would send
+        # the product-seeking search over every pair of ground vectors
+        spec = SpinChainSpec(N=3, J_x=0.0, J_y=0.0, h=0.0, gamma=0.0, keep=1)
+        with mock.patch("vqse.experiments._product_seeking_vector") as scan:
+            with pytest.raises(ValueError, match="J_x = J_y = 0"):
+                locate_factorization(spec, [-1.0, 0.5, 1.0])
+            with pytest.raises(ValueError, match="J_x = J_y = 0"):
+                xy_ground_reduced(spec)
+            with pytest.raises(ValueError, match="J_x = J_y = 0"):
+                factorization_residual(spec, 0.0)
+        scan.assert_not_called()
+        # away from h = 0 the same chain is a field alone, and factorized
+        assert factorization_residual(spec, 0.5) < 1e-12
+
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
@@ -553,6 +576,36 @@ class TestPcaExperiment:
         # tightening the target can only increase runs-per-success
         finite = [x for x in res.rps_final if np.isfinite(x)]
         assert all(b >= a for a, b in zip(finite, finite[1:]))
+
+
+class TestJobsIndependence:
+    """Workers train contiguous chunks of the runs in lockstep; the chunking must not show."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=4)
+    @given(n=st.integers(2, 4), runs=st.integers(2, 5), kind=st.sampled_from(list(BlockKind)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eigensolver_experiment(self, n, runs, kind, seed):
+        rho = random_low_rank_state(n, 1, seed)
+        loop = LoopConfig(layers=1, kind=kind, n_max=6, s=3)
+        one, two = (eigensolver_experiment(rho, 2, loop, runs, seed, jobs=jobs) for jobs in (1, 2))
+        assert [r.run_index for r in two.runs] == list(range(runs))
+        for a, b in zip(one.runs, two.runs):
+            assert np.array_equal(a.result.theta_opt, b.result.theta_opt)
+            assert a.result.trace == b.result.trace
+            assert a.report == b.report and a.estimate.bitstrings == b.estimate.bitstrings
+            assert np.array_equal(a.estimate.lambdas, b.estimate.lambdas)
+        assert one.rps_final == two.rps_final
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=4)
+    @given(runs=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_w_state_mitigation_runs(self, runs, seed):
+        loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=4, s=2)
+        noise = NoiseSpec(p_depol_2q=0.02, gamma_ad=0.01)
+        one, two = (w_state_mitigation_runs(noise, loop, runs, seed, jobs=jobs) for jobs in (1, 2))
+        for a, b in zip(one, two, strict=True):
+            assert np.array_equal(a.theta_opt, b.theta_opt)
+            assert a.rows == b.rows
+            assert (a.final_fidelity, a.eigenvector_fidelity) == (b.final_fidelity, b.eigenvector_fidelity)
 
 
 class TestXYSweep:

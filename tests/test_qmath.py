@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vqse import qmath
 from vqse.qmath import (
@@ -438,6 +438,20 @@ class TestApplyLeft:
         assert tensordot.call_count == (0 if one_run else 2)
         assert np.abs(got - embedded(op, targets, n) @ mat).max() <= 1e-13
         assert np.array_equal(from_list, got)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(apply_left_cases(), st.integers(1, 3), st.booleans())
+    def test_run_axis_matches_each_run_alone(self, case, runs, shared_mat):
+        # on one ascending run of targets, op and mat may carry a leading run axis
+        # (mat may also be one array shared by every run); run i is run i's call
+        mat, op, targets, n = case
+        assume(targets == tuple(range(targets[0], targets[0] + len(targets))))
+        ops = np.stack([op * (1 + 0.5j * i) for i in range(runs)])
+        mats = [mat if shared_mat else mat * (1 - 0.25 * i) for i in range(runs)]
+        got = qmath._apply_left(mat if shared_mat else np.stack(mats), ops, targets, n)
+        assert got.shape == (runs, 2**n, mat.shape[1])
+        for i in range(runs):
+            assert np.array_equal(got[i], qmath._apply_left(mats[i], ops[i], targets, n))
 
     def test_no_targets_is_the_identity(self):
         rho = random_density_matrix(2, seed=1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vqse.ansatz import (
     BlockKind,
     LayeredAnsatz,
+    _forward_states,
     apply_ansatz,
     build_unitary,
     rotation_y,
@@ -26,7 +27,9 @@ from vqse.solver import (
     EigenEstimate,
     OptimizerConfig,
     StepwiseSchedule,
+    _gradient,
     optimize,
+    optimize_runs,
     param_shift_gradient,
     plan_shots,
     readout,
@@ -194,6 +197,83 @@ class TestAdjointProperty:
         rho, a, h = case
         ref = dense_shift_gradient(rho, a, h)
         assert np.abs(param_shift_gradient(rho, a, h) - ref).max() < 1e-12
+
+
+class TestLockstepSampledGradient:
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("rank", [1, 3, None])
+    def test_runs_match_per_copy_sample_counts(self, kind, rank):
+        # two runs with their own angles, Hamiltonians and generators, read in one
+        # pass over the wide array, against one sample_counts call per shifted circuit
+        n, layers, shots = 4, 2, 300
+        rho = random_density_matrix(n, rank=rank, seed=12)
+        ansatze = [LayeredAnsatz.random(n, layers, kind, seed) for seed in (3, 4)]
+        hams = [adaptive_hamiltonian(n, 2), default_local_weights(n, 2)]
+        angles = np.stack([a.block_angles for a in ansatze])
+        mats = kind.unitaries(angles)
+        states = _forward_states(rho.factor(), ansatze[0], mats)
+        energies = np.stack([h.energies() for h in hams])
+        rngs = [np.random.default_rng(seed) for seed in (5, 6)]
+        got = _gradient(states, ansatze[0], angles, mats, energies, shots, rngs)
+        for i, (a, h, seed) in enumerate(zip(ansatze, hams, (5, 6))):
+            assert np.array_equal(got[i], full_forward_sampled_gradient(rho, a, h, shots, seed))
+
+
+@st.composite
+def lockstep_cases(draw):
+    """R untrained circuits of one shape on a rank-r state, one cost variant, with or without shots."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(list(BlockKind)))
+    layers = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 2**n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    rho = DensityMatrix(factor=factor / np.linalg.norm(factor), validate=False)
+    runs = draw(st.integers(1, 3))
+    ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in range(runs)]
+    variant = draw(st.sampled_from(["local", "global", "adaptive"]))
+    shots = draw(st.sampled_from([0, 50]))
+    m = draw(st.integers(1, 2))
+    return rho, ansatze, cost_config(n, m, variant, shots), [seed + 1 + i for i in range(runs)]
+
+
+class TestLockstepProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(lockstep_cases())
+    def test_lockstep_matches_separate_runs(self, case):
+        rho, ansatze, cost, seeds = case
+        schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
+        lock_rngs = [np.random.default_rng(s) for s in seeds]
+        together = optimize_runs(rho, ansatze, cost, schedule, adam, lock_rngs)
+        for a, seed, rng, got in zip(ansatze, seeds, lock_rngs, together):
+            solo_rng = np.random.default_rng(seed)
+            want = optimize(rho, a, cost, schedule, adam, solo_rng)
+            assert np.abs(got.theta_opt - want.theta_opt).max() <= 1e-12
+            assert np.abs(np.array(got.trace) - np.array(want.trace)).max() <= 1e-12
+            assert np.abs(got.transformed.factor() - want.transformed.factor()).max() <= 1e-12
+            assert got.estimate.bitstrings == want.estimate.bitstrings
+            assert np.abs(got.estimate.lambdas - want.estimate.lambdas).max() <= 1e-12
+            if cost.shots:  # the same draws, in the same order, from each run's generator
+                assert np.array_equal(got.estimate.lambdas, want.estimate.lambdas)
+                assert rng.bit_generator.state == solo_rng.bit_generator.state
+            assert np.array_equal(got.final_hamiltonian.energies(), want.final_hamiltonian.energies())
+
+    def test_callback_fires_once_per_run_and_row(self):
+        rho = random_density_matrix(3, seed=4)
+        ansatze = [LayeredAnsatz.random(3, 1, BlockKind.RY_CZ, seed) for seed in (1, 2)]
+        rows = []
+        results = optimize_runs(rho, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(4, 2),
+                                OptimizerConfig(), [7, 8], callback=lambda run, k, *_: rows.append((run, k)))
+        assert rows == [(run, k) for k in range(5) for run in (0, 1)]
+        assert [len(r.trace) for r in results] == [5, 5]
+
+    def test_rejects_mismatched_runs(self):
+        rho = random_density_matrix(3, seed=4)
+        ansatze = [LayeredAnsatz.random(3, layers, BlockKind.RY_CZ, 1) for layers in (1, 2)]
+        for runs, seeds in ((ansatze, [1, 2]), (ansatze[:1], [1, 2]), ([], [])):
+            with pytest.raises(ValueError, match="one shape"):
+                optimize_runs(rho, runs, cost_config(3, 2), StepwiseSchedule(2, 1), OptimizerConfig(), seeds)
 
 
 class TestSchedule:
@@ -385,8 +465,8 @@ class TestOptimize:
             return forward_states(*args)
 
         def counted_unitaries(kind, angles):
-            # a walk's stack is (blocks, w); a shifted stack is (blocks, w, 2, w)
-            calls["shifted stacks" if np.ndim(angles) == 4 else "unitary stacks"] += 1
+            # a walk's stack is (runs, blocks, w); a shifted stack is (runs, blocks, w, 2, w)
+            calls["shifted stacks" if np.ndim(angles) == 5 else "unitary stacks"] += 1
             return unitaries(kind, angles)
 
         def counted_derivatives(kind, angles):
