@@ -2,10 +2,17 @@
 write CSV traces plus a summary and a manifest, and verify stored runs.
 
 Config format: flat ``key = value`` lines under ``[section]`` headers, with
-``#`` comments.  Unknown keys are rejected with the offending line number.
-Exactly one experiment section ([pca], [xy], [wstate] or [custom]) selects
-the experiment; an optional [run] section holds out/seed/jobs/verbosity,
-overridden by the command-line flags.
+``#`` comments.  Exactly one experiment section ([pca], [xy], [wstate] or
+[custom]) selects the experiment; an optional [run] section holds
+out/seed/jobs/verbosity, and `vqse sweep` reads a [sweep] section.  Any
+other section, and any key a section's schema does not name, is rejected
+with its line number.
+
+There is one path from the text to a run.  The command-line flags, and for
+`vqse sweep` each swept value, are written into the parsed sections as raw
+values; `load_config` then converts that one dict, checks each key against
+its schema rule and the keys that depend on each other together, and the
+replay config is written from it.
 
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -94,19 +102,27 @@ def _convert(kind: str, raw: str, key: str, line: int):
             raise ValueError(raw)
         if kind == "floats":
             return [float(x) for x in raw.split(",") if x.strip() != ""]
+        if kind == "block":
+            return BlockKind.parse(raw)
         return raw
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}", line) from None
 
 
 def _validate_section(name: str, got: dict, schema: dict) -> dict:
-    """schema: key -> (type, required, default).  Rejects unknown keys."""
+    """schema: key -> (type, required, default, rule).  Rejects unknown keys.
+
+    A rule, (predicate, what it demands), is checked on each given value (each item of a list).
+    """
     out = {}
     for key, (raw, line) in got.items():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in [{name}]", line)
-        out[key] = _convert(schema[key][0], raw, key, line)
-    for key, (kind, required, default) in schema.items():
+        kind, _, _, rule = schema[key]
+        value = out[key] = _convert(kind, raw, key, line)
+        if rule is not None and not all(map(rule[0], value if isinstance(value, list) else [value])):
+            raise ConfigError(f"key {key!r} {rule[1]}, got {value}", line)
+    for key, (_, required, default, _) in schema.items():
         if key not in out:
             if required:
                 raise ConfigError(f"missing required key {key!r} in [{name}]")
@@ -114,83 +130,100 @@ def _validate_section(name: str, got: dict, schema: dict) -> dict:
     return out
 
 
+def _at_least(low):
+    return (lambda v: v >= low), f"must be at least {low}"
+
+
+def _within(low, high):
+    return (lambda v: low <= v <= high), f"must lie in [{low}, {high}]"
+
+
+def _one_of(*names):
+    return (lambda v: v in names), f"must be one of {', '.join(names)}"
+
+
+_COUNT = _at_least(1)
+_RATE = _within(0, 1)
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = ((lambda v: math.isfinite(v) and v > 0), "must be finite and positive")
+_COSTS = _one_of("local", "global", "adaptive")
+
 RUN_SCHEMA = {
-    "out": ("str", False, "runs"),
-    "seed": ("int", False, 1234),
-    "jobs": ("int", False, 1),
-    "shots": ("int", False, None),
-    "verbosity": ("int", False, 1),
+    "out": ("str", False, "runs", None),
+    "seed": ("int", False, 1234, _within(0, 2**64 - 1)),
+    "jobs": ("int", False, 1, _COUNT),
+    "verbosity": ("int", False, 1, None),
 }
 
 _LOOP_KEYS = {
-    "layers": ("int", True, None),
-    "block": ("str", False, "rycz"),
-    "n_max": ("int", True, None),
-    "s": ("int", True, None),
-    "shots": ("int", False, 0),
-    "optimizer": ("str", False, "adam"),
-    "lr": ("float", False, 0.05),
-    "r1": ("float", False, None),
-    "delta": ("float", False, None),
+    "layers": ("int", True, None, _COUNT),
+    "block": ("block", False, BlockKind.RY_CZ, None),
+    "n_max": ("int", True, None, _COUNT),
+    "s": ("int", True, None, _COUNT),
+    "shots": ("int", False, 0, _at_least(0)),
+    "optimizer": ("str", False, "adam", _one_of("adam", "gd")),
+    "lr": ("float", False, 0.05, _POSITIVE),
+    "r1": ("float", False, None, _FINITE),
+    "delta": ("float", False, None, _FINITE),
 }
 
 PCA_SCHEMA = {
-    "n": ("int", True, None),
-    "m": ("int", True, None),
-    "cost": ("str", True, None),
-    "runs": ("int", True, None),
-    "n_ancilla": ("int", False, 4),
+    "n": ("int", True, None, _at_least(2)),
+    "m": ("int", True, None, _COUNT),
+    "cost": ("str", True, None, _COSTS),
+    "runs": ("int", True, None, _COUNT),
+    "n_ancilla": ("int", False, 4, _at_least(0)),
     **_LOOP_KEYS,
 }
 
 XY_SCHEMA = {
-    "N": ("int", True, None),
-    "keep": ("int", True, None),
-    "Jx": ("float", True, None),
-    "Jy": ("float", True, None),
-    "gamma": ("float", True, None),
-    "h_grid": ("floats", True, None),
-    "runs": ("int", True, None),
-    "m": ("int", False, 3),
-    "cost": ("str", False, "adaptive"),
-    "locate": ("bool", False, True),
-    "tolerance": ("float", False, 1e-8),
-    **{k: v for k, v in _LOOP_KEYS.items()},
-}
-
-WSTATE_SCHEMA = {
-    "runs": ("int", True, None),
-    "iters": ("int", True, None),
-    "update_every": ("int", True, None),
-    "p_depol_1q": ("float", False, 0.0),
-    "p_depol_2q": ("float", False, 0.0),
-    "gamma_ad": ("float", False, 0.0),
-    "layers": ("int", False, 2),
-    "block": ("str", False, "gcnotg"),
-    "optimizer": ("str", False, "adam"),
-    "lr": ("float", False, 0.05),
-}
-
-CUSTOM_SCHEMA = {
-    "state": ("str", True, None),
-    "m": ("int", True, None),
-    "cost": ("str", True, None),
-    "runs": ("int", True, None),
+    "N": ("int", True, None, _within(2, 12)),
+    "keep": ("int", True, None, _at_least(2)),
+    "Jx": ("float", True, None, _FINITE),
+    "Jy": ("float", True, None, _FINITE),
+    "gamma": ("float", True, None, _FINITE),
+    "h_grid": ("floats", True, None, _FINITE),
+    "runs": ("int", True, None, _COUNT),
+    "m": ("int", False, 3, _COUNT),
+    "cost": ("str", False, "adaptive", _COSTS),
+    "locate": ("bool", False, True, None),
+    "tolerance": ("float", False, 1e-8, _POSITIVE),
     **_LOOP_KEYS,
 }
 
-SCHEMAS = {"pca": PCA_SCHEMA, "xy": XY_SCHEMA, "wstate": WSTATE_SCHEMA, "custom": CUSTOM_SCHEMA}
+WSTATE_SCHEMA = {
+    "runs": ("int", True, None, _COUNT),
+    "iters": ("int", True, None, _COUNT),
+    "update_every": ("int", True, None, _COUNT),
+    "p_depol_1q": ("float", False, 0.0, _RATE),
+    "p_depol_2q": ("float", False, 0.0, _RATE),
+    "gamma_ad": ("float", False, 0.0, _RATE),
+    "layers": ("int", False, 2, _COUNT),
+    "block": ("block", False, BlockKind.G_CNOT_G, None),
+    "optimizer": _LOOP_KEYS["optimizer"],
+    "lr": _LOOP_KEYS["lr"],
+}
+
+CUSTOM_SCHEMA = {
+    "state": ("str", True, None, None),
+    "m": ("int", True, None, _COUNT),
+    "cost": ("str", True, None, _COSTS),
+    "runs": ("int", True, None, _COUNT),
+    **_LOOP_KEYS,
+}
 
 SWEEP_SCHEMA = {
-    "key": ("str", True, None),
-    "values": ("str", True, None),
+    "key": ("str", True, None, None),
+    "values": ("str", True, None, None),
 }
+
+SCHEMAS = {"run": RUN_SCHEMA, "pca": PCA_SCHEMA, "xy": XY_SCHEMA, "wstate": WSTATE_SCHEMA, "custom": CUSTOM_SCHEMA}
 
 
 def _loop_from(cfg: dict, n_max_key="n_max", s_key="s") -> LoopConfig:
     return LoopConfig(
         layers=cfg["layers"],
-        kind=BlockKind.parse(cfg["block"]),
+        kind=cfg["block"],
         n_max=cfg[n_max_key],
         s=cfg[s_key],
         optimizer=OptimizerConfig(kind=cfg["optimizer"], lr=cfg["lr"]),
@@ -207,10 +240,24 @@ def _loop_from(cfg: dict, n_max_key="n_max", s_key="s") -> LoopConfig:
 
 
 def _fmt(x) -> str:
-    """A real scalar (Python or numpy) as repr(float(x)), which float() reads back."""
+    """A real scalar (Python or numpy) as repr(float(x)), which float() reads back;
+    a sequence as its items joined by commas; None as `none`."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
+    if x is None:
+        return "none"
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return ",".join(_fmt(item) for item in x)
     return str(x)
+
+
+def _ini_text(sections: dict[str, dict]) -> str:
+    """`[section]` headers, each followed by its `key = value` lines."""
+    lines = []
+    for name, values in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {_fmt(value)}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -226,37 +273,15 @@ def _sha256(path: Path) -> str:
 def write_manifest(out: Path, experiment: str, seed: int, config_text: str, artifacts: list[str]) -> None:
     replica = out / "config.replay.cfg"
     replica.write_text(config_text)
-    lines = [
-        "[manifest]",
-        f"version = {__version__}",
-        f"experiment = {experiment}",
-        f"master_seed = {seed}",
-        f"config_sha256 = {hashlib.sha256(config_text.encode()).hexdigest()}",
-        "config_replica = config.replay.cfg",
-        "[artifacts]",
-    ]
-    for name in artifacts + ["config.replay.cfg"]:
-        lines.append(f"{name} = {_sha256(out / name)}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _resolved_config_text(sections, experiment: str, run_cfg: dict) -> str:
-    """Config replica with the resolved seed/shots baked in for exact replay."""
-    lines = [
-        "[run]",
-        f"seed = {run_cfg['seed']}",
-        f"verbosity = {run_cfg['verbosity']}",
-        f"[{experiment}]",
-    ]
-    for key, (raw, _) in sections[experiment].items():
-        if key != "shots":
-            lines.append(f"{key} = {raw}")
-    if experiment != "wstate":  # the wstate loop has no shot-based estimators
-        if run_cfg["shots"] is not None:
-            lines.append(f"shots = {run_cfg['shots']}")
-        elif "shots" in sections[experiment]:
-            lines.append(f"shots = {sections[experiment]['shots'][0]}")
-    return "\n".join(lines) + "\n"
+    manifest = {
+        "version": __version__,
+        "experiment": experiment,
+        "master_seed": seed,
+        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_replica": replica.name,
+    }
+    hashes = {name: _sha256(out / name) for name in artifacts + [replica.name]}
+    (out / "manifest.txt").write_text(_ini_text({"manifest": manifest, "artifacts": hashes}))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +289,7 @@ def _resolved_config_text(sections, experiment: str, run_cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_pca_like(experiment: str, cfg: dict, rho, out: Path, seed: int, jobs: int, say) -> list[str]:
+def _run_pca_like(experiment: str, cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     loop = _loop_from(cfg)
     if experiment == "pca":
         result = pca_experiment(
@@ -272,7 +297,7 @@ def _run_pca_like(experiment: str, cfg: dict, rho, out: Path, seed: int, jobs: i
             n_ancilla=cfg["n_ancilla"], jobs=jobs,
         )
     else:
-        result = eigensolver_experiment(rho, cfg["m"], loop, cfg["runs"], seed, jobs=jobs)
+        result = eigensolver_experiment(cfg["state"], cfg["m"], loop, cfg["runs"], seed, jobs=jobs)
     say(f"{experiment}: n={result.n} m={cfg['m']} cost={loop.cost_variant} runs={cfg['runs']}")
 
     trace_rows = []
@@ -292,41 +317,41 @@ def _run_pca_like(experiment: str, cfg: dict, rho, out: Path, seed: int, jobs: i
 
 
 def _write_pca_summary(path: Path, experiment: str, seed: int, result: PcaResult) -> None:
-    lines = [
-        "[summary]",
-        f"experiment = {experiment}",
-        f"n = {result.n}",
-        f"m = {result.m}",
-        f"cost = {result.variant}",
-        f"seed = {seed}",
-        f"runs = {len(result.runs)}",
-        f"exact_lambdas = {','.join(repr(float(x)) for x in result.exact_lambdas[:result.m])}",
-        f"best_run = {result.best_run.run_index}",
-        f"best_eps_lambda_final = {result.best_run.eps_final!r}",
-        f"best_eps_lambda_min_trace = {result.best_eps_min_trace!r}",
-    ]
+    sections = {
+        "summary": {
+            "experiment": experiment,
+            "n": result.n,
+            "m": result.m,
+            "cost": result.variant,
+            "seed": seed,
+            "runs": len(result.runs),
+            "exact_lambdas": result.exact_lambdas[:result.m],
+            "best_run": result.best_run.run_index,
+            "best_eps_lambda_final": result.best_run.eps_final,
+            "best_eps_lambda_min_trace": result.best_eps_min_trace,
+        }
+    }
     for r in result.runs:
         rep = r.report
-        lines += [
-            f"[run_{r.run_index}]",
-            f"n = {result.n}",
-            f"m = {result.m}",
-            f"final_cost = {r.result.trace[-1].cost!r}",
-            f"purity = {r.purity!r}",
-            f"energies = {','.join(repr(float(e)) for e in r.final_levels)}",
-            f"est_lambdas = {','.join(repr(float(x)) for x in r.estimate.lambdas)}",
-            f"est_bitstrings = {','.join(r.estimate.bitstrings)}",
-            f"m_hat = {rep.m_hat}",
-            f"est_lambdas_wide = {','.join(repr(float(x)) for x in r.wide_lambdas)}",
-            f"eps_lambda = {rep.eps_lambda!r}",
-            f"eps_rel = {rep.eps_rel!r}",
-            f"eps_v = {rep.eps_v!r}",
-            f"bound_cost = {rep.bound_cost!r}",
-            f"bound_purity = {rep.bound_purity!r}",
-            f"bound_cost_degenerate = {rep.bound_cost_degenerate}",
-            f"theta_opt = {','.join(repr(float(x)) for x in r.result.theta_opt)}",
-        ]
-    path.write_text("\n".join(lines) + "\n")
+        sections[f"run_{r.run_index}"] = {
+            "n": result.n,
+            "m": result.m,
+            "final_cost": r.result.trace[-1].cost,
+            "purity": r.purity,
+            "energies": r.final_levels,
+            "est_lambdas": r.estimate.lambdas,
+            "est_bitstrings": r.estimate.bitstrings,
+            "m_hat": rep.m_hat,
+            "est_lambdas_wide": r.wide_lambdas,
+            "eps_lambda": rep.eps_lambda,
+            "eps_rel": rep.eps_rel,
+            "eps_v": rep.eps_v,
+            "bound_cost": rep.bound_cost,
+            "bound_purity": rep.bound_purity,
+            "bound_cost_degenerate": rep.bound_cost_degenerate,
+            "theta_opt": r.result.theta_opt,
+        }
+    path.write_text(_ini_text(sections))
 
 
 def _run_xy(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
@@ -355,22 +380,21 @@ def _run_xy(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
             for p in points]
     write_csv(out / "xy_sweep.csv", header, rows)
 
-    lines = [
-        "[summary]",
-        "experiment = xy",
-        f"seed = {seed}",
-        f"N = {spec.N}",
-        f"keep = {spec.keep}",
-        f"Jx = {spec.J_x!r}",
-        f"Jy = {spec.J_y!r}",
-        f"gamma = {spec.gamma!r}",
-        f"m = {m}",
-        f"runs_per_point = {cfg['runs']}",
-        f"factorizing_field = {'none' if h_star is None else repr(h_star)}",
-        f"factorization_residual = {'none' if residual is None else repr(residual)}",
-        f"median_eps_rel = {repr(float(np.median([p.eps_rel for p in points])))}",
-    ]
-    (out / "xy_summary.txt").write_text("\n".join(lines) + "\n")
+    summary = {
+        "experiment": "xy",
+        "seed": seed,
+        "N": spec.N,
+        "keep": spec.keep,
+        "Jx": spec.J_x,
+        "Jy": spec.J_y,
+        "gamma": spec.gamma,
+        "m": m,
+        "runs_per_point": cfg["runs"],
+        "factorizing_field": h_star,
+        "factorization_residual": residual,
+        "median_eps_rel": np.median([p.eps_rel for p in points]),
+    }
+    (out / "xy_summary.txt").write_text(_ini_text({"summary": summary}))
     return ["xy_sweep.csv", "xy_summary.txt"]
 
 
@@ -390,32 +414,31 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
     write_csv(out / "wstate_trace.csv", ["run", "iter", "cost", "fidelity_sigma"], rows)
 
     finals = [r.final_fidelity for r in results]
-    eigenvectors = [r.eigenvector_fidelity for r in results]
-    dec = sum(1 for r in results if r.rows[-1].cost < r.rows[0].cost)
-    lines = [
-        "[summary]",
-        "experiment = wstate",
-        f"seed = {seed}",
-        f"runs = {len(results)}",
-        f"baseline_fidelity = {results[0].baseline_fidelity!r}",
-        f"mean_final_fidelity = {repr(float(np.mean(finals)))}",
-        f"mean_eigenvector_fidelity = {repr(float(np.mean(eigenvectors)))}",
-        f"runs_with_decreasing_cost = {dec}",
-    ]
-    (out / "wstate_summary.txt").write_text("\n".join(lines) + "\n")
+    summary = {
+        "experiment": "wstate",
+        "seed": seed,
+        "runs": len(results),
+        "baseline_fidelity": results[0].baseline_fidelity,
+        "mean_final_fidelity": np.mean(finals),
+        "mean_eigenvector_fidelity": np.mean([r.eigenvector_fidelity for r in results]),
+        "runs_with_decreasing_cost": sum(1 for r in results if r.rows[-1].cost < r.rows[0].cost),
+    }
+    (out / "wstate_summary.txt").write_text(_ini_text({"summary": summary}))
     say(f"baseline F = {results[0].baseline_fidelity:.4f}, "
         f"mean final F = {float(np.mean(finals)):.4f}")
     return ["wstate_trace.csv", "wstate_summary.txt"]
 
 
 RUN_FLAGS = ("out", "seed", "jobs", "shots")
-COUNT_KEYS = ("runs", "layers", "n_max", "s", "iters", "update_every")
 
 
 def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
-    """Validate parsed sections and apply the non-None command-line flags.
+    """Write the non-None command-line flags into `sections`, then validate them.
 
-    Returns the experiment name, the [run] settings and the experiment's settings.
+    Each flag becomes the raw value of its key: `shots` in the experiment
+    section (only if the experiment has that key), the others in [run].
+    Returns the experiment name, the [run] settings and the experiment's
+    settings, with a [custom] `state` loaded and checked.
     """
     present = [s for s in EXPERIMENT_SECTIONS if s in sections]
     if len(present) != 1:
@@ -423,52 +446,51 @@ def load_config(sections: dict, flags: dict) -> tuple[str, dict, dict]:
             f"config must contain exactly one experiment section, found {present or 'none'}"
         )
     experiment = present[0]
+    for name, keys in sections.items():
+        if name not in ("run", experiment, "sweep"):
+            line = next((line for _, line in keys.values()), None)
+            raise ConfigError(f"unknown section [{name}]", line)
+    for key, value in flags.items():
+        section = "run" if key in RUN_SCHEMA else experiment
+        if value is not None and key in SCHEMAS[section]:
+            sections.setdefault(section, {})[key] = (str(value), None)
     run_cfg = _validate_section("run", sections.get("run", {}), RUN_SCHEMA)
     cfg = _validate_section(experiment, sections[experiment], SCHEMAS[experiment])
-    for key in COUNT_KEYS:
-        if key in sections[experiment] and cfg[key] < 1:
-            line = sections[experiment][key][1]
-            raise ConfigError(f"key {key!r} must be at least 1, got {cfg[key]}", line)
+    if experiment == "custom":
+        cfg["state"] = _load_state(cfg["state"], sections["custom"]["state"][1])
     _check_ranges(sections[experiment], experiment, cfg)
-    run_cfg.update({k: v for k, v in flags.items() if v is not None})
-    if run_cfg["jobs"] < 1:
-        from_file = flags.get("jobs") is None and "jobs" in sections.get("run", {})
-        line = sections["run"]["jobs"][1] if from_file else None
-        raise ConfigError(f"key 'jobs' must be at least 1, got {run_cfg['jobs']}", line)
-    if run_cfg["shots"] is not None and "shots" in cfg:
-        cfg["shots"] = run_cfg["shots"]
-    if not 0 <= run_cfg["seed"] < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
     return experiment, run_cfg, cfg
 
 
+def _load_state(path: str, line: int) -> DensityMatrix:
+    """The [custom] state file as a validated density matrix on at least 2 qubits."""
+    try:
+        rho = DensityMatrix(np.load(path))
+    except (OSError, EOFError, TypeError, ValueError) as exc:
+        raise ConfigError(f"key 'state': cannot load a density matrix from {path!r}: {exc}", line) from None
+    if rho.n < 2:
+        raise ConfigError(f"key 'state' must hold at least 2 qubits for two-qubit blocks, got {rho.n}", line)
+    return rho
+
+
 def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
-    """Qubit count, m, the update period and the [xy] chain, checked against each other."""
+    """The rules that tie two or more keys together; each key's own rule is in its schema."""
 
     def fail(key: str, message: str):
         raise ConfigError(f"key {key!r} {message}", section[key][1] if key in section else None)
 
-    qubits = {"pca": "n", "xy": "keep"}.get(experiment)  # [custom] learns n from its state
-    if qubits is not None and cfg[qubits] < 2:
-        fail(qubits, f"must be at least 2 for two-qubit blocks, got {cfg[qubits]}")
-    if "m" in cfg:
-        top = 2 ** cfg[qubits] if qubits else None
-        if cfg["m"] < 1 or (top is not None and cfg["m"] > top):
-            fail("m", f"must lie in [1, {top or '2^n'}], got {cfg['m']}")
+    if experiment != "wstate":
+        n = cfg["state"].n if experiment == "custom" else cfg["keep" if experiment == "xy" else "n"]
+        if cfg["m"] > 2**n:
+            fail("m", f"must lie in [1, 2^n = {2**n}], got {cfg['m']}")
+    if experiment == "pca" and cfg["n"] + cfg["n_ancilla"] > 12:
+        fail("n_ancilla" if "n_ancilla" in section else "n",
+             f"must keep n + n_ancilla at most 12, got {cfg['n']} + {cfg['n_ancilla']}")
     if experiment == "xy":
-        if not 2 <= cfg["N"] <= 12:
-            fail("N", f"must lie in [2, 12] (dense diagonalization), got {cfg['N']}")
         if cfg["keep"] >= cfg["N"]:
             fail("keep", f"must be below N={cfg['N']} (a strict sub-block), got {cfg['keep']}")
         if len(cfg["h_grid"]) < (3 if cfg["locate"] else 1):
             fail("h_grid", f"needs at least 3 fields to locate (else 1), got {len(cfg['h_grid'])}")
-        for key in ("Jx", "Jy", "gamma"):
-            if not np.isfinite(cfg[key]):
-                fail(key, f"must be finite, got {cfg[key]}")
-        if not np.isfinite(cfg["h_grid"]).all():
-            fail("h_grid", f"must hold finite fields, got {cfg['h_grid']}")
-        if not (np.isfinite(cfg["tolerance"]) and cfg["tolerance"] > 0):
-            fail("tolerance", f"must be finite and positive, got {cfg['tolerance']}")
         # H(0) = 0 when Jx = Jy = 0: its ground space is the whole space, and the
         # product-seeking choice would scan every pair of its 2^N vectors
         if cfg["Jx"] == cfg["Jy"] == 0 and min(cfg["h_grid"]) <= 0 <= max(cfg["h_grid"]):
@@ -478,21 +500,56 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
         fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")
 
 
+def _sweep_of(sections: dict) -> tuple[str, str, list[str], int]:
+    """The swept section and key, its values and the line they are on."""
+    if "sweep" not in sections:
+        raise ConfigError("sweep requires a [sweep] section (key = section.key, values = ...)")
+    sweep = _validate_section("sweep", sections["sweep"], SWEEP_SCHEMA)
+    (_, key_line), (_, values_line) = sections["sweep"]["key"], sections["sweep"]["values"]
+    section, dot, key = sweep["key"].partition(".")
+    if not dot:
+        raise ConfigError(f"sweep key must look like section.key, got {sweep['key']!r}", key_line)
+    if section not in sections:
+        raise ConfigError(f"sweep key references missing section [{section}]", key_line)
+    values = [v.strip() for v in sweep["values"].split(",") if v.strip()]
+    if not values:
+        raise ConfigError("sweep values list is empty", values_line)
+    return section, key, values, values_line
+
+
 def run_command(args) -> int:
-    config_path = Path(args.config)
+    """`vqse run`, and `vqse sweep` as one such run per [sweep] value; the exit code.
+
+    A sweep point writes its value into the parsed sections at the line of
+    the values, and runs into `<out>/<key>=<value>/`.
+    """
+    path = Path(args.config)
     try:
-        sections = parse_config_text(config_path.read_text())
-        experiment, run_cfg, cfg = load_config(sections, {k: getattr(args, k) for k in RUN_FLAGS})
+        text = path.read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    flags = {k: getattr(args, k) for k in RUN_FLAGS}
+    try:
+        sections = parse_config_text(text)
+        if args.command == "run":
+            return _run_config(sections, *load_config(sections, flags))
+        section, key, values, line = _sweep_of(sections)
+        base = Path(flags["out"] or sections.get("run", {}).get("out", ("runs", None))[0])
+        for value in values:
+            sections[section][key] = (value, line)
+            flags["out"] = str(base / f"{key}={value}")
+            print(f"=== sweep point {key} = {value}")
+            status = _run_config(sections, *load_config(sections, flags))
+            if status != 0:
+                return status
+        return 0
     except ConfigError as exc:
-        print(f"error: {exc.render(config_path)}", file=sys.stderr)
+        print(f"error: {exc.render(path)}", file=sys.stderr)
         return 2
-    return run_sections(sections, experiment, run_cfg, cfg)
 
 
-def run_sections(sections: dict, experiment: str, run_cfg: dict, cfg: dict) -> int:
+def _run_config(sections: dict, experiment: str, run_cfg: dict, cfg: dict) -> int:
     """Run a loaded config, write its artifacts and manifest; the exit code."""
     out = Path(run_cfg["out"])
     try:
@@ -507,17 +564,18 @@ def run_sections(sections: dict, experiment: str, run_cfg: dict, cfg: dict) -> i
 
     seed, jobs = run_cfg["seed"], run_cfg["jobs"]
     try:
-        if experiment == "pca":
-            artifacts = _run_pca_like("pca", cfg, None, out, seed, jobs, say)
-        elif experiment == "custom":
-            rho = DensityMatrix(np.load(cfg["state"]))
-            artifacts = _run_pca_like("custom", cfg, rho, out, seed, jobs, say)
+        if experiment in ("pca", "custom"):
+            artifacts = _run_pca_like(experiment, cfg, out, seed, jobs, say)
         elif experiment == "xy":
             artifacts = _run_xy(cfg, out, seed, jobs, say)
         else:
             artifacts = _run_wstate(cfg, out, seed, jobs, say)
-        replay = _resolved_config_text(sections, experiment, run_cfg)
-        write_manifest(out, experiment, seed, replay, artifacts)
+        # the replay: the resolved seed, and the experiment's keys with every override
+        replay = {
+            "run": {"seed": seed, "verbosity": run_cfg["verbosity"]},
+            experiment: {key: raw for key, (raw, _) in sections[experiment].items()},
+        }
+        write_manifest(out, experiment, seed, _ini_text(replay), artifacts)
     except (ValueError, FloatingPointError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -589,52 +647,6 @@ def _verify_run_section(section: dict) -> tuple[bool, list[str]]:
     return all(c.holds for c in checks), messages
 
 
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-def sweep_command(args) -> int:
-    config_path = Path(args.config)
-    try:
-        sections = parse_config_text(config_path.read_text())
-        if "sweep" not in sections:
-            raise ConfigError("sweep requires a [sweep] section (key = section.key, values = ...)")
-        sweep_cfg = _validate_section("sweep", sections["sweep"], SWEEP_SCHEMA)
-        target = sweep_cfg["key"]
-        if "." not in target:
-            raise ConfigError(f"sweep key must look like section.key, got {target!r}")
-        section, key = target.split(".", 1)
-        if section not in sections:
-            raise ConfigError(f"sweep key references missing section [{section}]")
-        values = [v.strip() for v in sweep_cfg["values"].split(",") if v.strip()]
-        if not values:
-            raise ConfigError("sweep values list is empty")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc.render(config_path)}", file=sys.stderr)
-        return 2
-
-    base_out = Path(args.out) if args.out is not None else Path("runs")
-    values_line = sections["sweep"]["values"][1]
-    flags = {k: getattr(args, k) for k in RUN_FLAGS}
-    for value in values:
-        sections[section][key] = (value, values_line)
-        flags["out"] = str(base_out / f"{key}={value}")
-        print(f"=== sweep point {key} = {value}")
-        try:
-            loaded = load_config(sections, flags)
-        except ConfigError as exc:
-            print(f"error: {exc.render(config_path)}", file=sys.stderr)
-            return 2
-        status = run_sections(sections, *loaded)
-        if status != 0:
-            return status
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vqse",
@@ -642,25 +654,21 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the experiment described by a config file")
-    p_run.add_argument("--config", required=True, help="path to the config file")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
-    p_run.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    p_run.add_argument("--shots", type=int, default=None, help="shots per estimate (0 = exact)")
-    p_run.set_defaults(func=run_command)
+    for name, help_text in (
+        ("run", "run the experiment described by a config file"),
+        ("sweep", "run it once per value of one config key (a [sweep] section)"),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd.add_argument("--config", required=True, help="path to the config file")
+        p_cmd.add_argument("--out", default=None, help="output directory (sweep: one subdirectory per value)")
+        p_cmd.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
+        p_cmd.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p_cmd.add_argument("--shots", type=int, default=None, help="shots per estimate (0 = exact)")
+        p_cmd.set_defaults(func=run_command)
 
     p_verify = sub.add_parser("verify", help="re-check the error bounds stored in a summary")
     p_verify.add_argument("summary", help="path to a *_summary.txt file")
     p_verify.set_defaults(func=verify_command)
-
-    p_sweep = sub.add_parser("sweep", help="run an experiment over a grid of one config key")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=None)
-    p_sweep.add_argument("--shots", type=int, default=None)
-    p_sweep.set_defaults(func=sweep_command)
 
     args = parser.parse_args(argv)
     try:

@@ -89,8 +89,10 @@ class DensityMatrix:
             self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError if Hermiticity, trace or positivity is violated."""
+        """Raise ValueError if an entry is not finite, or Hermiticity, trace or positivity is violated."""
         d = self.data
+        if not np.isfinite(d).all():
+            raise ValueError("entries must be finite (found NaN or infinity)")
         herm = np.abs(d - d.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")

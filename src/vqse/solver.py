@@ -77,8 +77,15 @@ class StepwiseSchedule:
         return k % self.s == 0
 
     def __call__(self, t: float) -> float:
-        """Stepwise f(t): the loop time of the most recent update."""
-        return math.floor(t * self.n_max / self.s) * self.s / self.n_max
+        """Stepwise f(t): the loop time of the most recent update.
+
+        Exact at every loop time t = k / n_max: t * n_max can round to just
+        below k, so an iteration whose float time is t counts as k itself.
+        """
+        k = round(t * self.n_max)
+        if k / self.n_max != t:  # between iterations
+            k = math.floor(t * self.n_max)
+        return k // self.s * self.s / self.n_max
 
 
 @dataclass(frozen=True)

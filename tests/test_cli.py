@@ -47,6 +47,12 @@ n_max = 20
 s = 5
 """
 
+SWEEP_SECTION = """
+[sweep]
+key = pca.n_max
+values = 10,20
+"""
+
 CUSTOM_CFG = """\
 [custom]
 state = {state}
@@ -157,6 +163,22 @@ class TestRunCommand:
         ("wstate", "update_every", "3"),  # iters = 10
         ("run", "jobs", "0"),
         ("run", "jobs", "-3"),
+        ("run", "seed", "-1"),
+        ("run", "seed", str(2**64)),
+        ("pca", "cost", "bogus"),
+        ("xy", "cost", "bogus"),
+        ("pca", "block", "bogus"),
+        ("pca", "optimizer", "sgd"),
+        ("wstate", "optimizer", "sgd"),
+        ("pca", "shots", "-5"),
+        ("pca", "lr", "nan"),
+        ("pca", "lr", "0"),
+        ("wstate", "lr", "inf"),
+        ("wstate", "p_depol_1q", "2"),
+        ("wstate", "p_depol_2q", "nan"),
+        ("wstate", "gamma_ad", "-0.1"),
+        ("pca", "n_ancilla", "10"),  # n = 3: n + n_ancilla = 13
+        ("custom", "m", "100"),  # the state has n = 3
     ])
     def test_out_of_range_value_exits_2_with_line(self, tmp_path, capsys, section, key, value):
         state = tmp_path / "state.npy"
@@ -291,6 +313,116 @@ class TestRunCommand:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unknown_section_exits_2_with_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("[rnu]\nseed = 5\n\n" + PCA_CFG + SWEEP_SECTION)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and "[rnu]" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_section_has_no_shots_key(self, tmp_path, capsys):
+        cfg = tmp_path / "shots.cfg"
+        cfg.write_text(PCA_CFG.replace("verbosity = 0\n", "verbosity = 0\nshots = 7\n"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:4:" in err and "unknown key 'shots' in [run]" in err
+
+    @pytest.mark.parametrize("name", ["missing", "not_npy", "non_square", "nan", "trace_two", "one_qubit"])
+    def test_bad_custom_state_exits_2_with_line(self, tmp_path, capsys, name):
+        state = tmp_path / "state.npy"
+        if name == "not_npy":
+            state.write_text("0.5 0\n0 0.5\n")
+        elif name != "missing":
+            data = {"non_square": np.full((4, 2), 0.125), "nan": np.full((4, 4), np.nan),
+                    "trace_two": np.eye(4) / 2, "one_qubit": np.eye(2) / 2}[name]
+            np.save(state, data)
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(CUSTOM_CFG.format(state=state))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and "'state'" in err
+        assert not (tmp_path / "o").exists()
+
+
+def _point_dirs(command: str, out):
+    """The artifact directories of one `vqse run` or `vqse sweep` (over SWEEP_SECTION)."""
+    return [out] if command == "run" else [out / "n_max=10", out / "n_max=20"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+class TestFlags:
+    """`vqse run` and `vqse sweep` take the same flags, written over the config's values."""
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "78"), ("--jobs", "2"), ("--shots", "40")])
+    def test_flag_takes_effect_and_replays(self, tmp_path, monkeypatch, command, flag, value):
+        import vqse.cli as cli
+
+        jobs, pca_experiment = [], cli.pca_experiment
+        monkeypatch.setattr(cli, "pca_experiment", lambda **kw: jobs.append(kw["jobs"]) or pca_experiment(**kw))
+        cfg = tmp_path / "pca.cfg"
+        cfg.write_text(PCA_CFG + SWEEP_SECTION)
+        out, plain = tmp_path / "flag", tmp_path / "plain"
+        assert main([command, "--config", str(cfg), "--out", str(out), flag, value]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(plain)]) == 0
+        points = len(_point_dirs(command, out))
+        assert jobs == ([2] * points if flag == "--jobs" else [1] * points) + [1] * points
+        for point, plain_point in zip(_point_dirs(command, out), _point_dirs(command, plain)):
+            manifest = (point / "manifest.txt").read_text()
+            replay = (point / "config.replay.cfg").read_text()
+            assert ("master_seed = 78" in manifest) == (flag == "--seed")
+            assert ("shots = 40" in replay) == (flag == "--shots")
+            changed = (point / "pca_trace.csv").read_bytes() != (plain_point / "pca_trace.csv").read_bytes()
+            assert changed == (flag != "--jobs")
+            again = tmp_path / "again" / point.name
+            assert main(["run", "--config", str(point / "config.replay.cfg"), "--out", str(again)]) == 0
+            for csv in point.glob("*.csv"):
+                assert (again / csv.name).read_bytes() == csv.read_bytes(), csv.name
+
+    def test_out_flag_overrides_run_out(self, tmp_path, command):
+        cfg = tmp_path / "pca.cfg"
+        from_cfg = tmp_path / "from_cfg"
+        cfg.write_text(PCA_CFG.replace("[run]\n", f"[run]\nout = {from_cfg}\n") + SWEEP_SECTION)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+        assert not from_cfg.exists()
+        assert main([command, "--config", str(cfg)]) == 0
+        for out in (tmp_path / "flag", from_cfg):
+            for point in _point_dirs(command, out):
+                assert (point / "pca_trace.csv").exists() and (point / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("flag, value, key", [("--jobs", "0", "jobs"), ("--shots", "-1", "shots"),
+                                                  ("--seed", "-1", "seed")])
+    def test_bad_flag_exits_2_naming_key(self, tmp_path, capsys, command, flag, value, key):
+        cfg = tmp_path / "pca.cfg"
+        cfg.write_text(PCA_CFG + SWEEP_SECTION)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: key {key!r}" in err  # a flag has no line number
+
+    def test_shots_flag_ignored_by_wstate(self, tmp_path, command):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(WSTATE_CFG.replace("iters = 10", "iters = 20") + SWEEP_SECTION.replace("pca.n_max", "wstate.iters"))
+        plain, shots = tmp_path / "plain", tmp_path / "shots"
+        assert main([command, "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(shots), "--shots", "5"]) == 0
+        dirs = [plain] if command == "run" else [plain / "iters=10", plain / "iters=20"]
+        for point in dirs:
+            twin = shots / point.relative_to(plain)
+            assert "shots" not in (twin / "config.replay.cfg").read_text()
+            for name in ("wstate_trace.csv", "wstate_summary.txt", "config.replay.cfg"):
+                assert (twin / name).read_bytes() == (point / name).read_bytes(), name
+
+    def test_help_lists_the_same_flags(self, capsys, command):
+        import re
+
+        def flags(name):
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            return set(re.findall(r"--\w+", capsys.readouterr().out))
+
+        assert flags(command) == flags("run") == {"--help", "--config", "--out", "--seed", "--jobs", "--shots"}
 
 
 class TestShippedConfigs:

@@ -70,6 +70,14 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # every comparison with NaN is false, so only an explicit check catches it
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((4, 4), bad))
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]) + np.diag([0, 0, 0, bad]))
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3) / 3)

@@ -289,6 +289,18 @@ class TestSchedule:
         assert sched(0.2) == pytest.approx(0.2)
         assert [sched.is_update(k) for k in (19, 20, 21)] == [False, True, False]
 
+    @pytest.mark.parametrize("n_max, s, k", [(22, 1, 15), (360, 36, 252), (100, 20, 60)])
+    def test_update_iteration_sees_its_own_value(self, n_max, s, k):
+        # k / n_max * n_max rounds to just below k for (22, 1, 15) and (360, 36, 252)
+        assert StepwiseSchedule(n_max, s)(k / n_max) == k / n_max
+
+    def test_exact_at_every_iteration(self):
+        for n_max in range(1, 121):
+            for s in (d for d in range(1, n_max + 1) if n_max % d == 0):
+                sched = StepwiseSchedule(n_max, s)
+                for k in range(n_max + 1):
+                    assert sched(sched.t(k)) == k // s * s / n_max, (n_max, s, k)
+
 
 class TestReadout:
     def test_reads_sorted_diagonal(self):
