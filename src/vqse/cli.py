@@ -498,6 +498,14 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
     total, period = ("iters", "update_every") if experiment == "wstate" else ("n_max", "s")
     if cfg[total] % cfg[period]:
         fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")
+    if experiment != "wstate":
+        # the cost the run builds: weights invalid on their own (already at m = 1)
+        # are r1's or delta's fault, weights that cannot certify m levels are m's
+        for key, levels in (("r1" if "r1" in section else "delta", 1), ("m", cfg["m"])):
+            try:
+                _loop_from(cfg).cost_config(n, levels)
+            except ValueError as exc:
+                fail(key, f"gives cost weights the run cannot use: {exc}")
 
 
 def _sweep_of(sections: dict) -> tuple[str, str, list[str], int]:

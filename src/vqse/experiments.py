@@ -20,6 +20,7 @@ The runs of an experiment (or of one field point) train in lockstep
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -81,7 +82,7 @@ class SpinChainSpec:
 
     def __post_init__(self):
         if not 2 <= self.N <= 12:
-            raise ValueError("N must lie in [2, 12] (dense diagonalization)")
+            raise ValueError("N must lie in [2, 12] (the 2^N x N table of translates and the sector solves)")
         if not 1 <= self.keep < self.N:
             raise ValueError("keep must be a strict sub-block of the chain")
         for name in ("J_x", "J_y", "h", "gamma"):
@@ -201,40 +202,54 @@ GROUND_DEGENERACY_TOL = 1e-9
 
 
 def xy_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense real-symmetric chain Hamiltonian (the SySy product is real)."""
-    return _FieldLine(spec).at(spec.h)
+    """Dense real-symmetric chain Hamiltonian (the SySy product is real), from `_FieldLine`'s nonzeros.
 
-
-def _product_seeking_vector(ground: np.ndarray, keep: int) -> np.ndarray:
-    """Deterministic choice inside a (near-)degenerate real ground space.
-
-    Picks the combination of ground vectors whose reduced state has the
-    largest top eigenvalue; at a factorizing field this recovers the product
-    ground state that a generic eigensolver basis hides inside the doublet.
-    Implemented as an angle scan (one stacked SVD per pair) with golden
-    refinement over the best pair.
+    The experiments never build it; it is the dense reference for callers and tests.
     """
-    d = ground.shape[1]
-    if d == 1:
+    line = _FieldLine(spec)
+    ham = np.zeros((2**spec.N,) * 2)
+    np.add.at(ham.reshape(-1), line.index, line.values[0] + spec.h * line.values[1])
+    return ham
+
+
+def _product_seeking_vector(ground: np.ndarray, keep: int, gamma: float) -> np.ndarray:
+    """One vector of a real ground space (orthonormal columns), chosen by a stated rule.
+
+    A simple level's vector is returned as it is.  In a degenerate level the
+    rule seeks the combination whose reduced state has the largest top
+    eigenvalue lambda_1; at a factorizing field that is a product ground state
+    which a generic eigensolver basis hides inside the level.  Each pair of
+    columns is scanned over 361 angles (one stacked SVD) and every local maximum
+    of the scan is golden-refined.  Of the refined vectors within 1e-12 of the
+    best lambda_1, the one whose site 0 points furthest along the field wins:
+    the largest <n.sigma_0>, n = (sin gamma, cos gamma) in (x, z).  Refinement
+    fixes a vector only to about 1e-8 in angle, so values within 1e-6 of that
+    largest one tie, and the largest <sigma^x_0> among them wins.  In a
+    two-dimensional space the pick does not depend on the basis.
+    """
+    if ground.shape[1] == 1:
         return ground[:, 0]
 
     def lam1(v):  # of one vector, or of a stack of them
         return np.linalg.svd(v.reshape(v.shape[:-1] + (2**keep, -1)), compute_uv=False)[..., 0] ** 2
 
-    best_vec = ground[:, 0]
-    best_val = lam1(best_vec)
     phis = np.linspace(0.0, np.pi, 361, endpoint=False)
-    for i in range(d):
-        for j in range(i + 1, d):
-            vi, vj = ground[:, i], ground[:, j]
-            k = int(np.argmax(lam1(np.cos(phis)[:, None] * vi + np.sin(phis)[:, None] * vj)))
+    peaks = []  # (lambda_1, <n.sigma_0>, <sigma^x_0>, vector) of each refined local maximum
+    for i, j in itertools.combinations(range(ground.shape[1]), 2):
+        vi, vj = ground[:, i], ground[:, j]
+        scan = lam1(np.cos(phis)[:, None] * vi + np.sin(phis)[:, None] * vj)
+        # the scan is periodic: the vector at pi is minus the one at 0
+        for k in np.flatnonzero((scan >= np.roll(scan, 1)) & (scan >= np.roll(scan, -1))):
             lo, hi = phis[k] - np.pi / 360, phis[k] + np.pi / 360
             p = _golden_min(lambda q: -lam1(np.cos(q) * vi + np.sin(q) * vj), lo, hi)
             cand = np.cos(p) * vi + np.sin(p) * vj
-            val = lam1(cand)
-            if val > best_val:
-                best_val, best_vec = val, cand
-    return best_vec
+            up, down = cand.reshape(2, -1)  # amplitudes with site 0 (the top bit) up, down
+            x, z = 2.0 * up @ down, up @ up - down @ down  # <sigma^x_0>, <sigma^z_0>
+            peaks.append((lam1(cand), math.sin(gamma) * x + math.cos(gamma) * z, x, cand))
+    best = max(peak[0] for peak in peaks)
+    near = [peak for peak in peaks if peak[0] >= best - 1e-12]
+    along = max(peak[1] for peak in near)
+    return max((peak for peak in near if peak[1] >= along - 1e-6), key=lambda peak: peak[2])[3]
 
 
 def _check_nonzero_hamiltonian(spec: SpinChainSpec, lo: float, hi: float) -> None:
@@ -270,26 +285,25 @@ def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
 class _Sector(NamedTuple):
     coupling: np.ndarray  # C_m on the sector's orbit representatives (a pair's real form)
     field: np.ndarray  # F_m
-    # real sectors only: each basis state's representative's row (dim outside the
-    # sector) and its weight in that momentum state, to expand a block's vector
-    column: np.ndarray | None
-    amplitude: np.ndarray | None
+    column: np.ndarray  # each basis state's representative's row (dim outside the sector)
+    amplitude: np.ndarray  # its weight e^(-iks)/sqrt(p) in the momentum state; sqrt(2) more in a pair
 
 
 class _FieldLine:
-    """H(h) = H_J + h H_f from their nonzeros, as a dense matrix or in symmetry sectors.
+    """H(h) = H_J + h H_f from their nonzeros, in symmetry sectors.
 
     H_J = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) on the ring, one double-flip
     entry per bond per column; H_f is the diagonal -cos(gamma) sum Sz plus one
     single-flip entry per site per column.  `sectors` holds H's blocks C + h F,
     about 2^N/N rows each, built on first use: one per momentum m = 0..N/2 of the
     translation T, or per (m, parity) at gamma = 0, where H also commutes with
-    the parity prod sigma^z.
+    the parity prod sigma^z.  Every level and ground vector the experiments read
+    comes from these blocks; only `xy_hamiltonian` builds the 2^N x 2^N matrix.
     """
 
     def __init__(self, spec: SpinChainSpec):
         N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
-        self.N = N
+        self.N, self.gamma = N, spec.gamma
         idx = np.arange(d)
         bits = (idx[:, None] >> np.arange(N - 1, -1, -1)) & 1  # column j: site j
         ones = bits.sum(axis=1)
@@ -338,18 +352,13 @@ class _FieldLine:
                 blocks = np.zeros((2, dim, dim), dtype=complex)
                 np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]),
                           values[:, both] * np.exp(2j * np.pi * m * turn[both] / N))
+                amplitude = np.exp(-2j * np.pi * m * shift / N) / np.sqrt(period[rep_of])
                 if 2 * m % N == 0:  # e^(ikl) = +-1
-                    amplitude = np.cos(2 * np.pi * m * shift / N) / np.sqrt(period[rep_of])
-                    sectors.append(_Sector(*blocks.real, column[rep_of], amplitude))
+                    sectors.append(_Sector(*blocks.real, column[rep_of], amplitude.real))
                 else:
                     real_form = np.block([[blocks.real, -blocks.imag], [blocks.imag, blocks.real]])
-                    sectors.append(_Sector(*real_form, None, None))
+                    sectors.append(_Sector(*real_form, column[rep_of], np.sqrt(2) * amplitude))
         return sectors
-
-    def at(self, h: float) -> np.ndarray:
-        ham = np.zeros((2**self.N,) * 2)
-        np.add.at(ham.reshape(-1), self.index, self.values[0] + h * self.values[1])
-        return ham
 
     def lowest(self, i: int, h: float) -> np.ndarray:
         """The two lowest levels of sector i at h, ascending."""
@@ -360,24 +369,41 @@ class _FieldLine:
         """(level, sector) for the two lowest levels of every sector at h, lowest first."""
         return sorted((float(e), i) for i in range(len(self.sectors)) for e in self.lowest(i, h))
 
+    def ground_space(self, h: float) -> tuple[np.ndarray, float, int]:
+        """Orthonormal real basis (columns) of the ground level at h, its level E0 and its sector.
+
+        Every sector with a level within GROUND_DEGENERACY_TOL of E0 gives the
+        vectors of its block's levels there, from one eigh, each expanded by one
+        formula: a conjugate pair's real-form vector (x, y) is read as x + iy, a
+        real sector's as x; each basis state takes its representative's entry (0
+        outside the sector) times its amplitude, and the real part is kept.  That
+        real part has half the norm squared of a pair's momentum state, which the
+        pair's sqrt(2) restores; vectors of different sectors are orthogonal.  The
+        sector returned is the lowest level's.
+        """
+        levels = self._levels(h)
+        e0, i0 = levels[0]
+        space = []
+        for i in sorted({i for e, i in levels if e - e0 <= GROUND_DEGENERACY_TOL}):
+            sector = self.sectors[i]
+            w, v = np.linalg.eigh(sector.coupling + h * sector.field)
+            v = v[:, w - e0 <= GROUND_DEGENERACY_TOL]
+            if np.iscomplexobj(sector.amplitude):
+                v = v[: len(v) // 2] + 1j * v[len(v) // 2 :]
+            rows = np.append(v, np.zeros((1, v.shape[1])), axis=0)[sector.column]  # 0 outside the sector
+            space.append((rows * sector.amplitude[:, None]).real)
+        return np.hstack(space), e0, i0
+
     def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, int]:
         """Schmidt U, S of the ground vector at h, its level E0 and its sector.
 
         The ground vector as a (kept sites x rest) matrix is M = U S W^T, so the
-        reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  A simple ground level
-        lies in a real sector (m = 0 or N/2; the other sectors' levels come in
-        conjugate pairs), and its vector is that block's.  A (near-)degenerate
-        one takes one dense eigh and the product-seeking combination, whose pick
-        depends on the basis eigh returns.
+        reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  It is the
+        `_product_seeking_vector` of `ground_space(h)`: a simple level's one
+        vector, a degenerate level's pick by the stated rule.
         """
-        (e0, i), (e1, _) = self._levels(h)[:2]
-        if e1 - e0 <= GROUND_DEGENERACY_TOL:
-            w, v = np.linalg.eigh(self.at(h))
-            vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], keep)
-        else:
-            sector = self.sectors[i]
-            v = np.linalg.eigh(sector.coupling + h * sector.field)[1][:, 0]
-            vec = np.append(v, 0.0)[sector.column] * sector.amplitude
+        space, e0, i = self.ground_space(h)
+        vec = _product_seeking_vector(space, keep, self.gamma)
         u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
         return u, s, e0, i
 
@@ -434,9 +460,9 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     is missed only if it shares a cell with another on the finest grid.  H(h)
     and its sectors are built once.  Cost per scan: one set of sector eigvalsh,
     plus one sector eigh, per grid point, candidate and residual round (61 per
-    golden search); one eigvalsh of each of the two sectors per bisection
-    step.  Only a (near-)degenerate ground level costs a full-size eigh: on
-    C7's AFM ring and [0.9, 1.0, 1.1], two per search.
+    golden search), and a degenerate ground level one more sector eigh per
+    sector holding it; one eigvalsh of each of the two sectors per bisection
+    step.  No level or vector comes from the full 2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")

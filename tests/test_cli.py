@@ -179,12 +179,21 @@ class TestRunCommand:
         ("wstate", "gamma_ad", "-0.1"),
         ("pca", "n_ancilla", "10"),  # n = 3: n + n_ancilla = 13
         ("custom", "m", "100"),  # the state has n = 3
+        # the run's cost weights: at most 2^(n-1) levels lie below 1 (4 at n = 3, 2 at keep = 2)
+        ("pca", "m", "5"),
+        ("pca", "m", "8"),
+        ("xy", "m", "3"),  # keep = 2
+        ("custom", "m", "5"),
+        ("pca", "r1", "0.9"),  # three weights summing to 3.15
+        ("pca", "delta", "-0.5"),  # negative weights
+        ("pca delta = 0", "m", "3"),  # equal weights: levels 2 and 3 coincide
     ])
     def test_out_of_range_value_exits_2_with_line(self, tmp_path, capsys, section, key, value):
         state = tmp_path / "state.npy"
         np.save(state, random_low_rank_state(3, 1, seed=5).data)
         text = {
             "pca": PCA_CFG,
+            "pca delta = 0": PCA_CFG + "delta = 0\n",
             "run": PCA_CFG.replace("verbosity = 0\n", "verbosity = 0\njobs = 1\n"),
             "xy": XY_CFG,
             "custom": CUSTOM_CFG.format(state=state),

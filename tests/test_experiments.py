@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vqse import qmath
 from vqse.ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector
@@ -55,6 +55,13 @@ FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
 FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
 AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, h=1.0, gamma=np.pi / 3, keep=4)
+# the factorizing-field searches pinned here: the xy_afm_shots grid and C7's FM grid
+FIELD_GRIDS = {"afm": (AFM_RING, [0.9, 1.0, 1.1]), "fm": (FM_RING, np.arange(0.4, 1.01, 0.05))}
+
+
+@functools.cache
+def _factorizing_field(ring):
+    return locate_factorization(*FIELD_GRIDS[ring])
 
 
 class TestRandomLowRankState:
@@ -159,11 +166,9 @@ class TestXYChain:
     )
     def test_affine_field_line_matches_dense(self, N, gamma, jx, jy, h):
         spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=1)
-        line = _FieldLine(spec)
-        ham = line.at(h)
+        ham = xy_hamiltonian(spec)
         want = pauli_chain_hamiltonian(spec)
         assert np.abs(ham - want).max() <= 1e-13
-        assert np.abs(xy_hamiltonian(spec) - want).max() <= 1e-13
         if gamma == 0.0:
             odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)
             assert np.all(ham[np.ix_(~odd, odd)] == 0.0)
@@ -176,9 +181,18 @@ class TestXYChain:
         jy=st.floats(-2.0, 2.0),
         h=st.floats(0.0, 3.0),
     )
+    # degenerate ground levels: across the real sectors m = 0 and N/2 (C7's AFM
+    # ring at h = 1), inside one conjugate pair (gamma = 0 and not), across two
+    # pairs, and the whole space at H = 0
+    @example(N=8, gamma=np.pi / 3, jx=-1.0, jy=-0.5, h=1.0)
+    @example(N=3, gamma=0.0, jx=-1.0, jy=-0.5, h=0.1)
+    @example(N=5, gamma=0.3, jx=-1.0, jy=-0.5, h=0.2)
+    @example(N=3, gamma=0.0, jx=-1.0, jy=-1.0, h=0.0)
+    @example(N=4, gamma=0.0, jx=0.0, jy=0.0, h=0.0)
     def test_translation_sectors_match_dense(self, N, gamma, jx, jy, h):
         keep = N // 2
-        line = _FieldLine(SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=keep))
+        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=keep)
+        line = _FieldLine(spec)
         # sectors m and N - m (0 < m < N/2) share one real block of twice the size
         assert sum(sector.coupling.shape[0] for sector in line.sectors) == 2**N
         assert all(sector.coupling.dtype == sector.field.dtype == float for sector in line.sectors)
@@ -187,38 +201,73 @@ class TestXYChain:
             for sector in line.sectors:
                 ones = np.diag(sector.field) + N / 2
                 assert np.unique(ones % 2).size <= 1
-        ham = line.at(h)
-        w = np.linalg.eigvalsh(ham)
+        w, v = np.linalg.eigh(xy_hamiltonian(spec))
         (e0, i), (e1, _) = line._levels(h)[:2]
         assert abs(e0 - w[0]) <= 1e-12 and abs(e1 - w[1]) <= 1e-12
-        # a degenerate ground level (up to 2^N-fold here) goes to the dense path
+        # the sector ground basis is orthonormal and spans the dense ground space
+        space, e0_space, i_space = line.ground_space(h)
+        dense = v[:, w - w[0] <= GROUND_DEGENERACY_TOL]
+        assert (e0_space, i_space) == (e0, i)
+        assert space.shape == dense.shape
+        assert np.abs(space.T @ space - np.eye(space.shape[1])).max() <= 1e-12
+        # the dense eigh's own ground space is accurate only to about 2^N eps |H| / gap,
+        # gap being the distance to the next level: at N = 3, Jx = 1, Jy = 2,
+        # h = 1e-8, gamma = 0 (gap 7e-9) its vector mixes the two parities at 3e-8
+        gap = w[dense.shape[1]] - w[dense.shape[1] - 1] if dense.shape[1] < 2**N else np.inf
+        accuracy = max(1e-10, 2**N * np.finfo(float).eps * np.abs(w).max() / gap)
+        missed = np.linalg.norm(space @ (space.T @ dense) - dense, axis=0)
+        assert np.all(missed <= accuracy * np.linalg.norm(dense, axis=0))
+        # no pair scan here: a degenerate level's pick is checked in test_degenerate_ground_pick_*
         if e1 - e0 > GROUND_DEGENERACY_TOL:
-            # a simple level lies in a real sector (m = 0 or N/2), which expands its vector
-            assert line.sectors[i].amplitude is not None
+            # a simple level lies in a real sector (m = 0 or N/2), whose weights are real
+            assert not np.iscomplexobj(line.sectors[i].amplitude)
             u, s, e0_ground, i_ground = line.ground(h, keep)
             assert (e0_ground, i_ground) == (e0, i)
-            v = np.linalg.eigh(ham)[1][:, 0]
-            want = np.linalg.svd(v.reshape(2**keep, -1), compute_uv=False)
+            want = np.linalg.svd(v[:, 0].reshape(2**keep, -1), compute_uv=False)
             assert np.abs(s - want).max() <= 1e-12
 
     def test_sectors_built_on_first_use(self):
         line = _FieldLine(FM_RING)
-        line.at(0.5)
         assert "sectors" not in vars(line)
         line.ground(0.5, FM_RING.keep)
         assert "sectors" in vars(line)
 
-    def test_degenerate_ground_keeps_the_dense_tie_break(self):
-        # at h = 1 the AFM ring's ground level is a doublet (gap ~1e-14) holding
-        # two product states; which one is returned depends on the dense eigh basis
-        line = _FieldLine(AFM_RING)
-        (e0, _), (e1, _) = line._levels(1.0)[:2]
-        assert e1 - e0 <= GROUND_DEGENERACY_TOL
-        w, v = np.linalg.eigh(line.at(1.0))
-        vec = _product_seeking_vector(v[:, w - w[0] <= GROUND_DEGENERACY_TOL], AFM_RING.keep)
-        u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**AFM_RING.keep, -1), full_matrices=False)
-        red, _ = xy_ground_reduced(AFM_RING)
-        assert np.array_equal(red.factor(), u * s)
+    @pytest.mark.parametrize("ring, field", [
+        ("afm", "1"),
+        ("afm", "h*"),
+        ("afm", "1-ulp"),
+        ("afm", "1+ulp"),
+        ("fm", "h*"),
+    ])
+    def test_degenerate_ground_pick_does_not_depend_on_the_basis(self, ring, field):
+        # at each field the ground level is a doublet holding two product states
+        # (on the AFM ring, translates with overlap 0.316); the stated rule picks
+        # the same one from the sector basis, the dense eigh basis and any mixing
+        spec = {"afm": AFM_RING, "fm": FM_RING}[ring]
+        h = {
+            "1": 1.0,
+            "h*": _factorizing_field(ring),
+            "1-ulp": np.nextafter(1.0, 0.0),
+            "1+ulp": np.nextafter(1.0, 2.0),
+        }[field]
+        spec = SpinChainSpec(spec.N, spec.J_x, spec.J_y, h, spec.gamma, spec.keep)
+        w, v = np.linalg.eigh(xy_hamiltonian(spec))
+        bases = [_FieldLine(spec).ground_space(h)[0], v[:, w - w[0] <= GROUND_DEGENERACY_TOL]]
+        assert bases[0].shape[1] == bases[1].shape[1] == 2
+        rng = np.random.default_rng(17)
+        for basis in bases[:2]:
+            for _ in range(5):
+                q, _ = np.linalg.qr(rng.standard_normal((basis.shape[1],) * 2))
+                bases.append(basis @ q)
+        picks = [_product_seeking_vector(b, spec.keep, spec.gamma) for b in bases]
+        picks = [p / np.linalg.norm(p) for p in picks]
+        for pick in picks[1:]:
+            assert 1.0 - (picks[0] @ pick) ** 2 <= 1e-12
+        if ring == "afm":
+            # site 0 points along the field: (<sigma^x_0>, <sigma^z_0>) = (sin gamma, cos gamma)
+            up, down = picks[0].reshape(2, -1)
+            bloch = np.array([2 * up @ down, up @ up - down @ down])
+            assert np.abs(bloch - [np.sin(spec.gamma), np.cos(spec.gamma)]).max() <= 1e-6
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -292,8 +341,9 @@ class TestFactorization:
         assert calls.count(2**AFM_RING.N) <= 144
 
     def test_search_diagonalizes_full_size_only_at_the_crossing(self, monkeypatch):
-        # the grid point h = 1 and the bisected crossing are degenerate; every
-        # other level comes from the translation sectors
+        # every level and ground vector comes from the translation sectors, the
+        # degenerate ones too: the AFM crossing, its grid point h = 1 and the
+        # FM search's crossings
         calls = []
         for name in ("eigh", "eigvalsh"):
             def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
@@ -301,7 +351,9 @@ class TestFactorization:
                 return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
-        assert calls.count(2**AFM_RING.N) <= 2
+        xy_ground_reduced(AFM_RING)
+        locate_factorization(*FIELD_GRIDS["fm"])
+        assert calls and calls.count(2**AFM_RING.N) == 0
 
     @pytest.mark.parametrize("rounds", [0, 10, 59])
     def test_golden_search_evaluates_once_per_round(self, rounds):
