@@ -21,18 +21,13 @@ from .ansatz import (
     BlockKind,
     LayeredAnsatz,
     apply_ansatz,
-    build_unitary,
     prepare_eigenvector,
-    shift_parameter,
 )
 from .hamiltonians import (
     AdaptiveHamiltonian,
     GlobalPart,
     LocalWeights,
-    cost_exact,
-    cost_sampled,
     default_local_weights,
-    energy_of_bitstring,
     global_from_local,
     lowest_levels,
 )

@@ -21,7 +21,7 @@ parameter-shifted copies each come from one vectorized `BlockKind` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -207,15 +207,6 @@ class LayeredAnsatz:
         return self.kind.unitaries(self.block_angles)
 
 
-def shift_parameter(a: LayeredAnsatz, index: int, delta: float) -> LayeredAnsatz:
-    """Copy of the ansatz with theta[index] shifted by delta."""
-    if not 0 <= index < a.theta.size:
-        raise ValueError(f"parameter index {index} out of range")
-    theta = a.theta.copy()
-    theta[index] += delta
-    return replace(a, theta=theta)
-
-
 def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
     """The walk psi_0 = A, psi_{b+1} = B_b psi_b over a's block matrices; psi_B = V A.
 
@@ -226,11 +217,6 @@ def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarr
     for b, pair in enumerate(a.block_pairs):
         states.append(_apply_left(states[-1], mats[..., b, :, :], pair, a.n))
     return states
-
-
-def build_unitary(a: LayeredAnsatz) -> np.ndarray:
-    """Materialize V(theta) as a dense 2^n x 2^n matrix."""
-    return _forward_states(np.eye(2**a.n, dtype=complex), a, a.block_matrices())[-1]
 
 
 def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
@@ -244,12 +230,17 @@ def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
     return DensityMatrix(factor=factor, validate=False)
 
 
-def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:
-    """V^dag(theta) |z>: the circuit that prepares an inferred eigenvector."""
+def _basis_index(a: LayeredAnsatz, z: str) -> int:
+    """Index of |z> on a's register; ValueError unless z is a bitstring of length a.n."""
     if len(z) != a.n:
         raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
+    return bitstring_to_index(z)
+
+
+def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:
+    """V^dag(theta) |z>: the circuit that prepares an inferred eigenvector."""
     vec = np.zeros((2**a.n, 1), dtype=complex)
-    vec[bitstring_to_index(z)] = 1.0
+    vec[_basis_index(a, z)] = 1.0
     for mat, pair in zip(reversed(a.block_matrices()), reversed(a.block_pairs)):
         vec = _apply_left(vec, mat.conj().T, pair, a.n)
     return PureState(vec, validate=False)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector, rotation_y
+from .ansatz import CNOT, BlockKind, LayeredAnsatz, _basis_index, prepare_eigenvector, rotation_y
 from .hamiltonians import default_local_weights, global_from_local, lowest_levels
 from .metrics import (
     ErrorReport,
@@ -252,19 +252,22 @@ def _product_seeking_vector(ground: np.ndarray, keep: int, gamma: float) -> np.n
     return max((peak for peak in near if peak[1] >= along - 1e-6), key=lambda peak: peak[2])[3]
 
 
-def _check_nonzero_hamiltonian(spec: SpinChainSpec, lo: float, hi: float) -> None:
-    """Raise ValueError if H(h) = 0 for a field in [lo, hi], i.e. J_x = J_y = 0 and 0 in [lo, hi].
+def _check_fields(spec: SpinChainSpec, fields: np.ndarray) -> None:
+    """Raise ValueError unless every field is finite and H(h) != 0 between the smallest and largest.
 
-    Its ground space would be the whole space, 2^N-fold degenerate, and
-    `_product_seeking_vector` would scan all of its pairs.
+    H = 0 when J_x = J_y = 0 and h = 0: its ground space would be the whole
+    space, 2^N-fold degenerate, and `_product_seeking_vector` would scan all
+    of its pairs.
     """
-    if spec.J_x == spec.J_y == 0 and lo <= 0 <= hi:
+    if not np.isfinite(fields).all():
+        raise ValueError("field values must be finite")
+    if spec.J_x == spec.J_y == 0 and fields.min() <= 0 <= fields.max():
         raise ValueError("the field must not reach 0 when J_x = J_y = 0 (H = 0 there)")
 
 
 def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     """Reduced ground state on the first `keep` sites, plus the ground energy."""
-    _check_nonzero_hamiltonian(spec, spec.h, spec.h)
+    _check_fields(spec, np.array([spec.h]))
     u, s, e0, _ = _FieldLine(spec).ground(spec.h, spec.keep)
     return DensityMatrix(factor=u * s, validate=False), e0
 
@@ -274,7 +277,7 @@ def factorization_residual(spec: SpinChainSpec, h: float) -> float:
 
     lambda_1 = S_0^2 of a normalized vector can round to just above 1.
     """
-    _check_nonzero_hamiltonian(spec, h, h)
+    _check_fields(spec, np.array([h], dtype=float))
     return max(0.0, float(1.0 - _FieldLine(spec).ground(float(h), spec.keep)[1][0] ** 2))
 
 
@@ -469,7 +472,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     hs = np.asarray(sorted(float(h) for h in h_grid))
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
-    _check_nonzero_hamiltonian(spec, hs[0], hs[-1])
+    _check_fields(spec, hs)
     line = _FieldLine(spec)
 
     def scan(h):  # 1 - lambda_1 and the ground level's sector at h
@@ -565,9 +568,7 @@ def eigensolver_experiment(
     loop: LoopConfig,
     runs: int,
     seed: int,
-    rps_targets: Sequence[float] | None = None,
     jobs: int = 1,
-    variant_label: str | None = None,
 ) -> PcaResult:
     """K seeded training runs on one fixed state, trained in lockstep, with error reports.
 
@@ -580,15 +581,13 @@ def eigensolver_experiment(
     children = list(enumerate(np.random.SeedSequence(seed).spawn(runs)))
     out_runs = _in_chunks(_eigensolver_runs, (rho, m, loop), children, jobs)
 
-    if rps_targets is None:
-        rps_targets = np.logspace(0, -12, 13)
-    targets = np.asarray(rps_targets, dtype=float)
+    targets = np.logspace(0, -12, 13)
     finals = [r.eps_final for r in out_runs]
     mins = [r.eps_min_trace for r in out_runs]
     return PcaResult(
         n=rho.n,
         m=m,
-        variant=variant_label or loop.cost_variant,
+        variant=loop.cost_variant,
         exact_lambdas=exact,
         runs=out_runs,
         rps_targets=targets,
@@ -604,12 +603,11 @@ def pca_experiment(
     runs: int,
     seed: int,
     n_ancilla: int = 4,
-    rps_targets: Sequence[float] | None = None,
     jobs: int = 1,
 ) -> PcaResult:
     """The principal-component benchmark: a seeded random low-rank state."""
     rho = random_low_rank_state(n, n_ancilla, seed)
-    return eigensolver_experiment(rho, m, loop, runs, seed, rps_targets, jobs)
+    return eigensolver_experiment(rho, m, loop, runs, seed, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +701,7 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
     rotations around one self-inverse entangler) so that per-gate noise
     applies at the same granularity as in the preparation circuit.
     """
-    if len(z) != a.n:
-        raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
+    _basis_index(a, z)  # the checks prepare_eigenvector makes
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
     daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
     for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):

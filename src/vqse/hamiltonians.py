@@ -1,4 +1,4 @@
-"""Diagonal cost Hamiltonians and their exact / sampled expectation values.
+"""Diagonal cost Hamiltonians: their energy tables, levels and measurement counts.
 
 Three cost variants share one interface (an energy per bitstring):
 
@@ -13,7 +13,8 @@ Three cost variants share one interface (an energy per bitstring):
   during optimization and f is a nondecreasing schedule with f(0)=0, f(1)=1.
 
 The full energy table over all 2^n bitstrings is cheap at desk scale and is
-the single code path used for exact costs, sampling and level enumeration.
+the single code path used for exact costs, sampling and level enumeration:
+the cost of a transformed state is `energies() @ diagonal()`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class LocalWeights:
-    """Positive Z weights r_j with sum r_j <= 1 (keeps all energies >= 0)."""
+    """Finite, positive Z weights r_j with sum r_j <= 1 (keeps all energies >= 0)."""
 
     r: np.ndarray
 
@@ -42,8 +43,8 @@ class LocalWeights:
         r = np.array(self.r, dtype=float).reshape(-1)
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
-        if r.size == 0 or np.any(r <= 0):
-            raise ValueError("weights must be positive")
+        if r.size == 0 or not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError("weights must be finite and positive")
         if r.sum() > 1.0 + 1e-12:
             raise ValueError(f"sum of weights {r.sum()} exceeds 1; energies would go negative")
 
@@ -55,11 +56,6 @@ class LocalWeights:
         """E(z) = 1 - sum_j r_j (1 - 2 z_j) for every bitstring, index order."""
         bits = _bit_table(self.n)
         return 1.0 - ((1 - 2 * bits) * self.r[None, :]).sum(axis=1)
-
-    def energy_of(self, z: str) -> float:
-        _check_bitstring(z, self.n)
-        zb = np.array([int(c) for c in z])
-        return float(1.0 - ((1 - 2 * zb) * self.r).sum())
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ class GlobalPart:
             _check_bitstring(z, self.n)
         if len(set(self.bitstrings)) != len(self.bitstrings):
             raise ValueError("marked bitstrings must be distinct")
-        if np.any(q <= 0) or np.any(q > 1):
+        if not np.all((q > 0) & (q <= 1)):
             raise ValueError("weights must lie in (0, 1]")
         if np.any(np.diff(q) >= 0):
             raise ValueError("weights must be strictly decreasing")
@@ -95,13 +91,6 @@ class GlobalPart:
         for z, qi in zip(self.bitstrings, self.q):
             e[bitstring_to_index(z)] = 1.0 - qi
         return e
-
-    def energy_of(self, z: str) -> float:
-        _check_bitstring(z, self.n)
-        for zi, qi in zip(self.bitstrings, self.q):
-            if zi == z:
-                return float(1.0 - qi)
-        return 1.0
 
     def with_bitstrings(self, bitstrings: Sequence[str]) -> "GlobalPart":
         """Same weights, new marked bitstrings (the adaptive update)."""
@@ -138,17 +127,8 @@ class AdaptiveHamiltonian:
         f = self.f
         return (1.0 - f) * self.local.energies() + f * self.global_part.energies()
 
-    def energy_of(self, z: str) -> float:
-        f = self.f
-        return (1.0 - f) * self.local.energy_of(z) + f * self.global_part.energy_of(z)
-
 
 Hamiltonian = Union[LocalWeights, GlobalPart, AdaptiveHamiltonian]
-
-
-def energy_of_bitstring(h: Hamiltonian, z: str) -> float:
-    """Diagonal matrix element <z| H |z>."""
-    return h.energy_of(z)
 
 
 def default_local_weights(n: int, m: int, r1: float | None = None, delta: float | None = None) -> LocalWeights:
@@ -206,30 +186,6 @@ def lowest_levels(h: Hamiltonian, m: int) -> list[tuple[float, str]]:
             f"levels {k + 1} and {k + 2} coincide at energy {e[first[k]]:.6f}"
         )
     return [(float(e[i]), index_to_bitstring(int(i), n)) for i in order[:m]]
-
-
-def cost_exact(h: Hamiltonian, rho_tilde: DensityMatrix) -> float:
-    """Tr[H rho] for a diagonal H: only the diagonal of rho contributes."""
-    e = h.energies()
-    if e.size != rho_tilde.dim:
-        raise ValueError("Hamiltonian and state disagree on qubit count")
-    return float(e @ rho_tilde.diagonal())
-
-
-def cost_sampled(h: Hamiltonian, rho_tilde: DensityMatrix, shots: int, rng) -> float:
-    """Monte-Carlo estimate of the cost from standard-basis measurements.
-
-    Draws `shots` bitstrings from the outcome distribution diag(rho) and
-    averages their energies; an unbiased estimator of cost_exact.  `rng` may
-    be a seed or a numpy Generator; a fixed seed fixes the value.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    e = h.energies()
-    if e.size != rho_tilde.dim:
-        raise ValueError("Hamiltonian and state disagree on qubit count")
-    counts = sample_counts(rho_tilde, shots, rng)
-    return float(e @ counts) / shots
 
 
 def sample_counts(rho_tilde: DensityMatrix, shots: int, rng) -> np.ndarray:

@@ -161,14 +161,6 @@ class DensityMatrix:
         d[i, i] = 1.0
         return cls(d, validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        return cls(np.eye(2**n, dtype=complex) / 2**n, validate=False)
-
-    @classmethod
-    def from_pure(cls, psi: "PureState") -> "DensityMatrix":
-        return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
-
     def __repr__(self) -> str:
         return f"DensityMatrix(n={self.n})"
 
@@ -410,12 +402,3 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     a = psi.amplitudes
     return float(np.vdot(a, rho.data @ a).real)
 
-
-def random_density_matrix(n: int, rank: int | None = None, seed=None) -> DensityMatrix:
-    """Random mixed state from a Gaussian factor: A A^dag / Tr, rank-limited."""
-    rng = np.random.default_rng(seed)
-    d = 2**n
-    r = d if rank is None else int(rank)
-    a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = a @ a.conj().T
-    return DensityMatrix(m / m.trace(), validate=False)

@@ -300,8 +300,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("adam", "gd"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
 
 
 class _Stepper:

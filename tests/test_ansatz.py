@@ -14,13 +14,13 @@ from vqse.ansatz import (
     apply_ansatz,
     block_unitary,
     brick_pairs,
-    build_unitary,
     prepare_eigenvector,
     rotation_y,
     rotation_z,
-    shift_parameter,
 )
-from vqse.qmath import DensityMatrix, fidelity_pure, random_density_matrix
+from vqse.qmath import DensityMatrix, fidelity_pure
+
+from reference import dense_circuit, random_density_matrix
 
 
 class TestStructure:
@@ -67,26 +67,36 @@ def _expm(m):
     return (v * np.exp(w)) @ np.linalg.inv(v)
 
 
-class TestBuildUnitary:
+class TestDenseCircuit:
+    """The test-side V(theta) that the circuit walks are checked against."""
+
     def test_zero_angles_rycz_gives_cz(self):
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
-        assert np.allclose(build_unitary(a), CZ)
+        assert np.allclose(dense_circuit(a), CZ)
 
     def test_zero_angles_gcnotg_gives_cnot(self):
         a = LayeredAnsatz(2, 1, BlockKind.G_CNOT_G, np.zeros(12))
-        assert np.allclose(build_unitary(a), CNOT)
+        assert np.allclose(dense_circuit(a), CNOT)
 
     @pytest.mark.parametrize("kind", list(BlockKind))
     @pytest.mark.parametrize("seed", range(4))
     def test_output_is_unitary(self, kind, seed):
         a = LayeredAnsatz.random(3, 2, kind, seed)
-        v = build_unitary(a)
+        v = dense_circuit(a)
         assert np.linalg.norm(v @ v.conj().T - np.eye(8)) < 1e-9
 
     def test_layer_order(self):
         # two layers of zero-angle CZ blocks cancel to the identity
         a = LayeredAnsatz(2, 2, BlockKind.RY_CZ, np.zeros(8))
-        assert np.allclose(build_unitary(a), np.eye(4))
+        assert np.allclose(dense_circuit(a), np.eye(4))
+
+    def test_two_pi_shift_changes_global_sign_only(self):
+        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 8)
+        v = dense_circuit(a)
+        w = dense_circuit(LayeredAnsatz(a.n, a.layers, a.kind, a.theta + 2 * np.pi * np.eye(a.theta.size)[0]))
+        # half-angle generator: 2pi shift multiplies the block by -1
+        assert abs(abs(np.trace(v.conj().T @ w)) - 4.0) < 1e-10
+        assert np.abs(w + v).max() < 1e-10
 
 
 class TestBlockDerivatives:
@@ -200,9 +210,9 @@ def factored_states(draw):
 class TestApplyAnsatz:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(factored_states())
-    def test_matches_build_unitary(self, case):
+    def test_matches_dense_circuit(self, case):
         rho, a = case
-        v = build_unitary(a)
+        v = dense_circuit(a)
         dense = v @ rho.data @ v.conj().T
         out = apply_ansatz(rho, a)
         assert np.abs(out.data - dense).max() < 1e-12
@@ -240,7 +250,7 @@ class TestPrepareEigenvector:
 
     def test_is_column_of_v_dagger(self):
         a = LayeredAnsatz.random(3, 2, BlockKind.G_CNOT_G, 11)
-        v = build_unitary(a)
+        v = dense_circuit(a)
         psi = prepare_eigenvector(a, "101")
         assert np.abs(psi.amplitudes - v.conj().T[:, 5]).max() < 1e-12
 
@@ -249,32 +259,3 @@ class TestPrepareEigenvector:
         with pytest.raises(ValueError):
             prepare_eigenvector(a, "01")
 
-
-class TestShiftParameter:
-    def test_zero_shift_is_identity(self):
-        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 5)
-        assert np.array_equal(shift_parameter(a, 2, 0.0).theta, a.theta)
-
-    def test_shift_then_unshift_is_exact(self):
-        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 5)
-        back = shift_parameter(shift_parameter(a, 1, 0.37), 1, -0.37)
-        assert np.array_equal(back.theta, a.theta)
-
-    def test_two_pi_shift_changes_global_sign_only(self):
-        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 8)
-        v = build_unitary(a)
-        w = build_unitary(shift_parameter(a, 0, 2 * np.pi))
-        # half-angle generator: 2pi shift multiplies the block by -1
-        assert abs(abs(np.trace(v.conj().T @ w)) - 4.0) < 1e-10
-        assert np.abs(w + v).max() < 1e-10
-
-    def test_out_of_range_index(self):
-        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 5)
-        with pytest.raises(ValueError):
-            shift_parameter(a, 4, 0.1)
-
-    def test_original_not_mutated(self):
-        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 5)
-        theta_before = a.theta.copy()
-        shift_parameter(a, 0, 1.0)
-        assert np.array_equal(a.theta, theta_before)

@@ -390,6 +390,15 @@ class TestFactorization:
         # away from h = 0 the same chain is a field alone, and factorized
         assert factorization_residual(spec, 0.5) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_are_refused_up_front(self, bad):
+        # sorted() can leave a NaN inside the grid, between finite values
+        for grid in ([0.9, bad, 1.1], [bad, 0.9, 1.0], [0.9, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                locate_factorization(AFM_RING, grid)
+        with pytest.raises(ValueError, match="finite"):
+            factorization_residual(AFM_RING, bad)
+
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
@@ -501,6 +510,14 @@ class TestWStateCircuit:
                 direct = prepare_eigenvector(a, z)
                 circuit = run_circuit(3, eigenvector_preparation_gates(a, z), None)
                 assert fidelity_pure(circuit, direct) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("z", ["0x1", "01", "0101", ""])
+    def test_eigenvector_gates_reject_what_direct_preparation_rejects(self, z):
+        a = LayeredAnsatz.random(3, 1, BlockKind.G_CNOT_G, 3)
+        with pytest.raises(ValueError):
+            prepare_eigenvector(a, z)
+        with pytest.raises(ValueError):
+            eigenvector_preparation_gates(a, z)
 
     def test_single_layer_uses_two_entanglers(self):
         a = LayeredAnsatz.random(3, 1, BlockKind.G_CNOT_G, 3)

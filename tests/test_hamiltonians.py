@@ -9,42 +9,46 @@ from vqse.hamiltonians import (
     DegenerateSpectrumError,
     GlobalPart,
     LocalWeights,
-    cost_exact,
-    cost_sampled,
     default_local_weights,
-    energy_of_bitstring,
     global_from_local,
     lowest_levels,
+    sample_counts,
 )
-from vqse.qmath import DensityMatrix, exact_eigs, random_density_matrix
+from vqse.qmath import DensityMatrix, exact_eigs
+
+from reference import random_density_matrix
 
 
-class TestEnergyOfBitstring:
+def local_energy(r, z):
+    """The closed form E(z) = 1 - sum_j r_j (1 - 2 z_j)."""
+    return 1.0 - sum(rj * (1 - 2 * int(c)) for rj, c in zip(r, z))
+
+
+class TestEnergies:
     def test_local_formula(self):
         h = LocalWeights(np.array([0.1, 0.1]))
-        assert energy_of_bitstring(h, "00") == pytest.approx(0.8)
-        assert energy_of_bitstring(h, "11") == pytest.approx(1.2)
+        assert h.energies()[0] == pytest.approx(0.8)  # 00
+        assert h.energies()[3] == pytest.approx(1.2)  # 11
 
     def test_global_definition(self):
         h = GlobalPart(2, ("00",), np.array([0.9]))
-        assert energy_of_bitstring(h, "00") == pytest.approx(0.1)
-        assert energy_of_bitstring(h, "11") == pytest.approx(1.0)
+        assert h.energies() == pytest.approx([0.1, 1.0, 1.0, 1.0])
 
     def test_adaptive_convex_combination(self):
         local = LocalWeights(np.array([0.1, 0.1]))
         glob = GlobalPart(2, ("00",), np.array([0.9]))
         h = AdaptiveHamiltonian(local, glob, lambda t: 0.5, t=0.5)
-        assert energy_of_bitstring(h, "00") == pytest.approx(0.5 * 0.8 + 0.5 * 0.1)
+        assert h.energies()[0] == pytest.approx(0.5 * 0.8 + 0.5 * 0.1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            energy_of_bitstring(LocalWeights(np.array([0.1, 0.1])), "000")
+            GlobalPart(2, ("000",), np.array([0.5]))
 
-    def test_energy_vector_agrees_with_scalar(self):
+    def test_energy_vector_matches_closed_form(self):
         h = LocalWeights(np.array([0.07, 0.11, 0.13]))
         e = h.energies()
         for i, z in enumerate(["000", "001", "010", "011", "100", "101", "110", "111"]):
-            assert e[i] == pytest.approx(h.energy_of(z))
+            assert e[i] == pytest.approx(local_energy(h.r, z))
 
 
 class TestConstruction:
@@ -61,7 +65,7 @@ class TestConstruction:
 
     def test_explicit_r1_delta_example(self):
         w = default_local_weights(2, 2, r1=0.3, delta=0.05)
-        e = {z: w.energy_of(z) for z in ("00", "01", "10", "11")}
+        e = dict(zip(("00", "01", "10", "11"), w.energies()))
         assert e["00"] == pytest.approx(0.35)
         assert e["01"] == pytest.approx(1.05)
         assert e["10"] == pytest.approx(0.95)
@@ -77,6 +81,23 @@ class TestConstruction:
             LocalWeights(np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
             LocalWeights(np.array([0.2, -0.1]))
+
+    @pytest.mark.parametrize("r", [[np.nan, 0.1], [np.inf, 0.1], [0.1, -np.inf]])
+    def test_non_finite_local_weights_rejected(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            LocalWeights(np.array(r))
+
+    @pytest.mark.parametrize("r1", [np.inf, np.nan])
+    def test_non_finite_default_weights_rejected(self, r1):
+        # r1 = inf gives delta = inf and the weights [inf + 0 inf, inf, inf] = [nan, inf, inf]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            default_local_weights(3, 2, r1=r1)
+
+    @pytest.mark.parametrize("q", [[np.nan], [np.inf], [0.5, np.nan]])
+    def test_non_finite_global_weights_rejected(self, q):
+        bitstrings = ("00", "01")[: len(q)]
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            GlobalPart(2, bitstrings, np.array(q))
 
     def test_global_part_validation(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -136,59 +157,57 @@ class TestLowestLevels:
         assert np.count_nonzero(np.isclose(e, 1.0)) == 2**4 - 6
 
 
-class TestCostExact:
+class TestCost:
+    """The cost of a transformed state: energies() against its diagonal."""
+
     def test_basis_state(self):
         w = default_local_weights(3, 3)
         rho = DensityMatrix.basis_state(3, "000")
-        assert cost_exact(w, rho) == pytest.approx(w.energy_of("000"))
+        assert w.energies() @ rho.diagonal() == pytest.approx(local_energy(w.r, "000"))
 
     def test_maximally_mixed_with_global(self):
         g = GlobalPart(2, ("00", "11"), np.array([0.5, 0.25]))
-        rho = DensityMatrix.maximally_mixed(2)
-        assert cost_exact(g, rho) == pytest.approx(1 - 0.75 / 4)
+        rho = DensityMatrix(np.eye(4) / 4)
+        assert g.energies() @ rho.diagonal() == pytest.approx(1 - 0.75 / 4)
 
     def test_matches_dense_matrix_oracle(self):
         rho = random_density_matrix(3, seed=31)
         w = default_local_weights(3, 4)
         dense = np.diag(w.energies())
-        assert cost_exact(w, rho) == pytest.approx(np.trace(dense @ rho.data).real, abs=1e-12)
+        assert w.energies() @ rho.diagonal() == pytest.approx(np.trace(dense @ rho.data).real, abs=1e-12)
 
 
-class TestCostSampled:
+class TestSampledCost:
+    """The mean energy of `sample_counts` outcomes estimates the cost."""
+
     def test_deterministic_on_basis_state(self):
         w = default_local_weights(2, 2)
         rho = DensityMatrix.basis_state(2, "10")
         for shots in (1, 7, 1000):
-            assert cost_sampled(w, rho, shots, rng=0) == pytest.approx(w.energy_of("10"))
+            mean = w.energies() @ sample_counts(rho, shots, 0) / shots
+            assert mean == pytest.approx(local_energy(w.r, "10"))
 
     def test_large_sample_concentrates(self):
         # energies live in [0, 2]; Hoeffding makes 5e-3 deviations at 1e6
         # shots essentially impossible
         rho = random_density_matrix(2, seed=5)
         w = default_local_weights(2, 3)
-        c = cost_sampled(w, rho, 10**6, rng=12345)
-        assert abs(c - cost_exact(w, rho)) < 5e-3
+        c = w.energies() @ sample_counts(rho, 10**6, 12345) / 10**6
+        assert abs(c - w.energies() @ rho.diagonal()) < 5e-3
 
     def test_seed_reproducibility(self):
         rho = random_density_matrix(2, seed=5)
-        w = default_local_weights(2, 3)
-        a = cost_sampled(w, rho, 500, rng=42)
-        b = cost_sampled(w, rho, 500, rng=42)
-        assert a == b
+        assert np.array_equal(sample_counts(rho, 500, 42), sample_counts(rho, 500, 42))
 
     def test_unbiasedness(self):
         # mean over many independent seeds within 3 standard errors
         rho = random_density_matrix(2, seed=77)
-        w = default_local_weights(2, 3)
-        exact = cost_exact(w, rho)
+        e = default_local_weights(2, 3).energies()
+        exact = e @ rho.diagonal()
         shots = 100
-        vals = np.array([cost_sampled(w, rho, shots, rng=seed) for seed in range(1000)])
+        vals = np.array([e @ sample_counts(rho, shots, seed) / shots for seed in range(1000)])
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) < 3 * se + 1e-12
-
-    def test_invalid_shots(self):
-        with pytest.raises(ValueError):
-            cost_sampled(default_local_weights(2, 2), DensityMatrix.maximally_mixed(2), 0, rng=0)
 
 
 class TestMajorizationBound:
@@ -203,7 +222,7 @@ class TestMajorizationBound:
         m = 2 if n == 2 else 3  # the n=2 companion global exists only up to m=2
         local = default_local_weights(n, m)
         h = local if seed % 2 == 0 else global_from_local(local, m)
-        c = cost_exact(h, apply_ansatz(rho, a))
+        c = h.energies() @ apply_ansatz(rho, a).diagonal()
         lam = exact_eigs(rho)[0]  # descending
         floor = np.sort(h.energies()) @ lam
         assert c >= floor - 1e-10

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vqse.ansatz import BlockKind, LayeredAnsatz, apply_ansatz
-from vqse.hamiltonians import cost_exact, default_local_weights, lowest_levels
+from vqse.hamiltonians import default_local_weights, lowest_levels
 from vqse.metrics import (
     bound_from_cost,
     bound_from_purity,
@@ -17,8 +17,10 @@ from vqse.metrics import (
     eigenvector_error,
     runs_per_success,
 )
-from vqse.qmath import DensityMatrix, exact_eigs, purity, random_density_matrix
+from vqse.qmath import DensityMatrix, exact_eigs, purity
 from vqse.solver import EigenEstimate, readout
+
+from reference import random_density_matrix
 
 
 def make_estimate(lambdas, bitstrings, shots=0):
@@ -119,7 +121,7 @@ class TestBoundFromCost:
         local = default_local_weights(n, m)
         est = readout(rho, a, m=m)
         lam = exact_eigs(rho)[0]
-        c = cost_exact(local, apply_ansatz(rho, a))
+        c = local.energies() @ apply_ansatz(rho, a).diagonal()
         energies = [e for e, _ in lowest_levels(local, m + 1)]
         pur = purity(rho)
         eps_l = eigen_errors(lam, est, m).eps_lambda
@@ -187,7 +189,7 @@ class TestErrorReport:
             a=a,
             est=est,
             exact=exact_eigs(rho)[0],
-            cost=cost_exact(local, apply_ansatz(rho, a)),
+            cost=local.energies() @ apply_ansatz(rho, a).diagonal(),
             lowest_energies=[e for e, _ in lowest_levels(local, m + 1)],
             purity=purity(rho),
             est_wide=readout(rho, a, m=default_m_hat(m, 2)),

@@ -21,8 +21,9 @@ from vqse.qmath import (
     index_to_bitstring,
     partial_trace,
     purity,
-    random_density_matrix,
 )
+
+from reference import random_density_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -31,7 +32,7 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=
 def bell_state():
     amp = np.zeros(4, dtype=complex)
     amp[[0, 3]] = 1 / np.sqrt(2)
-    return DensityMatrix.from_pure(PureState(amp))
+    return DensityMatrix(np.outer(amp, amp.conj()))
 
 
 def random_unitary(dim, seed):
@@ -191,7 +192,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         amp /= np.linalg.norm(amp)
-        rho = DensityMatrix.from_pure(PureState(amp))
+        rho = DensityMatrix(np.outer(amp, amp.conj()))
         red = partial_trace(rho, [0, 1])
         svals = np.linalg.svd(amp.reshape(4, 2), compute_uv=False)
         w = exact_eigs(red)[0]
@@ -201,7 +202,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(23)
         amp = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         amp /= np.linalg.norm(amp)
-        rho = DensityMatrix.from_pure(PureState(amp))
+        rho = DensityMatrix(np.outer(amp, amp.conj()))
         wa = exact_eigs(partial_trace(rho, [0]))[0]
         wb = exact_eigs(partial_trace(rho, [1, 2, 3]))[0]
         assert np.abs(np.sort(wb)[::-1][:2] - np.sort(wa)[::-1]).max() < 1e-10
@@ -221,7 +222,7 @@ class TestPartialTrace:
 
 class TestExactEigs:
     def test_maximally_mixed_two_qubits(self):
-        w, _ = exact_eigs(DensityMatrix.maximally_mixed(2))
+        w, _ = exact_eigs(DensityMatrix(np.eye(4) / 4))
         assert np.allclose(w, [0.25, 0.25, 0.25, 0.25])
 
     def test_pure_state(self):
@@ -284,7 +285,7 @@ class TestEigenvalues:
 class TestPurityFidelity:
     def test_purity_examples(self):
         assert purity(DensityMatrix.basis_state(1, "0")) == pytest.approx(1.0)
-        assert purity(DensityMatrix.maximally_mixed(2)) == pytest.approx(0.25)
+        assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25)
 
     def test_purity_matches_eigenvalue_sum(self):
         rho = random_density_matrix(3, seed=21)
@@ -295,7 +296,7 @@ class TestPurityFidelity:
         zero = DensityMatrix.basis_state(1, "0")
         assert fidelity_pure(zero, PureState.basis_state(1, "0")) == pytest.approx(1.0)
         assert fidelity_pure(zero, PureState.basis_state(1, "1")) == pytest.approx(0.0)
-        mixed = DensityMatrix.maximally_mixed(3)
+        mixed = DensityMatrix(np.eye(8) / 8)
         rng = np.random.default_rng(0)
         amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi = PureState(amp / np.linalg.norm(amp))
@@ -303,7 +304,7 @@ class TestPurityFidelity:
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity_pure(DensityMatrix.maximally_mixed(2), PureState.basis_state(1, "0"))
+            fidelity_pure(DensityMatrix(np.eye(4) / 4), PureState.basis_state(1, "0"))
 
 
 class TestChannels:
