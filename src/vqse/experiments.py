@@ -268,7 +268,7 @@ def _check_fields(spec: SpinChainSpec, fields: np.ndarray) -> None:
 def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     """Reduced ground state on the first `keep` sites, plus the ground energy."""
     _check_fields(spec, np.array([spec.h]))
-    u, s, e0, _ = _FieldLine(spec).ground(spec.h, spec.keep)
+    u, s, e0, _ = _field_line(spec).ground(spec.h, spec.keep)
     return DensityMatrix(factor=u * s, validate=False), e0
 
 
@@ -278,7 +278,7 @@ def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     lambda_1 = S_0^2 of a normalized vector can round to just above 1.
     """
     _check_fields(spec, np.array([h], dtype=float))
-    return max(0.0, float(1.0 - _FieldLine(spec).ground(float(h), spec.keep)[1][0] ** 2))
+    return max(0.0, float(1.0 - _field_line(spec).ground(h, spec.keep)[1][0] ** 2))
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
@@ -302,6 +302,8 @@ class _FieldLine:
     translation T, or per (m, parity) at gamma = 0, where H also commutes with
     the parity prod sigma^z.  Every level and ground vector the experiments read
     comes from these blocks; only `xy_hamiltonian` builds the 2^N x 2^N matrix.
+    The line reads N, J_x, J_y and gamma only: the experiments share one line per
+    chain (`_field_line`), and `ground` solves each field once.
     """
 
     def __init__(self, spec: SpinChainSpec):
@@ -321,6 +323,7 @@ class _FieldLine:
         self.values[0, : N * d] = (-spec.J_x * 0.25 + spec.J_y * 0.25 * y_signs).ravel()
         self.values[1, N * d :] = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
         self.parity = ones % 2 if sin == 0.0 else np.zeros_like(ones)  # conserved with no x field
+        self._grounds: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, float, int]] = {}
 
     @functools.cached_property
     def sectors(self) -> list[_Sector]:
@@ -403,12 +406,31 @@ class _FieldLine:
         The ground vector as a (kept sites x rest) matrix is M = U S W^T, so the
         reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  It is the
         `_product_seeking_vector` of `ground_space(h)`: a simple level's one
-        vector, a degenerate level's pick by the stated rule.
+        vector, a degenerate level's pick by the stated rule.  Each (h, keep) is
+        solved once and kept; U and S are read-only.
         """
-        space, e0, i = self.ground_space(h)
-        vec = _product_seeking_vector(space, keep, self.gamma)
-        u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
-        return u, s, e0, i
+        key = (float(h), keep)
+        if key not in self._grounds:
+            space, e0, i = self.ground_space(key[0])
+            vec = _product_seeking_vector(space, keep, self.gamma)
+            u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
+            u.flags.writeable = s.flags.writeable = False
+            self._grounds[key] = (u, s, e0, i)
+        return self._grounds[key]
+
+
+def _field_line(spec: SpinChainSpec) -> _FieldLine:
+    """The `_FieldLine` of spec's chain, cached on (N, J_x, J_y, gamma) for the last chain asked.
+
+    The search, the residual and the sweep of one chain share its sectors and
+    solved fields; a forked sweep worker inherits them.
+    """
+    return _chain_line(spec.N, spec.J_x, spec.J_y, spec.gamma)
+
+
+@functools.lru_cache(maxsize=1)
+def _chain_line(N: int, J_x: float, J_y: float, gamma: float) -> _FieldLine:
+    return _FieldLine(SpinChainSpec(N, J_x, J_y, 0.0, gamma, 1))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -461,11 +483,13 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     The smallest residual wins.  If it misses `tolerance`, every grid cell is
     halved and the grid scanned again, up to `FIELD_HALVINGS` times; a crossing
     is missed only if it shares a cell with another on the finest grid.  H(h)
-    and its sectors are built once.  Cost per scan: one set of sector eigvalsh,
-    plus one sector eigh, per grid point, candidate and residual round (61 per
-    golden search), and a degenerate ground level one more sector eigh per
-    sector holding it; one eigvalsh of each of the two sectors per bisection
-    step.  No level or vector comes from the full 2^N x 2^N matrix.
+    and its sectors are built once per chain (`_field_line`), shared with
+    `factorization_residual` and the sweep, and each field is solved once.
+    Cost per scan: one set of sector eigvalsh, plus one sector eigh, per new
+    grid point, candidate and residual round (61 per golden search), and a
+    degenerate ground level one more sector eigh per sector holding it; one
+    eigvalsh of each of the two sectors per bisection step.  No level or
+    vector comes from the full 2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -473,7 +497,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
     _check_fields(spec, hs)
-    line = _FieldLine(spec)
+    line = _field_line(spec)
 
     def scan(h):  # 1 - lambda_1 and the ground level's sector at h
         _, s, _, i = line.ground(h, spec.keep)

@@ -147,6 +147,9 @@ def default_local_weights(n: int, m: int, r1: float | None = None, delta: float 
         r1 = 0.5 / (n + (n - 1) / 4)
     if delta is None:
         delta = r1 / (2 * n)
+    for name, value in (("r1", r1), ("delta", delta)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     weights = LocalWeights(r1 + delta * np.arange(n))
     lowest_levels(weights, m)  # raises DegenerateSpectrumError on collision
     return weights

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vqse import qmath
+from vqse import experiments, qmath
 from vqse.ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector
 from vqse.experiments import (
     FactorizationNotFound,
@@ -231,6 +231,58 @@ class TestXYChain:
         assert "sectors" not in vars(line)
         line.ground(0.5, FM_RING.keep)
         assert "sectors" in vars(line)
+
+    def test_one_line_per_chain_each_field_solved_once(self, monkeypatch):
+        # the xy_afm_shots run: the search, the residual at its h*, then the sweep
+        builds, solved, picks = [], [], []
+        real_sectors, real_space = _FieldLine.sectors, _FieldLine.ground_space
+        real_pick = experiments._product_seeking_vector
+        sectors = functools.cached_property(lambda line: builds.append(line) or real_sectors.func(line))
+        sectors.__set_name__(_FieldLine, "sectors")
+        monkeypatch.setattr(_FieldLine, "sectors", sectors)
+        monkeypatch.setattr(_FieldLine, "ground_space", lambda line, h: solved.append(h) or real_space(line, h))
+        monkeypatch.setattr(experiments, "_product_seeking_vector",
+                            lambda space, *args: picks.append(space.shape[1]) or real_pick(space, *args))
+        experiments._chain_line.cache_clear()
+        grid = [0.9, 1.0, 1.1]
+        h_star = locate_factorization(AFM_RING, grid)
+        searched = len(solved)
+        factorization_residual(AFM_RING, h_star)
+        xy_spectroscopy_sweep(AFM_RING, grid, m=3, loop=FAST_LOOP, runs=1, seed=1)
+        assert len(builds) == 1
+        # the residual re-reads the winning candidate, the sweep the scanned grid fields
+        assert len(solved) == searched == len(set(solved))
+        # the doublets at h = 1 and at h*, each picked once
+        assert picks.count(2) == 2
+
+    @pytest.mark.parametrize("ring, field", [
+        ("afm", "0.9"),
+        ("fm", "0.5"),
+        ("afm", "1"),
+        ("afm", "1-ulp"),
+        ("afm", "1+ulp"),
+        ("fm", "h*"),
+    ])
+    def test_memoized_ground_matches_a_fresh_line(self, ring, field):
+        spec = {"afm": AFM_RING, "fm": FM_RING}[ring]
+        h = {
+            "0.9": 0.9,
+            "0.5": 0.5,
+            "1": 1.0,
+            "h*": _factorizing_field(ring),
+            "1-ulp": np.nextafter(1.0, 0.0),
+            "1+ulp": np.nextafter(1.0, 2.0),
+        }[field]
+        shared = experiments._field_line(spec)  # the line reads no field
+        first = shared.ground(h, spec.keep)
+        memoized = shared.ground(float(h), spec.keep)
+        assert memoized is first
+        fresh = _FieldLine(spec).ground(h, spec.keep)
+        assert all(np.array_equal(got, want) for got, want in zip(memoized, fresh))
+        u, s = memoized[:2]
+        assert not u.flags.writeable and not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 0.0
 
     @pytest.mark.parametrize("ring, field", [
         ("afm", "1"),

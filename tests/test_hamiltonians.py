@@ -1,5 +1,7 @@
 """Tests for the diagonal cost Hamiltonians."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,9 +91,18 @@ class TestConstruction:
 
     @pytest.mark.parametrize("r1", [np.inf, np.nan])
     def test_non_finite_default_weights_rejected(self, r1):
-        # r1 = inf gives delta = inf and the weights [inf + 0 inf, inf, inf] = [nan, inf, inf]
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            default_local_weights(3, 2, r1=r1)
+        # checked before r1 + delta * arange(n), whose inf * 0 would warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r1 must be finite"):
+                default_local_weights(3, 2, r1=r1)
+
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_default_delta_rejected(self, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta must be finite"):
+                default_local_weights(3, 2, r1=0.1, delta=delta)
 
     @pytest.mark.parametrize("q", [[np.nan], [np.inf], [0.5, np.nan]])
     def test_non_finite_global_weights_rejected(self, q):
