@@ -268,7 +268,7 @@ def _check_fields(spec: SpinChainSpec, fields: np.ndarray) -> None:
 def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
     """Reduced ground state on the first `keep` sites, plus the ground energy."""
     _check_fields(spec, np.array([spec.h]))
-    u, s, e0, _ = _field_line(spec).ground(spec.h, spec.keep)
+    u, s, e0, _ = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma).ground(spec.h, spec.keep)
     return DensityMatrix(factor=u * s, validate=False), e0
 
 
@@ -278,7 +278,8 @@ def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     lambda_1 = S_0^2 of a normalized vector can round to just above 1.
     """
     _check_fields(spec, np.array([h], dtype=float))
-    return max(0.0, float(1.0 - _field_line(spec).ground(h, spec.keep)[1][0] ** 2))
+    s = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma).ground(h, spec.keep)[1]
+    return max(0.0, float(1.0 - s[0] ** 2))
 
 
 def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
@@ -419,17 +420,15 @@ class _FieldLine:
         return self._grounds[key]
 
 
-def _field_line(spec: SpinChainSpec) -> _FieldLine:
-    """The `_FieldLine` of spec's chain, cached on (N, J_x, J_y, gamma) for the last chain asked.
+@functools.lru_cache(maxsize=1)
+def _field_line(N: int, J_x: float, J_y: float, gamma: float) -> _FieldLine:
+    """The `_FieldLine` of the last chain asked, keyed on the only numbers a line reads.
 
     The search, the residual and the sweep of one chain share its sectors and
-    solved fields; a forked sweep worker inherits them.
+    solved fields; under the fork start method a sweep worker inherits them.
+    The line stays alive until another chain is asked for, with its sector
+    blocks and every (h, keep) it has solved.
     """
-    return _chain_line(spec.N, spec.J_x, spec.J_y, spec.gamma)
-
-
-@functools.lru_cache(maxsize=1)
-def _chain_line(N: int, J_x: float, J_y: float, gamma: float) -> _FieldLine:
     return _FieldLine(SpinChainSpec(N, J_x, J_y, 0.0, gamma, 1))
 
 
@@ -497,7 +496,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
     _check_fields(spec, hs)
-    line = _field_line(spec)
+    line = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma)
 
     def scan(h):  # 1 - lambda_1 and the ground level's sector at h
         _, s, _, i = line.ground(h, spec.keep)

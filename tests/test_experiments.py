@@ -243,7 +243,7 @@ class TestXYChain:
         monkeypatch.setattr(_FieldLine, "ground_space", lambda line, h: solved.append(h) or real_space(line, h))
         monkeypatch.setattr(experiments, "_product_seeking_vector",
                             lambda space, *args: picks.append(space.shape[1]) or real_pick(space, *args))
-        experiments._chain_line.cache_clear()
+        experiments._field_line.cache_clear()
         grid = [0.9, 1.0, 1.1]
         h_star = locate_factorization(AFM_RING, grid)
         searched = len(solved)
@@ -273,7 +273,7 @@ class TestXYChain:
             "1-ulp": np.nextafter(1.0, 0.0),
             "1+ulp": np.nextafter(1.0, 2.0),
         }[field]
-        shared = experiments._field_line(spec)  # the line reads no field
+        shared = experiments._field_line(spec.N, spec.J_x, spec.J_y, spec.gamma)  # reads no field
         first = shared.ground(h, spec.keep)
         memoized = shared.ground(float(h), spec.keep)
         assert memoized is first
