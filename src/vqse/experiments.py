@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -282,15 +282,11 @@ def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     return max(0.0, float(1.0 - s[0] ** 2))
 
 
-def _with_h(spec: SpinChainSpec, h: float) -> SpinChainSpec:
-    return SpinChainSpec(spec.N, spec.J_x, spec.J_y, float(h), spec.gamma, spec.keep)
-
-
 class _Sector(NamedTuple):
-    coupling: np.ndarray  # C_m on the sector's orbit representatives (a pair's real form)
-    field: np.ndarray  # F_m
+    coupling: np.ndarray  # C_m on the sector's orbit representatives (complex for a conjugate pair)
+    field: np.ndarray  # F_m, of the same dtype
     column: np.ndarray  # each basis state's representative's row (dim outside the sector)
-    amplitude: np.ndarray  # its weight e^(-iks)/sqrt(p) in the momentum state; sqrt(2) more in a pair
+    amplitude: np.ndarray  # its weight e^(-iks)/sqrt(p) in sector m's momentum state
 
 
 class _FieldLine:
@@ -301,7 +297,8 @@ class _FieldLine:
     single-flip entry per site per column.  `sectors` holds H's blocks C + h F,
     about 2^N/N rows each, built on first use: one per momentum m = 0..N/2 of the
     translation T, or per (m, parity) at gamma = 0, where H also commutes with
-    the parity prod sigma^z.  Every level and ground vector the experiments read
+    the parity prod sigma^z; a conjugate pair m, N - m is held as sector m's
+    complex block.  Every level and ground vector the experiments read
     comes from these blocks; only `xy_hamiltonian` builds the 2^N x 2^N matrix.
     The line reads N, J_x, J_y and gamma only: the experiments share one line per
     chain (`_field_line`), and `ground` solves each field once.
@@ -333,11 +330,12 @@ class _FieldLine:
         A basis state x = T^l r (r the orbit's smallest member, period p_r) lies in
         sector m's momentum state (1/sqrt p_r) sum_s e^(-iks) T^s r when m p_r is a
         multiple of N.  An entry c of H in column r and row x adds c e^(ikl)
-        sqrt(p_r / p_x) to the block at (representative of x, r).  Sector N - m is
-        the complex conjugate of sector m; for 0 < m < N/2 the pair is held as the
-        one real block [[Re, -Im], [Im, Re]], whose levels are sector m's, each twice.
-        At gamma = 0 each block is split by the parity of its representatives,
-        which is constant on an orbit.
+        sqrt(p_r / p_x) to the block at (representative of x, r).  Sectors m = 0
+        and N/2 are real.  Sector N - m is the complex conjugate of sector m, with
+        the same levels, so for 0 < m < N/2 the conjugate pair is held as sector
+        m's complex Hermitian block alone.  At gamma = 0 each block is split by the
+        parity of its representatives, which is constant on an orbit; an empty
+        block (a parity with no representative in sector m) is not held.
         """
         N, d = self.N, 2**self.N
         idx = np.arange(d)
@@ -354,51 +352,50 @@ class _FieldLine:
             for parity in range(self.parity.max() + 1):
                 member = (rep_of == idx) & (m * period % N == 0) & (self.parity == parity)
                 dim = int(member.sum())
+                if dim == 0:
+                    continue
                 column = np.where(member, np.cumsum(member) - 1, dim)
                 both = member[row] & member[col]
-                blocks = np.zeros((2, dim, dim), dtype=complex)
-                np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]),
-                          values[:, both] * np.exp(2j * np.pi * m * turn[both] / N))
+                phase = np.exp(2j * np.pi * m * turn[both] / N)
                 amplitude = np.exp(-2j * np.pi * m * shift / N) / np.sqrt(period[rep_of])
                 if 2 * m % N == 0:  # e^(ikl) = +-1
-                    sectors.append(_Sector(*blocks.real, column[rep_of], amplitude.real))
-                else:
-                    real_form = np.block([[blocks.real, -blocks.imag], [blocks.imag, blocks.real]])
-                    sectors.append(_Sector(*real_form, column[rep_of], np.sqrt(2) * amplitude))
+                    phase, amplitude = phase.real, amplitude.real
+                blocks = np.zeros((2, dim, dim), dtype=phase.dtype)
+                np.add.at(blocks, (slice(None), column[row[both]], column[col[both]]), values[:, both] * phase)
+                sectors.append(_Sector(*blocks, column[rep_of], amplitude))
         return sectors
 
-    def lowest(self, i: int, h: float) -> np.ndarray:
-        """The two lowest levels of sector i at h, ascending."""
+    def lowest(self, i: int, h: float) -> float:
+        """The lowest level of sector i at h."""
         sector = self.sectors[i]
-        return np.linalg.eigvalsh(sector.coupling + h * sector.field)[:2]
+        return float(np.linalg.eigvalsh(sector.coupling + h * sector.field)[0])
 
     def _levels(self, h: float) -> list[tuple[float, int]]:
-        """(level, sector) for the two lowest levels of every sector at h, lowest first."""
-        return sorted((float(e), i) for i in range(len(self.sectors)) for e in self.lowest(i, h))
+        """(lowest level, sector) of every sector at h, lowest first."""
+        return sorted((self.lowest(i, h), i) for i in range(len(self.sectors)))
 
     def ground_space(self, h: float) -> tuple[np.ndarray, float, int]:
         """Orthonormal real basis (columns) of the ground level at h, its level E0 and its sector.
 
-        Every sector with a level within GROUND_DEGENERACY_TOL of E0 gives the
-        vectors of its block's levels there, from one eigh, each expanded by one
-        formula: a conjugate pair's real-form vector (x, y) is read as x + iy, a
-        real sector's as x; each basis state takes its representative's entry (0
-        outside the sector) times its amplitude, and the real part is kept.  That
-        real part has half the norm squared of a pair's momentum state, which the
-        pair's sqrt(2) restores; vectors of different sectors are orthogonal.  The
-        sector returned is the lowest level's.
+        Every sector whose lowest level lies within GROUND_DEGENERACY_TOL of E0
+        gives the vectors c of its block's levels there, from one eigh, each
+        expanded by one formula: each basis state takes its representative's
+        entry of c (0 outside the sector) times its amplitude, giving the momentum
+        state psi.  A real sector's psi is a ground vector.  A conjugate pair's psi
+        and psi* span the pair's part of the level, and as psi is orthogonal to
+        psi*, sqrt(2) Re psi and sqrt(2) Im psi are an orthonormal real basis of
+        it.  Vectors of different sectors are orthogonal.  The sector returned is
+        the lowest level's.
         """
         levels = self._levels(h)
         e0, i0 = levels[0]
         space = []
-        for i in sorted({i for e, i in levels if e - e0 <= GROUND_DEGENERACY_TOL}):
+        for i in sorted(i for e, i in levels if e - e0 <= GROUND_DEGENERACY_TOL):
             sector = self.sectors[i]
-            w, v = np.linalg.eigh(sector.coupling + h * sector.field)
-            v = v[:, w - e0 <= GROUND_DEGENERACY_TOL]
-            if np.iscomplexobj(sector.amplitude):
-                v = v[: len(v) // 2] + 1j * v[len(v) // 2 :]
-            rows = np.append(v, np.zeros((1, v.shape[1])), axis=0)[sector.column]  # 0 outside the sector
-            space.append((rows * sector.amplitude[:, None]).real)
+            w, c = np.linalg.eigh(sector.coupling + h * sector.field)
+            c = c[:, w - e0 <= GROUND_DEGENERACY_TOL]
+            psi = np.append(c, np.zeros((1, c.shape[1])), axis=0)[sector.column] * sector.amplitude[:, None]
+            space += [np.sqrt(2) * psi.real, np.sqrt(2) * psi.imag] if np.iscomplexobj(psi) else [psi]
         return np.hstack(space), e0, i0
 
     def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -484,11 +481,12 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     is missed only if it shares a cell with another on the finest grid.  H(h)
     and its sectors are built once per chain (`_field_line`), shared with
     `factorization_residual` and the sweep, and each field is solved once.
-    Cost per scan: one set of sector eigvalsh, plus one sector eigh, per new
-    grid point, candidate and residual round (61 per golden search), and a
-    degenerate ground level one more sector eigh per sector holding it; one
-    eigvalsh of each of the two sectors per bisection step.  No level or
-    vector comes from the full 2^N x 2^N matrix.
+    Cost per scan: one eigvalsh per sector (a conjugate pair as sector m's
+    complex block), plus one sector eigh, per new grid point, candidate and
+    residual round (61 per golden search), and a degenerate ground level one
+    more sector eigh per sector holding it; one eigvalsh of each of the two
+    sectors per bisection step.  No level or vector comes from the full
+    2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -503,7 +501,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
         return float(1.0 - s[0] ** 2), i
 
     def split(a, b):
-        return lambda h: line.lowest(a, h)[0] - line.lowest(b, h)[0]
+        return lambda h: line.lowest(a, h) - line.lowest(b, h)
 
     for _ in range(FIELD_HALVINGS + 1):
         residuals, sectors = zip(*map(scan, hs))
@@ -677,7 +675,7 @@ def xy_spectroscopy_sweep(
     tasks = []
     for j, h in enumerate(h_grid):
         point_seed = int(np.random.SeedSequence((seed, j)).generate_state(1)[0])
-        tasks.append((_with_h(spec, float(h)), m, loop, runs, point_seed))
+        tasks.append((replace(spec, h=float(h)), m, loop, runs, point_seed))
     return _parallel_map(xy_sweep_point, tasks, jobs)
 
 
@@ -787,18 +785,6 @@ class WStateResult:
     theta_opt: np.ndarray
 
 
-def w_state_mitigation_run(noise: NoiseSpec, loop: LoopConfig, seed) -> WStateResult:
-    """One mitigation run: noisy preparation, training, noisy re-preparation.
-
-    The training loop acts on the fixed noisy state; at every iteration the
-    current top bitstring's eigenvector-preparation circuit is simulated
-    under the same noise model and its fidelity with the ideal state is
-    recorded.  The learned eigenvector itself is scored once, noise-free,
-    from the final parameters and the final estimate's top bitstring.
-    """
-    return _w_state_runs(noise, loop, [seed])[0]
-
-
 def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResult]:
     """Mitigation runs on one noisy preparation, one per seed, trained in lockstep."""
     psi = w_state()
@@ -829,7 +815,15 @@ def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResul
 def w_state_mitigation_runs(
     noise: NoiseSpec, loop: LoopConfig, runs: int, seed: int, jobs: int = 1
 ) -> list[WStateResult]:
-    """Independent seeded mitigation runs (the averaged protocol), trained in lockstep."""
+    """Independent seeded mitigation runs (the averaged protocol), trained in lockstep.
+
+    Each run is a noisy preparation, training and a noisy re-preparation.  The
+    training loop acts on the fixed noisy state; at every iteration the
+    current top bitstring's eigenvector-preparation circuit is simulated
+    under the same noise model and its fidelity with the ideal state is
+    recorded.  The learned eigenvector itself is scored once, noise-free,
+    from the final parameters and the final estimate's top bitstring.
+    """
     return _in_chunks(_w_state_runs, (noise, loop), np.random.SeedSequence(seed).spawn(runs), jobs)
 
 

@@ -29,7 +29,6 @@ from vqse.experiments import (
     run_circuit,
     w_preparation_gates,
     w_state,
-    w_state_mitigation_run,
     w_state_mitigation_runs,
     xy_ground_reduced,
     xy_hamiltonian,
@@ -189,21 +188,35 @@ class TestXYChain:
     @example(N=5, gamma=0.3, jx=-1.0, jy=-0.5, h=0.2)
     @example(N=3, gamma=0.0, jx=-1.0, jy=-1.0, h=0.0)
     @example(N=4, gamma=0.0, jx=0.0, jy=0.0, h=0.0)
+    # an empty sector: at N = 2 no even-parity representative has m = 1
+    @example(N=2, gamma=0.0, jx=1.0, jy=0.5, h=0.5)
+    # a simple level with a gap of 1.7e-8, where the dense vector's Schmidt values are off by 7.7e-12
+    @example(N=5, gamma=1.0227576148799074, jx=0.2585847053690711, jy=1.0227576148799074, h=1.192092896e-07)
     def test_translation_sectors_match_dense(self, N, gamma, jx, jy, h):
         keep = N // 2
         spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=keep)
         line = _FieldLine(spec)
-        # sectors m and N - m (0 < m < N/2) share one real block of twice the size
-        assert sum(sector.coupling.shape[0] for sector in line.sectors) == 2**N
-        assert all(sector.coupling.dtype == sector.field.dtype == float for sector in line.sectors)
+        # a conjugate pair m, N - m (0 < m < N/2) is held once, as sector m's complex block
+        copies = [2 if np.iscomplexobj(sector.coupling) else 1 for sector in line.sectors]
+        assert sum(n * sector.coupling.shape[0] for n, sector in zip(copies, line.sectors)) == 2**N
+        for n, sector in zip(copies, line.sectors):
+            assert sector.coupling.shape[0] > 0
+            dtype = complex if n == 2 else float
+            assert sector.coupling.dtype == sector.field.dtype == sector.amplitude.dtype == dtype
         if gamma == 0.0:
             # with no x field F = -sum Sz, diagonal with entries (ones - N/2): one parity per sector
             for sector in line.sectors:
-                ones = np.diag(sector.field) + N / 2
+                ones = np.diag(sector.field).real + N / 2
                 assert np.unique(ones % 2).size <= 1
         w, v = np.linalg.eigh(xy_hamiltonian(spec))
-        (e0, i), (e1, _) = line._levels(h)[:2]
-        assert abs(e0 - w[0]) <= 1e-12 and abs(e1 - w[1]) <= 1e-12
+        levels = np.sort(np.concatenate([
+            np.repeat(np.linalg.eigvalsh(sector.coupling + h * sector.field), n)
+            for n, sector in zip(copies, line.sectors)
+        ]))
+        assert np.abs(levels - w).max() <= 1e-12
+        e0, i = line._levels(h)[0]
+        e1 = levels[1]
+        assert e0 == levels[0]
         # the sector ground basis is orthonormal and spans the dense ground space
         space, e0_space, i_space = line.ground_space(h)
         dense = v[:, w - w[0] <= GROUND_DEGENERACY_TOL]
@@ -214,17 +227,18 @@ class TestXYChain:
         # gap being the distance to the next level: at N = 3, Jx = 1, Jy = 2,
         # h = 1e-8, gamma = 0 (gap 7e-9) its vector mixes the two parities at 3e-8
         gap = w[dense.shape[1]] - w[dense.shape[1] - 1] if dense.shape[1] < 2**N else np.inf
-        accuracy = max(1e-10, 2**N * np.finfo(float).eps * np.abs(w).max() / gap)
+        accuracy = 2**N * np.finfo(float).eps * np.abs(w).max() / gap
         missed = np.linalg.norm(space @ (space.T @ dense) - dense, axis=0)
-        assert np.all(missed <= accuracy * np.linalg.norm(dense, axis=0))
+        assert np.all(missed <= max(1e-10, accuracy) * np.linalg.norm(dense, axis=0))
         # no pair scan here: a degenerate level's pick is checked in test_degenerate_ground_pick_*
         if e1 - e0 > GROUND_DEGENERACY_TOL:
             # a simple level lies in a real sector (m = 0 or N/2), whose weights are real
             assert not np.iscomplexobj(line.sectors[i].amplitude)
             u, s, e0_ground, i_ground = line.ground(h, keep)
             assert (e0_ground, i_ground) == (e0, i)
+            # Schmidt values as accurate as the dense vector they are checked against
             want = np.linalg.svd(v[:, 0].reshape(2**keep, -1), compute_uv=False)
-            assert np.abs(s - want).max() <= 1e-12
+            assert np.abs(s - want).max() <= max(1e-12, accuracy)
 
     def test_sectors_built_on_first_use(self):
         line = _FieldLine(FM_RING)
@@ -617,7 +631,7 @@ class TestWStateCircuit:
 class TestWStateMitigation:
     def test_noiseless_baseline_is_one(self):
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=20, s=10)
-        res = w_state_mitigation_run(NoiseSpec(), loop, seed=0)
+        res = w_state_mitigation_runs(NoiseSpec(), loop, runs=1, seed=0)[0]
         assert res.baseline_fidelity == pytest.approx(1.0)
         assert res.final_fidelity <= 1.0 + 1e-12
 
@@ -645,7 +659,7 @@ class TestWStateMitigation:
 
     def test_cost_trace_recorded_each_iteration(self):
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=15, s=5)
-        res = w_state_mitigation_run(NoiseSpec(p_depol_2q=0.02), loop, seed=1)
+        res = w_state_mitigation_runs(NoiseSpec(p_depol_2q=0.02), loop, runs=1, seed=1)[0]
         assert [r.iteration for r in res.rows] == list(range(16))
         assert 0 < res.baseline_fidelity < 1
 
@@ -653,7 +667,7 @@ class TestWStateMitigation:
         # |<W|V^dag|z_1>|^2 from theta_opt and the top bitstring of the noisy state
         noise = NoiseSpec(p_depol_2q=0.02)
         loop = LoopConfig(layers=2, kind=BlockKind.G_CNOT_G, n_max=10, s=5)
-        res = w_state_mitigation_run(noise, loop, seed=2)
+        res = w_state_mitigation_runs(noise, loop, runs=1, seed=2)[0]
         a = LayeredAnsatz(3, loop.layers, loop.kind, res.theta_opt)
         z1 = readout(run_circuit(3, w_preparation_gates(), noise), a, 1).bitstrings[0]
         expected = abs(np.vdot(w_state().amplitudes, prepare_eigenvector(a, z1).amplitudes)) ** 2
