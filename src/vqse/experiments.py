@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ansatz import CNOT, BlockKind, LayeredAnsatz, _basis_index, prepare_eigenvector, rotation_y
-from .hamiltonians import default_local_weights, global_from_local, lowest_levels
+from .hamiltonians import default_local_weights, lowest_levels
 from .metrics import (
     ErrorReport,
     build_error_report,
@@ -166,13 +166,7 @@ class LoopConfig:
 
     def cost_config(self, n: int, m: int) -> CostConfig:
         local = default_local_weights(n, m, r1=self.r1, delta=self.delta)
-        return CostConfig(
-            variant=self.cost_variant,
-            local=local,
-            global_part=global_from_local(local, m),
-            m=m,
-            shots=self.shots,
-        )
+        return CostConfig(variant=self.cost_variant, local=local, m=m, shots=self.shots)
 
 
 def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:

@@ -8,9 +8,10 @@ Three cost variants share one interface (an energy per bitstring):
 * ``GlobalPart``: H_G = I - sum_i q_i |z_i><z_i| over m marked bitstrings.
   The marked levels sit at 1 - q_i and every other bitstring has energy 1,
   giving one (2^n - m)-fold degenerate level.
-* ``AdaptiveHamiltonian``: the interpolation (1 - f(t)) H_L + f(t) H_G(t),
-  where the marked bitstrings of H_G(t) are refreshed from measurement data
-  during optimization and f is a nondecreasing schedule with f(0)=0, f(1)=1.
+* ``AdaptiveHamiltonian``: the interpolation (1 - f) H_L + f H_G(t) at a
+  weight f in [0, 1], where the marked bitstrings of H_G(t) are refreshed
+  from measurement data during optimization; the training loop sets f = t at
+  each update, so f runs from 0 to 1.
 
 The full energy table over all 2^n bitstrings is cheap at desk scale and is
 the single code path used for exact costs, sampling and level enumeration:
@@ -20,7 +21,7 @@ the cost of a transformed state is `energies() @ diagonal()`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -99,33 +100,24 @@ class GlobalPart:
 
 @dataclass(frozen=True)
 class AdaptiveHamiltonian:
-    """H(t) = (1 - f(t)) H_L + f(t) H_G(t) at a fixed loop time t."""
+    """H = (1 - f) H_L + f H_G at a weight f in [0, 1]."""
 
     local: LocalWeights
     global_part: GlobalPart
-    f_of_t: Callable[[float], float]
-    t: float
+    f: float
 
     def __post_init__(self):
         if self.local.n != self.global_part.n:
             raise ValueError("local and global parts disagree on qubit count")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
+        if not 0.0 <= self.f <= 1.0:  # NaN fails too
+            raise ValueError(f"weight f = {self.f} outside [0, 1]")
 
     @property
     def n(self) -> int:
         return self.local.n
 
-    @property
-    def f(self) -> float:
-        f = float(self.f_of_t(self.t))
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"schedule value f({self.t}) = {f} outside [0, 1]")
-        return f
-
     def energies(self) -> np.ndarray:
-        f = self.f
-        return (1.0 - f) * self.local.energies() + f * self.global_part.energies()
+        return (1.0 - self.f) * self.local.energies() + self.f * self.global_part.energies()
 
 
 Hamiltonian = Union[LocalWeights, GlobalPart, AdaptiveHamiltonian]

@@ -56,14 +56,13 @@ def index_to_bitstring(i: int, n: int) -> str:
 class DensityMatrix:
     """An n-qubit mixed state: Hermitian, positive semidefinite, trace one.
 
-    Built from the 2^n x 2^n matrix `data`, a 2^n x r purification factor A
-    with rho = A A^dag, or both (the caller's promise that they agree; only
-    shapes are checked).  The missing form is computed from the other once,
-    on first read; both are held read-only.  The diagonal is read off `data`
-    when it was given, else as the squared row norms of A; the spectrum comes
-    from A.  Validation checks the three invariants within fixed absolute
-    tolerances; internal operations that preserve them by construction skip
-    the (eigenvalue) check for speed.
+    Built from either the 2^n x 2^n matrix `data` or a 2^n x r purification
+    factor A with rho = A A^dag, not both.  The other form is computed from
+    the given one once, on first read; both are held read-only.  The diagonal
+    is read off `data` when it was given, else as the squared row norms of A;
+    the spectrum comes from A.  Validation checks the three invariants within
+    fixed absolute tolerances; internal operations that preserve them by
+    construction skip the (eigenvalue) check for speed.
     """
 
     __slots__ = ("n", "_data", "_factor", "_factor_only", "_eigenvalues")
@@ -71,17 +70,17 @@ class DensityMatrix:
     def __init__(
         self, data: np.ndarray | None = None, *, validate: bool = True, factor: np.ndarray | None = None
     ):
-        if data is None and factor is None:
-            raise ValueError("need data, a factor or both")
+        if (data is None) == (factor is None):
+            raise ValueError("need data or a factor, not both")
         if data is not None:
             data = np.array(data, dtype=complex)
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError("density matrix must be square")
             data.flags.writeable = False
-        if factor is not None:
+        else:
             factor = np.array(factor, dtype=complex)
-            if factor.ndim != 2 or (data is not None and factor.shape[0] != data.shape[0]):
-                raise ValueError(f"factor of shape {factor.shape} does not fit the state")
+            if factor.ndim != 2:
+                raise ValueError(f"factor of shape {factor.shape} is not a matrix")
             factor.flags.writeable = False
         self.n = num_qubits((factor if data is None else data).shape[0])
         self._data, self._factor, self._factor_only, self._eigenvalues = data, factor, data is None, None

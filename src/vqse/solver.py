@@ -35,7 +35,7 @@ block derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .hamiltonians import (
     GlobalPart,
     Hamiltonian,
     LocalWeights,
+    global_from_local,
     sample_counts,
 )
 from .qmath import DensityMatrix, _apply_left, index_to_bitstring
@@ -75,17 +76,6 @@ class StepwiseSchedule:
 
     def is_update(self, k: int) -> bool:
         return k % self.s == 0
-
-    def __call__(self, t: float) -> float:
-        """Stepwise f(t): the loop time of the most recent update.
-
-        Exact at every loop time t = k / n_max: t * n_max can round to just
-        below k, so an iteration whose float time is t counts as k itself.
-        """
-        k = round(t * self.n_max)
-        if k / self.n_max != t:  # between iterations
-            k = math.floor(t * self.n_max)
-        return k // self.s * self.s / self.n_max
 
 
 @dataclass(frozen=True)
@@ -331,15 +321,14 @@ class CostConfig:
 
     variant: str
     local: LocalWeights
-    global_part: GlobalPart
     m: int
     shots: int = 0
+    global_part: GlobalPart = field(init=False)  # global_from_local(local, m)
 
     def __post_init__(self):
         if self.variant not in ("local", "global", "adaptive"):
             raise ValueError(f"unknown cost variant {self.variant!r}")
-        if self.global_part.m != self.m:
-            raise ValueError("global part must mark exactly m bitstrings")
+        object.__setattr__(self, "global_part", global_from_local(self.local, self.m))
 
 
 class TracePoint(NamedTuple):
@@ -446,7 +435,7 @@ def optimize_runs(
             for i in range(runs):
                 measured = read_estimate(DensityMatrix(factor=states[-1][i], validate=False), m, cost.shots, rngs[i])
                 marked = cost.global_part.with_bitstrings(measured.bitstrings)
-                hams[i] = AdaptiveHamiltonian(local=cost.local, global_part=marked, f_of_t=schedule, t=t)
+                hams[i] = AdaptiveHamiltonian(cost.local, marked, f=t)
                 energies[i] = hams[i].energies()
         grad = _gradient(states, a, angles, mats, energies, cost.shots, rngs)
         theta = stepper.step(theta, grad)

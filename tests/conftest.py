@@ -1,8 +1,13 @@
-"""Fixtures shared by every test module."""
+"""Fixtures and hypothesis settings shared by every test module."""
 
 import pytest
+from hypothesis import settings
 
 from vqse import experiments
+
+# every property test draws the same examples on every run, with no example database and no deadline
+settings.register_profile("vqse", derandomize=True, database=None, deadline=None)
+settings.load_profile("vqse")
 
 
 @pytest.fixture(autouse=True)

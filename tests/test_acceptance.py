@@ -46,7 +46,7 @@ from vqse.hamiltonians import (
 )
 from vqse.metrics import bound_from_purity, check_error_report
 from vqse.qmath import exact_eigs
-from vqse.solver import StepwiseSchedule, param_shift_gradient, plan_shots, readout
+from vqse.solver import param_shift_gradient, plan_shots, readout
 
 from reference import random_density_matrix
 
@@ -100,7 +100,6 @@ def test_c1_gradient_correctness():
         m = 2 if n == 2 else 3
         local = default_local_weights(n, m)
         glob = global_from_local(local, m)
-        sched = StepwiseSchedule(10, 2)
         for kind in BlockKind:
             for variant in ("local", "global", "adaptive"):
                 for seed in range(6):
@@ -114,7 +113,8 @@ def test_c1_gradient_correctness():
                     else:
                         marks = rng.choice(2**n, size=m, replace=False)
                         zs = tuple(format(int(i), f"0{n}b") for i in marks)
-                        h = AdaptiveHamiltonian(local, glob.with_bitstrings(zs), sched, t=0.4)
+                        # StepwiseSchedule(10, 2) at t = 0.4
+                        h = AdaptiveHamiltonian(local, glob.with_bitstrings(zs), f=0.4)
                     grad = param_shift_gradient(rho, a, h)
 
                     def cost(theta):

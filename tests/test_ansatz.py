@@ -159,7 +159,7 @@ def angle_stacks(draw):
 
 
 class TestBlockStacks:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(angle_stacks())
     def test_every_slice_matches_the_per_block_reference(self, case):
         kind, angles = case
@@ -176,7 +176,7 @@ class TestBlockStacks:
             for j in range(w):
                 assert np.array_equal(derivatives[idx][j], _reference_block(kind, angles[idx], j)[1])
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(angle_stacks())
     def test_every_slice_matches_the_single_block_call(self, case):
         kind, angles = case
@@ -191,24 +191,19 @@ class TestBlockStacks:
 
 @st.composite
 def factored_states(draw):
-    """Rank-r state whose factor is given with its matrix, given alone, or left to eigh."""
+    """Rank-r state whose factor is given, or left to eigh of its matrix."""
     n = draw(st.integers(2, 5))
     rank = draw(st.integers(1, 2**n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     factor /= np.linalg.norm(factor)
-    data = factor @ factor.conj().T
-    form = draw(st.sampled_from(["data and factor", "factor only", "data only"]))
-    if form == "factor only":
-        rho = DensityMatrix(factor=factor)
-    else:
-        rho = DensityMatrix(data, factor=factor if form == "data and factor" else None)
+    rho = DensityMatrix(factor=factor) if draw(st.booleans()) else DensityMatrix(factor @ factor.conj().T)
     kind = draw(st.sampled_from(list(BlockKind)))
     return rho, LayeredAnsatz.random(n, draw(st.integers(1, 2)), kind, rng)
 
 
 class TestApplyAnsatz:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(factored_states())
     def test_matches_dense_circuit(self, case):
         rho, a = case

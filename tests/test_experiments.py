@@ -54,6 +54,8 @@ FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
 FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
 AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, h=1.0, gamma=np.pi / 3, keep=4)
+# a ferromagnet in a tilted field: its product point is a residual minimum, not a crossing
+TILTED_FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=1.0, gamma=np.pi / 6, keep=4)
 # the factorizing-field searches pinned here: the xy_afm_shots grid and C7's FM grid
 FIELD_GRIDS = {"afm": (AFM_RING, [0.9, 1.0, 1.1]), "fm": (FM_RING, np.arange(0.4, 1.01, 0.05))}
 
@@ -155,7 +157,7 @@ class TestXYChain:
         lam = exact_eigs(red)[0]
         assert np.abs(lam - np.sort(svals**2)[::-1]).max() < 1e-10
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(
         N=st.integers(2, 8),
         gamma=st.one_of(st.just(0.0), st.floats(0.0, np.pi)),
@@ -172,7 +174,7 @@ class TestXYChain:
             odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)
             assert np.all(ham[np.ix_(~odd, odd)] == 0.0)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(
         N=st.integers(2, 8),
         gamma=st.one_of(st.just(0.0), st.floats(0.0, np.pi)),
@@ -396,6 +398,22 @@ class TestFactorization:
         assert abs(h_star - 1.0) <= 1e-12
         assert factorization_residual(AFM_RING, h_star) < 1e-12
 
+    @pytest.mark.parametrize("ring", [AFM_RING, TILTED_FM_RING], ids=["afm", "tilted-fm"])
+    def test_residual_minimum_on_a_simple_ground_level(self, ring):
+        # the ground sector is the same at every grid point, so no crossing is
+        # bisected: only the golden-searched minimum of 1 - lambda_1 finds h*
+        grid = [1.7, 1.9, 2.1]
+        h_star = locate_factorization(ring, grid)
+        assert abs(h_star - 1.931853) <= 1e-5
+        assert factorization_residual(ring, h_star) < 1e-8
+        line = experiments._field_line(ring.N, ring.J_x, ring.J_y, ring.gamma)
+        assert len({line.ground(h, ring.keep)[3] for h in grid}) == 1
+        # the dense reference: a simple ground level whose eigh vector is a product
+        w, v = np.linalg.eigh(xy_hamiltonian(SpinChainSpec(ring.N, ring.J_x, ring.J_y, h_star, ring.gamma, ring.keep)))
+        assert w[1] - w[0] > 0.5
+        s = np.linalg.svd(v[:, 0].reshape(2**ring.keep, -1), compute_uv=False)
+        assert 1.0 - s[0] ** 2 < 1e-12
+
     def test_search_cost_in_full_diagonalizations(self, monkeypatch):
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -525,7 +543,7 @@ def noisy_circuits(draw, on):
 
 class TestWStateCircuit:
     @pytest.mark.parametrize("on", list(itertools.product([False, True], repeat=3)))
-    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(data=st.data())
     def test_fused_matches_gate_by_gate(self, on, data):
         # on: whether p_depol_1q, p_depol_2q and gamma_ad are nonzero
@@ -716,7 +734,7 @@ class TestPcaExperiment:
 class TestJobsIndependence:
     """Workers train contiguous chunks of the runs in lockstep; the chunking must not show."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=4)
+    @settings(max_examples=4)
     @given(n=st.integers(2, 4), runs=st.integers(2, 5), kind=st.sampled_from(list(BlockKind)),
            seed=st.integers(0, 2**32 - 1))
     def test_eigensolver_experiment(self, n, runs, kind, seed):
@@ -731,7 +749,7 @@ class TestJobsIndependence:
             assert np.array_equal(a.estimate.lambdas, b.estimate.lambdas)
         assert one.rps_final == two.rps_final
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=4)
+    @settings(max_examples=4)
     @given(runs=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
     def test_w_state_mitigation_runs(self, runs, seed):
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=4, s=2)

@@ -39,8 +39,15 @@ class TestEnergies:
     def test_adaptive_convex_combination(self):
         local = LocalWeights(np.array([0.1, 0.1]))
         glob = GlobalPart(2, ("00",), np.array([0.9]))
-        h = AdaptiveHamiltonian(local, glob, lambda t: 0.5, t=0.5)
+        h = AdaptiveHamiltonian(local, glob, f=0.5)
         assert h.energies()[0] == pytest.approx(0.5 * 0.8 + 0.5 * 0.1)
+
+    @pytest.mark.parametrize("f", [np.nan, -0.1, 1.1])
+    def test_adaptive_weight_outside_unit_interval_rejected(self, f):
+        local = LocalWeights(np.array([0.1, 0.1]))
+        glob = GlobalPart(2, ("00",), np.array([0.9]))
+        with pytest.raises(ValueError, match="weight f"):
+            AdaptiveHamiltonian(local, glob, f=f)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -143,14 +150,14 @@ class TestLowestLevels:
     def test_adaptive_at_t1_equals_global(self):
         local = default_local_weights(3, 3)
         glob = global_from_local(local, 3)
-        h = AdaptiveHamiltonian(local, glob, lambda t: t, t=1.0)
+        h = AdaptiveHamiltonian(local, glob, f=1.0)
         assert lowest_levels(h, 3) == lowest_levels(glob, 3)
         assert np.allclose(h.energies(), glob.energies())
 
     def test_adaptive_at_t0_equals_local(self):
         local = default_local_weights(3, 3)
         glob = global_from_local(local, 3)
-        h = AdaptiveHamiltonian(local, glob, lambda t: t, t=0.0)
+        h = AdaptiveHamiltonian(local, glob, f=0.0)
         assert np.array_equal(h.energies(), local.energies())
 
     def test_degeneracy_detected(self):

@@ -1,8 +1,11 @@
-"""The repo's pytest settings keep a failing property test's report intact."""
+"""The repo's pytest and hypothesis settings: a failing property test keeps its
+report, and every property test runs derandomized."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -28,3 +31,9 @@ def test_failing_property_reports_its_example(tmp_path):
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
+
+
+def test_property_tests_run_under_the_shared_profile():
+    # tests/conftest.py loads it; each test's @settings sets only max_examples
+    assert settings.default.derandomize
+    assert settings.default.database is None and settings.default.deadline is None

@@ -101,17 +101,17 @@ def _known_factor(name):
 
 class TestFactor:
     @pytest.mark.parametrize("name", ["rank_deficient", "maximally_mixed", "basis"])
-    @pytest.mark.parametrize("given", [True, False, "factor only"])
+    @pytest.mark.parametrize("given", ["data", "factor"])
     def test_reproduces_data(self, name, given):
         a = _known_factor(name)
         data = a @ a.conj().T
-        if given == "factor only":
+        if given == "factor":
             rho = DensityMatrix(factor=a)
             assert np.abs(rho.data - data).max() < 1e-15
             assert not rho.data.flags.writeable and rho.data is rho.data
             assert np.abs(rho.diagonal() - rho.data.diagonal().real).max() < 1e-15
         else:
-            rho = DensityMatrix(data, factor=a) if given else DensityMatrix(data)
+            rho = DensityMatrix(data)
         f = rho.factor()
         assert f.shape[0] == 8 and not f.flags.writeable
         assert np.abs(f @ f.conj().T - rho.data).max() < 1e-14
@@ -124,10 +124,12 @@ class TestFactor:
         assert DensityMatrix(a @ a.conj().T).factor().shape == (8, 2)
 
     def test_shape_checked(self):
-        with pytest.raises(ValueError, match="factor"):
-            DensityMatrix(np.eye(4) / 4, factor=np.eye(2))
+        with pytest.raises(ValueError, match="not both"):
+            DensityMatrix(np.eye(4) / 4, factor=np.eye(4) / 2)
         with pytest.raises(ValueError, match="factor"):
             DensityMatrix()
+        with pytest.raises(ValueError, match="not a matrix"):
+            DensityMatrix(factor=np.ones(4) / 2)
         with pytest.raises(ValueError, match="power of two"):
             DensityMatrix(factor=np.ones((3, 1)) / np.sqrt(3))
         with pytest.raises(ValueError, match="trace"):
@@ -253,20 +255,19 @@ class TestExactEigs:
 
 @st.composite
 def spectrum_cases(draw):
-    """A rank-r state on n qubits given as its factor, its matrix, or both."""
+    """A rank-r state on n qubits given as its factor or its matrix."""
     n = draw(st.integers(1, 5))
     rank = draw(st.integers(1, 2**n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     a /= np.linalg.norm(a)
-    form = draw(st.sampled_from(["factor", "data", "both"]))
-    if form == "factor":
+    if draw(st.booleans()):
         return DensityMatrix(factor=a, validate=False)
-    return DensityMatrix(a @ a.conj().T, factor=a if form == "both" else None)
+    return DensityMatrix(a @ a.conj().T)
 
 
 class TestEigenvalues:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @settings(max_examples=80)
     @given(spectrum_cases())
     def test_factor_spectrum_matches_exact_eigs(self, rho):
         w = rho.eigenvalues()
@@ -385,7 +386,7 @@ def channel_cases(draw):
 class TestSuperoperator:
     """Each gate or channel is one contraction of its superoperator on vec(rho)."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @settings(max_examples=120)
     @given(channel_cases())
     def test_matches_dense_kraus_sum(self, case):
         rho, ch, targets = case
@@ -435,7 +436,7 @@ def apply_left_cases(draw):
 
 
 class TestApplyLeft:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(apply_left_cases())
     def test_matches_dense_embedded_operator(self, case):
         mat, op, targets, n = case
@@ -448,7 +449,7 @@ class TestApplyLeft:
         assert np.abs(got - embedded(op, targets, n) @ mat).max() <= 1e-13
         assert np.array_equal(from_list, got)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(apply_left_cases(), st.integers(1, 3), st.booleans())
     def test_run_axis_matches_each_run_alone(self, case, runs, shared_mat):
         # on one ascending run of targets, op and mat may carry a leading run axis

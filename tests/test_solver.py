@@ -37,14 +37,14 @@ from reference import dense_circuit, random_density_matrix
 
 def cost_config(n, m, variant="local", shots=0):
     local = default_local_weights(n, m)
-    return CostConfig(variant=variant, local=local, global_part=global_from_local(local, m), m=m, shots=shots)
+    return CostConfig(variant=variant, local=local, m=m, shots=shots)
 
 
 def adaptive_hamiltonian(n, m):
     local = default_local_weights(n, m)
     marked = [format(i, f"0{n}b") for i in (1, 2 ** n - 1, 2)[:m]]
     glob = global_from_local(local, m).with_bitstrings(marked)
-    return AdaptiveHamiltonian(local=local, global_part=glob, f_of_t=StepwiseSchedule(10, 5), t=0.6)
+    return AdaptiveHamiltonian(local=local, global_part=glob, f=0.5)  # StepwiseSchedule(10, 5) at t = 0.6
 
 
 def dense_shift_gradient(rho, a, h):
@@ -180,19 +180,18 @@ def adjoint_cases(draw):
     factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     factor /= np.linalg.norm(factor)
     given_factor = draw(st.booleans())
-    rho = DensityMatrix(factor @ factor.conj().T, factor=factor if given_factor else None)
+    rho = DensityMatrix(factor=factor) if given_factor else DensityMatrix(factor @ factor.conj().T)
     a = LayeredAnsatz.random(n, layers, kind, rng)
     m = draw(st.integers(1, 2))
     marked = draw(st.lists(st.integers(0, 2**n - 1), min_size=m, max_size=m, unique=True))
     local = default_local_weights(n, m)
     glob = global_from_local(local, m).with_bitstrings([format(i, f"0{n}b") for i in marked])
-    t = draw(st.integers(0, 20)) / 20  # f(t) = t on this schedule
-    h = AdaptiveHamiltonian(local=local, global_part=glob, f_of_t=StepwiseSchedule(20, 1), t=t)
+    h = AdaptiveHamiltonian(local=local, global_part=glob, f=draw(st.integers(0, 20)) / 20)
     return rho, a, h
 
 
 class TestAdjointProperty:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(adjoint_cases())
     def test_factor_path_matches_dense_shift_reference(self, case):
         rho, a, h = case
@@ -240,7 +239,7 @@ def lockstep_cases(draw):
 
 
 class TestLockstepProperty:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(lockstep_cases())
     def test_lockstep_matches_separate_runs(self, case):
         rho, ansatze, cost, seeds = case
@@ -284,23 +283,8 @@ class TestSchedule:
 
     def test_stepwise_values(self):
         sched = StepwiseSchedule(100, 20)
-        assert sched(0.0) == 0.0
-        assert sched(1.0) == 1.0
-        assert sched(0.31) == pytest.approx(0.2)  # holds the last update value
-        assert sched(0.2) == pytest.approx(0.2)
+        assert [sched.t(k) for k in (0, 20, 100)] == [0.0, 0.2, 1.0]
         assert [sched.is_update(k) for k in (19, 20, 21)] == [False, True, False]
-
-    @pytest.mark.parametrize("n_max, s, k", [(22, 1, 15), (360, 36, 252), (100, 20, 60)])
-    def test_update_iteration_sees_its_own_value(self, n_max, s, k):
-        # k / n_max * n_max rounds to just below k for (22, 1, 15) and (360, 36, 252)
-        assert StepwiseSchedule(n_max, s)(k / n_max) == k / n_max
-
-    def test_exact_at_every_iteration(self):
-        for n_max in range(1, 121):
-            for s in (d for d in range(1, n_max + 1) if n_max % d == 0):
-                sched = StepwiseSchedule(n_max, s)
-                for k in range(n_max + 1):
-                    assert sched(sched.t(k)) == k // s * s / n_max, (n_max, s, k)
 
 
 class TestReadout:
@@ -448,7 +432,10 @@ class TestOptimize:
         a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, rng)
         res = optimize(rho, a, cfg, StepwiseSchedule(30, 10), OptimizerConfig(), rng)
         h = res.final_hamiltonian
-        assert h.t == 1.0 and h.f == 1.0
+        # update k weighs the global part by f = t = k / n_max, so the last one
+        # (k = n_max) leaves the marked global part alone, to the last bit
+        assert h.f == 1.0
+        assert np.array_equal(h.energies(), h.global_part.energies())
         assert np.isclose(max(h.energies()), 1.0)
 
     def test_rows_are_costed_under_the_hamiltonian_in_force(self):
