@@ -355,10 +355,7 @@ def _write_pca_summary(path: Path, experiment: str, seed: int, result: PcaResult
 
 
 def _run_xy(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
-    spec = SpinChainSpec(
-        N=cfg["N"], J_x=cfg["Jx"], J_y=cfg["Jy"],
-        h=cfg["h_grid"][0], gamma=cfg["gamma"], keep=cfg["keep"],
-    )
+    spec = SpinChainSpec(N=cfg["N"], J_x=cfg["Jx"], J_y=cfg["Jy"], gamma=cfg["gamma"], keep=cfg["keep"])
     loop = _loop_from(cfg)
     m = cfg["m"]
     say(f"xy: N={spec.N} keep={spec.keep} Jx={spec.J_x} Jy={spec.J_y} "

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +67,7 @@ class FactorizationNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class SpinChainSpec:
-    """Cyclic XY chain: couplings, field magnitude/angle and the kept block.
+    """Cyclic XY chain: couplings, field angle and the kept block; the field magnitude h is an argument.
 
     The field components are (h_z, h_x) = h (cos gamma, sin gamma); spin
     operators are S = sigma / 2 and site N-1 couples back to site 0.
@@ -76,7 +76,6 @@ class SpinChainSpec:
     N: int
     J_x: float
     J_y: float
-    h: float
     gamma: float
     keep: int
 
@@ -85,9 +84,14 @@ class SpinChainSpec:
             raise ValueError("N must lie in [2, 12] (the 2^N x N table of translates and the sector solves)")
         if not 1 <= self.keep < self.N:
             raise ValueError("keep must be a strict sub-block of the chain")
-        for name in ("J_x", "J_y", "h", "gamma"):
+        for name in ("J_x", "J_y", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+    @functools.cached_property
+    def _line(self) -> _FieldLine:
+        """The chain's `_FieldLine`, built once: its sectors and every field it has solved."""
+        return _FieldLine(self)
 
 
 @dataclass(frozen=True)
@@ -195,14 +199,13 @@ def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
 GROUND_DEGENERACY_TOL = 1e-9
 
 
-def xy_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense real-symmetric chain Hamiltonian (the SySy product is real), from `_FieldLine`'s nonzeros.
+def xy_hamiltonian(spec: SpinChainSpec, h: float) -> np.ndarray:
+    """Dense real-symmetric chain Hamiltonian at field h (the SySy product is real), from the line's nonzeros.
 
     The experiments never build it; it is the dense reference for callers and tests.
     """
-    line = _FieldLine(spec)
     ham = np.zeros((2**spec.N,) * 2)
-    np.add.at(ham.reshape(-1), line.index, line.values[0] + spec.h * line.values[1])
+    np.add.at(ham.reshape(-1), spec._line.index, spec._line.values[0] + h * spec._line.values[1])
     return ham
 
 
@@ -259,10 +262,10 @@ def _check_fields(spec: SpinChainSpec, fields: np.ndarray) -> None:
         raise ValueError("the field must not reach 0 when J_x = J_y = 0 (H = 0 there)")
 
 
-def xy_ground_reduced(spec: SpinChainSpec) -> tuple[DensityMatrix, float]:
-    """Reduced ground state on the first `keep` sites, plus the ground energy."""
-    _check_fields(spec, np.array([spec.h]))
-    u, s, e0, _ = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma).ground(spec.h, spec.keep)
+def xy_ground_reduced(spec: SpinChainSpec, h: float) -> tuple[DensityMatrix, float]:
+    """Reduced ground state on the first `keep` sites at field h, plus the ground energy."""
+    _check_fields(spec, np.array([h], dtype=float))
+    u, s, e0, _ = spec._line.ground(h)
     return DensityMatrix(factor=u * s, validate=False), e0
 
 
@@ -272,7 +275,7 @@ def factorization_residual(spec: SpinChainSpec, h: float) -> float:
     lambda_1 = S_0^2 of a normalized vector can round to just above 1.
     """
     _check_fields(spec, np.array([h], dtype=float))
-    s = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma).ground(h, spec.keep)[1]
+    s = spec._line.ground(h)[1]
     return max(0.0, float(1.0 - s[0] ** 2))
 
 
@@ -294,13 +297,13 @@ class _FieldLine:
     the parity prod sigma^z; a conjugate pair m, N - m is held as sector m's
     complex block.  Every level and ground vector the experiments read
     comes from these blocks; only `xy_hamiltonian` builds the 2^N x 2^N matrix.
-    The line reads N, J_x, J_y and gamma only: the experiments share one line per
-    chain (`_field_line`), and `ground` solves each field once.
+    Each chain holds one line (`SpinChainSpec._line`), and `ground` solves each
+    field once.
     """
 
     def __init__(self, spec: SpinChainSpec):
         N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
-        self.N, self.gamma = N, spec.gamma
+        self.N, self.gamma, self.keep = N, spec.gamma, spec.keep
         idx = np.arange(d)
         bits = (idx[:, None] >> np.arange(N - 1, -1, -1)) & 1  # column j: site j
         ones = bits.sum(axis=1)
@@ -315,7 +318,7 @@ class _FieldLine:
         self.values[0, : N * d] = (-spec.J_x * 0.25 + spec.J_y * 0.25 * y_signs).ravel()
         self.values[1, N * d :] = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
         self.parity = ones % 2 if sin == 0.0 else np.zeros_like(ones)  # conserved with no x field
-        self._grounds: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, float, int]] = {}
+        self._grounds: dict[float, tuple[np.ndarray, np.ndarray, float, int]] = {}
 
     @functools.cached_property
     def sectors(self) -> list[_Sector]:
@@ -392,35 +395,23 @@ class _FieldLine:
             space += [np.sqrt(2) * psi.real, np.sqrt(2) * psi.imag] if np.iscomplexobj(psi) else [psi]
         return np.hstack(space), e0, i0
 
-    def ground(self, h: float, keep: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    def ground(self, h: float) -> tuple[np.ndarray, np.ndarray, float, int]:
         """Schmidt U, S of the ground vector at h, its level E0 and its sector.
 
         The ground vector as a (kept sites x rest) matrix is M = U S W^T, so the
         reduced state is (U S)(U S)^T and lambda_1 = S[0]^2.  It is the
         `_product_seeking_vector` of `ground_space(h)`: a simple level's one
-        vector, a degenerate level's pick by the stated rule.  Each (h, keep) is
+        vector, a degenerate level's pick by the stated rule.  Each field is
         solved once and kept; U and S are read-only.
         """
-        key = (float(h), keep)
-        if key not in self._grounds:
-            space, e0, i = self.ground_space(key[0])
-            vec = _product_seeking_vector(space, keep, self.gamma)
-            u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**keep, -1), full_matrices=False)
+        h = float(h)
+        if h not in self._grounds:
+            space, e0, i = self.ground_space(h)
+            vec = _product_seeking_vector(space, self.keep, self.gamma)
+            u, s, _ = np.linalg.svd((vec / np.linalg.norm(vec)).reshape(2**self.keep, -1), full_matrices=False)
             u.flags.writeable = s.flags.writeable = False
-            self._grounds[key] = (u, s, e0, i)
-        return self._grounds[key]
-
-
-@functools.lru_cache(maxsize=1)
-def _field_line(N: int, J_x: float, J_y: float, gamma: float) -> _FieldLine:
-    """The `_FieldLine` of the last chain asked, keyed on the only numbers a line reads.
-
-    The search, the residual and the sweep of one chain share its sectors and
-    solved fields; under the fork start method a sweep worker inherits them.
-    The line stays alive until another chain is asked for, with its sector
-    blocks and every (h, keep) it has solved.
-    """
-    return _FieldLine(SpinChainSpec(N, J_x, J_y, 0.0, gamma, 1))
+            self._grounds[h] = (u, s, e0, i)
+        return self._grounds[h]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -473,8 +464,8 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     The smallest residual wins.  If it misses `tolerance`, every grid cell is
     halved and the grid scanned again, up to `FIELD_HALVINGS` times; a crossing
     is missed only if it shares a cell with another on the finest grid.  H(h)
-    and its sectors are built once per chain (`_field_line`), shared with
-    `factorization_residual` and the sweep, and each field is solved once.
+    and its sectors are built once per chain (`SpinChainSpec._line`), shared
+    with `factorization_residual` and the sweep, and each field is solved once.
     Cost per scan: one eigvalsh per sector (a conjugate pair as sector m's
     complex block), plus one sector eigh, per new grid point, candidate and
     residual round (61 per golden search), and a degenerate ground level one
@@ -488,10 +479,10 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     if hs.size < 3:
         raise ValueError("need a grid of at least 3 field values")
     _check_fields(spec, hs)
-    line = _field_line(spec.N, spec.J_x, spec.J_y, spec.gamma)
+    line = spec._line
 
     def scan(h):  # 1 - lambda_1 and the ground level's sector at h
-        _, s, _, i = line.ground(h, spec.keep)
+        _, s, _, i = line.ground(h)
         return float(1.0 - s[0] ** 2), i
 
     def split(a, b):
@@ -639,15 +630,14 @@ class SweepPoint(NamedTuple):
     best_cost: float
 
 
-def xy_sweep_point(spec: SpinChainSpec, m: int, loop: LoopConfig, runs: int, seed: int) -> SweepPoint:
-    """Best-of-`runs` estimate of the top-m reduced spectrum at one field, runs trained in lockstep."""
-    reduced, _ = xy_ground_reduced(spec)
+def xy_sweep_point(h: float, reduced: DensityMatrix, m: int, loop: LoopConfig, runs: int, seed: int) -> SweepPoint:
+    """Best-of-`runs` estimate of the top-m spectrum of the reduced state at field h, runs trained in lockstep."""
     exact = reduced.eigenvalues()
     results = loop.train(reduced, m, np.random.SeedSequence(seed).spawn(runs))
     best = min(results, key=lambda res: res.trace[-1].cost)  # the first of equals
     errs = eigen_errors(exact, best.estimate, m)
     return SweepPoint(
-        h=spec.h,
+        h=h,
         exact_lambdas=tuple(float(x) for x in exact[:m]),
         est_lambdas=tuple(float(x) for x in best.estimate.lambdas),
         eps_abs=errs.eps_lambda,
@@ -665,11 +655,11 @@ def xy_spectroscopy_sweep(
     seed: int,
     jobs: int = 1,
 ) -> list[SweepPoint]:
-    """The field sweep: per-point instances with per-point derived seeds."""
+    """The field sweep, per-point seeds: each reduced state is solved here, on the chain's line; workers get states."""
     tasks = []
     for j, h in enumerate(h_grid):
         point_seed = int(np.random.SeedSequence((seed, j)).generate_state(1)[0])
-        tasks.append((replace(spec, h=float(h)), m, loop, runs, point_seed))
+        tasks.append((float(h), xy_ground_reduced(spec, h)[0], m, loop, runs, point_seed))
     return _parallel_map(xy_sweep_point, tasks, jobs)
 
 

@@ -57,6 +57,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+def _check_shots(shots) -> None:
+    """Raise ValueError unless shots is a non-negative integer (numpy integers too)."""
+    if not isinstance(shots, (int, np.integer)) or shots < 0:
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
+
+
 @dataclass(frozen=True)
 class StepwiseSchedule:
     """Iteration budget n_max with a Hamiltonian update every s iterations."""
@@ -175,6 +181,7 @@ def read_estimate(rho_t: DensityMatrix, m: int, shots: int = 0, rng=None) -> Eig
     """
     if not 1 <= m <= 2**rho_t.n:
         raise ValueError(f"m={m} out of range")
+    _check_shots(shots)
     if shots == 0:
         p = rho_t.diagonal()
         shots_used = 0
@@ -202,6 +209,7 @@ def param_shift_gradient(
     derivative is computed in adjoint form (see `_adjoint_gradient`).  This is
     one walk of the factor A of rho = A A^dag, then `_gradient` on that walk.
     """
+    _check_shots(shots)
     energies = h.energies()
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
@@ -328,6 +336,7 @@ class CostConfig:
     def __post_init__(self):
         if self.variant not in ("local", "global", "adaptive"):
             raise ValueError(f"unknown cost variant {self.variant!r}")
+        _check_shots(self.shots)
         object.__setattr__(self, "global_part", global_from_local(self.local, self.m))
 
 

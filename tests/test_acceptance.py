@@ -54,8 +54,8 @@ JOBS = 2
 
 # declared experiment defaults (see README): ferromagnetic ring with a
 # transverse field, antiferromagnetic ring with the field at pi/3
-FM_SPEC = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
-AFM_SPEC = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, h=0.5, gamma=np.pi / 3, keep=4)
+FM_SPEC = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
+AFM_SPEC = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=4)
 XY_LOOP = LoopConfig(layers=4, kind=BlockKind.RY_CZ, n_max=400, s=40)
 AFM_SWEEP_GRID = (0.6, 0.65, 0.7, 0.75, 0.8)
 
@@ -270,18 +270,17 @@ def test_c7_factorization_detection():
     t0 = time.time()
     # transverse ferromagnet: analytic product point at sqrt(Jx Jy)
     h_fm = locate_factorization(FM_SPEC, np.arange(0.4, 1.01, 0.05))
-    red, _ = xy_ground_reduced(SpinChainSpec(8, 1.0, 0.5, h_fm, 0.0, 4))
+    red, _ = xy_ground_reduced(FM_SPEC, h_fm)
     fm_residual = 1.0 - float(exact_eigs(red)[0][0])
     analytic_ok = abs(h_fm - np.sqrt(0.5)) < 1e-3
 
     # antiferromagnet at gamma = pi/3: self-anchored product point
     h_afm = locate_factorization(AFM_SPEC, np.arange(0.5, 1.51, 0.1))
-    red_afm, _ = xy_ground_reduced(SpinChainSpec(8, -1.0, -0.5, h_afm, np.pi / 3, 4))
+    red_afm, _ = xy_ground_reduced(AFM_SPEC, h_afm)
     afm_residual = 1.0 - float(exact_eigs(red_afm)[0][0])
 
     # training at the located ferromagnetic point: a pure reduced state
-    point = xy_sweep_point(
-        SpinChainSpec(8, 1.0, 0.5, h_fm, 0.0, 4), m=3, loop=XY_LOOP, runs=8, seed=2024)
+    point = xy_sweep_point(h_fm, red, m=3, loop=XY_LOOP, runs=8, seed=2024)
     top_ok = point.est_lambdas[0] >= 0.99
     tail_ok = max(point.est_lambdas[1], point.est_lambdas[2]) <= 0.01
 

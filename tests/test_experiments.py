@@ -1,7 +1,12 @@
 """Tests for the three application experiments."""
 
+import dataclasses
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -52,10 +57,10 @@ from vqse.qmath import (
 from vqse.solver import readout
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
-FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
-AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, h=1.0, gamma=np.pi / 3, keep=4)
+FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
+AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=4)
 # a ferromagnet in a tilted field: its product point is a residual minimum, not a crossing
-TILTED_FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=1.0, gamma=np.pi / 6, keep=4)
+TILTED_FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=np.pi / 6, keep=4)
 # the factorizing-field searches pinned here: the xy_afm_shots grid and C7's FM grid
 FIELD_GRIDS = {"afm": (AFM_RING, [0.9, 1.0, 1.1]), "fm": (FM_RING, np.arange(0.4, 1.01, 0.05))}
 
@@ -100,8 +105,8 @@ class TestRandomLowRankState:
         assert np.array_equal(got, psi.reshape(2**n, 2**n_ancilla))
 
 
-def pauli_chain_hamiltonian(spec):
-    """H = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) - h cos(gamma) sum Sz - h sin(gamma) sum Sx.
+def pauli_chain_hamiltonian(spec, h):
+    """H(h) = -sum_j (J_x Sx_j Sx_{j+1} + J_y Sy_j Sy_{j+1}) - h cos(gamma) sum Sz - h sin(gamma) sum Sx.
 
     Built from Pauli matrices by np.kron, S = sigma / 2, one bond per site j
     to j + 1 mod N (so N = 2 counts its one pair twice).
@@ -118,20 +123,20 @@ def pauli_chain_hamiltonian(spec):
     for j in range(N):
         k = (j + 1) % N
         ham -= spec.J_x * spins((j, PAULI_X), (k, PAULI_X)) + spec.J_y * spins((j, PAULI_Y), (k, PAULI_Y))
-        ham -= spec.h * (np.cos(spec.gamma) * spins((j, PAULI_Z)) + np.sin(spec.gamma) * spins((j, PAULI_X)))
+        ham -= h * (np.cos(spec.gamma) * spins((j, PAULI_Z)) + np.sin(spec.gamma) * spins((j, PAULI_X)))
     assert np.abs(ham.imag).max() == 0.0
     return ham.real
 
 
 class TestXYChain:
     def test_hamiltonian_is_symmetric(self):
-        spec = SpinChainSpec(N=6, J_x=1.0, J_y=0.5, h=0.8, gamma=np.pi / 3, keep=3)
-        ham = xy_hamiltonian(spec)
+        spec = SpinChainSpec(N=6, J_x=1.0, J_y=0.5, gamma=np.pi / 3, keep=3)
+        ham = xy_hamiltonian(spec, 0.8)
         assert np.abs(ham - ham.T).max() < 1e-12
 
     def test_translation_invariance(self):
-        spec = SpinChainSpec(N=5, J_x=-1.0, J_y=-0.5, h=0.7, gamma=0.4, keep=2)
-        ham = xy_hamiltonian(spec)
+        spec = SpinChainSpec(N=5, J_x=-1.0, J_y=-0.5, gamma=0.4, keep=2)
+        ham = xy_hamiltonian(spec, 0.7)
         d = 2**spec.N
         # cyclic shift permutation: qubit q -> q+1 (mod N)
         perm = np.zeros(d, dtype=int)
@@ -142,17 +147,17 @@ class TestXYChain:
         assert np.abs(shifted - ham).max() < 1e-10
 
     def test_noninteracting_limit_is_polarized_product(self):
-        spec = SpinChainSpec(N=6, J_x=0.0, J_y=0.0, h=1.0, gamma=0.0, keep=3)
-        red, energy = xy_ground_reduced(spec)
+        spec = SpinChainSpec(N=6, J_x=0.0, J_y=0.0, gamma=0.0, keep=3)
+        red, energy = xy_ground_reduced(spec, 1.0)
         w = exact_eigs(red)[0]
         assert w[0] == pytest.approx(1.0)
         # all spins aligned with the field: energy -N h / 2
         assert energy == pytest.approx(-3.0)
 
     def test_reduced_spectrum_matches_schmidt_oracle(self):
-        spec = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.9, gamma=0.0, keep=4)
-        red, _ = xy_ground_reduced(spec)
-        w, v = np.linalg.eigh(xy_hamiltonian(spec))
+        spec = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
+        red, _ = xy_ground_reduced(spec, 0.9)
+        w, v = np.linalg.eigh(xy_hamiltonian(spec, 0.9))
         svals = np.linalg.svd(v[:, 0].reshape(2**4, 2**4), compute_uv=False)
         lam = exact_eigs(red)[0]
         assert np.abs(lam - np.sort(svals**2)[::-1]).max() < 1e-10
@@ -166,9 +171,9 @@ class TestXYChain:
         h=st.floats(0.0, 3.0),
     )
     def test_affine_field_line_matches_dense(self, N, gamma, jx, jy, h):
-        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=1)
-        ham = xy_hamiltonian(spec)
-        want = pauli_chain_hamiltonian(spec)
+        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, gamma=gamma, keep=1)
+        ham = xy_hamiltonian(spec, h)
+        want = pauli_chain_hamiltonian(spec, h)
         assert np.abs(ham - want).max() <= 1e-13
         if gamma == 0.0:
             odd = np.array([bin(i).count("1") % 2 for i in range(2**N)], dtype=bool)
@@ -196,8 +201,8 @@ class TestXYChain:
     @example(N=5, gamma=1.0227576148799074, jx=0.2585847053690711, jy=1.0227576148799074, h=1.192092896e-07)
     def test_translation_sectors_match_dense(self, N, gamma, jx, jy, h):
         keep = N // 2
-        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, h=h, gamma=gamma, keep=keep)
-        line = _FieldLine(spec)
+        spec = SpinChainSpec(N=N, J_x=jx, J_y=jy, gamma=gamma, keep=keep)
+        line = spec._line
         # a conjugate pair m, N - m (0 < m < N/2) is held once, as sector m's complex block
         copies = [2 if np.iscomplexobj(sector.coupling) else 1 for sector in line.sectors]
         assert sum(n * sector.coupling.shape[0] for n, sector in zip(copies, line.sectors)) == 2**N
@@ -210,7 +215,7 @@ class TestXYChain:
             for sector in line.sectors:
                 ones = np.diag(sector.field).real + N / 2
                 assert np.unique(ones % 2).size <= 1
-        w, v = np.linalg.eigh(xy_hamiltonian(spec))
+        w, v = np.linalg.eigh(xy_hamiltonian(spec, h))
         levels = np.sort(np.concatenate([
             np.repeat(np.linalg.eigvalsh(sector.coupling + h * sector.field), n)
             for n, sector in zip(copies, line.sectors)
@@ -236,17 +241,25 @@ class TestXYChain:
         if e1 - e0 > GROUND_DEGENERACY_TOL:
             # a simple level lies in a real sector (m = 0 or N/2), whose weights are real
             assert not np.iscomplexobj(line.sectors[i].amplitude)
-            u, s, e0_ground, i_ground = line.ground(h, keep)
+            u, s, e0_ground, i_ground = line.ground(h)
             assert (e0_ground, i_ground) == (e0, i)
             # Schmidt values as accurate as the dense vector they are checked against
             want = np.linalg.svd(v[:, 0].reshape(2**keep, -1), compute_uv=False)
             assert np.abs(s - want).max() <= max(1e-12, accuracy)
 
     def test_sectors_built_on_first_use(self):
-        line = _FieldLine(FM_RING)
-        assert "sectors" not in vars(line)
-        line.ground(0.5, FM_RING.keep)
+        ring = dataclasses.replace(FM_RING)
+        assert "_line" not in vars(ring)
+        factorization_residual(ring, 0.5)
+        line = ring._line
         assert "sectors" in vars(line)
+        # the chain keeps its line: the second call reads the field the first one solved
+        xy_ground_reduced(ring, 0.5)
+        assert ring._line is line and list(line._grounds) == [0.5]
+        fresh = _FieldLine(FM_RING)
+        assert "sectors" not in vars(fresh)
+        fresh.ground(0.5)
+        assert "sectors" in vars(fresh)
 
     def test_one_line_per_chain_each_field_solved_once(self, monkeypatch):
         # the xy_afm_shots run: the search, the residual at its h*, then the sweep
@@ -259,12 +272,12 @@ class TestXYChain:
         monkeypatch.setattr(_FieldLine, "ground_space", lambda line, h: solved.append(h) or real_space(line, h))
         monkeypatch.setattr(experiments, "_product_seeking_vector",
                             lambda space, *args: picks.append(space.shape[1]) or real_pick(space, *args))
-        experiments._field_line.cache_clear()
+        ring = dataclasses.replace(AFM_RING)  # a cold line
         grid = [0.9, 1.0, 1.1]
-        h_star = locate_factorization(AFM_RING, grid)
+        h_star = locate_factorization(ring, grid)
         searched = len(solved)
-        factorization_residual(AFM_RING, h_star)
-        xy_spectroscopy_sweep(AFM_RING, grid, m=3, loop=FAST_LOOP, runs=1, seed=1)
+        factorization_residual(ring, h_star)
+        xy_spectroscopy_sweep(ring, grid, m=3, loop=FAST_LOOP, runs=1, seed=1)
         assert len(builds) == 1
         # the residual re-reads the winning candidate, the sweep the scanned grid fields
         assert len(solved) == searched == len(set(solved))
@@ -289,11 +302,11 @@ class TestXYChain:
             "1-ulp": np.nextafter(1.0, 0.0),
             "1+ulp": np.nextafter(1.0, 2.0),
         }[field]
-        shared = experiments._field_line(spec.N, spec.J_x, spec.J_y, spec.gamma)  # reads no field
-        first = shared.ground(h, spec.keep)
-        memoized = shared.ground(float(h), spec.keep)
+        shared = spec._line
+        first = shared.ground(h)
+        memoized = shared.ground(float(h))
         assert memoized is first
-        fresh = _FieldLine(spec).ground(h, spec.keep)
+        fresh = _FieldLine(spec).ground(h)
         assert all(np.array_equal(got, want) for got, want in zip(memoized, fresh))
         u, s = memoized[:2]
         assert not u.flags.writeable and not s.flags.writeable
@@ -318,8 +331,7 @@ class TestXYChain:
             "1-ulp": np.nextafter(1.0, 0.0),
             "1+ulp": np.nextafter(1.0, 2.0),
         }[field]
-        spec = SpinChainSpec(spec.N, spec.J_x, spec.J_y, h, spec.gamma, spec.keep)
-        w, v = np.linalg.eigh(xy_hamiltonian(spec))
+        w, v = np.linalg.eigh(xy_hamiltonian(spec, h))
         bases = [_FieldLine(spec).ground_space(h)[0], v[:, w - w[0] <= GROUND_DEGENERACY_TOL]]
         assert bases[0].shape[1] == bases[1].shape[1] == 2
         rng = np.random.default_rng(17)
@@ -339,28 +351,42 @@ class TestXYChain:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SpinChainSpec(N=13, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
+            SpinChainSpec(N=13, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
         with pytest.raises(ValueError):
-            SpinChainSpec(N=6, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=6)
+            SpinChainSpec(N=6, J_x=1.0, J_y=0.5, gamma=0.0, keep=6)
 
 
 class TestFactorization:
     def test_transverse_analytic_point(self):
         # transverse field: the product point sits at sqrt(Jx Jy) exactly
-        spec = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, h=0.5, gamma=0.0, keep=4)
+        spec = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
         h_star = locate_factorization(spec, np.arange(0.4, 1.01, 0.05))
         assert abs(h_star - np.sqrt(0.5)) < 1e-3
-        red, _ = xy_ground_reduced(
-            SpinChainSpec(8, 1.0, 0.5, h_star, 0.0, 4))
+        red, _ = xy_ground_reduced(spec, h_star)
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
+
+    @settings(max_examples=20)
+    @given(
+        N=st.sampled_from([4, 6, 8]),
+        sign=st.sampled_from([1.0, -1.0]),
+        size=st.floats(0.3, 2.0),
+        ratio=st.floats(0.05, 0.95),
+    )
+    @example(N=8, sign=1.0, size=1.0, ratio=0.5)  # test_transverse_analytic_point's chain
+    def test_closed_form_factorizing_field(self, N, sign, size, ratio):
+        # with no x field and couplings of one sign, h_f = sqrt(J_x J_y)
+        # (Kurmann, Thomas & Mueller, Physica A 112, 235 (1982)), a formula the search does not use
+        J_x = sign * size
+        spec = SpinChainSpec(N=N, J_x=J_x, J_y=ratio * J_x, gamma=0.0, keep=N // 2)
+        h_star = locate_factorization(spec, np.linspace(0.05, 2.05, 11))
+        assert abs(h_star - np.sqrt(spec.J_x * spec.J_y)) <= 1e-10
 
     def test_afm_nontransverse_point(self):
         # declared AFM configuration factorizes exactly at h = 1
-        spec = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, h=0.5, gamma=np.pi / 3, keep=3)
+        spec = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=3)
         h_star = locate_factorization(spec, np.arange(0.5, 1.51, 0.1))
         assert abs(h_star - 1.0) < 1e-6
-        red, _ = xy_ground_reduced(
-            SpinChainSpec(6, -1.0, -0.5, h_star, np.pi / 3, 3))
+        red, _ = xy_ground_reduced(spec, h_star)
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
 
     @pytest.mark.parametrize("grid", [
@@ -406,10 +432,9 @@ class TestFactorization:
         h_star = locate_factorization(ring, grid)
         assert abs(h_star - 1.931853) <= 1e-5
         assert factorization_residual(ring, h_star) < 1e-8
-        line = experiments._field_line(ring.N, ring.J_x, ring.J_y, ring.gamma)
-        assert len({line.ground(h, ring.keep)[3] for h in grid}) == 1
+        assert len({ring._line.ground(h)[3] for h in grid}) == 1
         # the dense reference: a simple ground level whose eigh vector is a product
-        w, v = np.linalg.eigh(xy_hamiltonian(SpinChainSpec(ring.N, ring.J_x, ring.J_y, h_star, ring.gamma, ring.keep)))
+        w, v = np.linalg.eigh(xy_hamiltonian(ring, h_star))
         assert w[1] - w[0] > 0.5
         s = np.linalg.svd(v[:, 0].reshape(2**ring.keep, -1), compute_uv=False)
         assert 1.0 - s[0] ** 2 < 1e-12
@@ -421,7 +446,7 @@ class TestFactorization:
                 calls.append(a.shape[-1])
                 return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
+        locate_factorization(dataclasses.replace(AFM_RING), [0.9, 1.0, 1.1])
         assert calls.count(2**AFM_RING.N) <= 144
 
     def test_search_diagonalizes_full_size_only_at_the_crossing(self, monkeypatch):
@@ -434,9 +459,10 @@ class TestFactorization:
                 calls.append(a.shape[-1])
                 return _real(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        locate_factorization(AFM_RING, [0.9, 1.0, 1.1])
-        xy_ground_reduced(AFM_RING)
-        locate_factorization(*FIELD_GRIDS["fm"])
+        afm, fm = dataclasses.replace(AFM_RING), dataclasses.replace(FM_RING)  # cold lines
+        locate_factorization(afm, [0.9, 1.0, 1.1])
+        xy_ground_reduced(afm, 1.0)
+        locate_factorization(fm, FIELD_GRIDS["fm"][1])
         assert calls and calls.count(2**AFM_RING.N) == 0
 
     @pytest.mark.parametrize("rounds", [0, 10, 59])
@@ -447,9 +473,9 @@ class TestFactorization:
         assert abs(x - 0.3) <= 0.5 * 0.6180339887498949**rounds + 1e-7
 
     def test_noninteracting_everywhere_factorized(self):
-        spec = SpinChainSpec(N=4, J_x=0.0, J_y=0.0, h=0.5, gamma=0.0, keep=2)
+        spec = SpinChainSpec(N=4, J_x=0.0, J_y=0.0, gamma=0.0, keep=2)
         h_star = locate_factorization(spec, [0.2, 0.5, 0.8])
-        red, _ = xy_ground_reduced(SpinChainSpec(4, 0.0, 0.0, h_star, 0.0, 2))
+        red, _ = xy_ground_reduced(spec, h_star)
         assert 1.0 - exact_eigs(red)[0][0] < 1e-8
 
     def test_residual_is_never_negative(self):
@@ -462,12 +488,12 @@ class TestFactorization:
     def test_zero_hamiltonian_is_refused_up_front(self):
         # J_x = J_y = 0 makes H(0) = 0, whose 2^N-fold ground space would send
         # the product-seeking search over every pair of ground vectors
-        spec = SpinChainSpec(N=3, J_x=0.0, J_y=0.0, h=0.0, gamma=0.0, keep=1)
+        spec = SpinChainSpec(N=3, J_x=0.0, J_y=0.0, gamma=0.0, keep=1)
         with mock.patch("vqse.experiments._product_seeking_vector") as scan:
             with pytest.raises(ValueError, match="J_x = J_y = 0"):
                 locate_factorization(spec, [-1.0, 0.5, 1.0])
             with pytest.raises(ValueError, match="J_x = J_y = 0"):
-                xy_ground_reduced(spec)
+                xy_ground_reduced(spec, 0.0)
             with pytest.raises(ValueError, match="J_x = J_y = 0"):
                 factorization_residual(spec, 0.0)
         scan.assert_not_called()
@@ -490,7 +516,7 @@ class TestFactorization:
 
     def test_not_found_raises(self):
         # in-plane field on the ferromagnet admits no product ground state
-        spec = SpinChainSpec(N=6, J_x=1.0, J_y=0.5, h=0.5, gamma=np.pi / 2, keep=3)
+        spec = SpinChainSpec(N=6, J_x=1.0, J_y=0.5, gamma=np.pi / 2, keep=3)
         with pytest.raises(FactorizationNotFound):
             locate_factorization(spec, np.arange(0.3, 1.21, 0.1))
 
@@ -761,17 +787,56 @@ class TestJobsIndependence:
             assert (a.final_fidelity, a.eigenvector_fidelity) == (b.final_fidelity, b.eigenvector_fidelity)
 
 
+# the sweep of the start-method tests: an N = 6 antiferromagnet, two fields, two runs per field
+SWEEP_RING = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=3)
+SWEEP_ARGS = dict(h_grid=[0.6, 0.8], m=3, loop=FAST_LOOP, runs=2, seed=3)
+
+SPAWNED_SWEEP = """
+import multiprocessing
+
+import numpy as np
+
+from vqse.ansatz import BlockKind
+from vqse.experiments import LoopConfig, SpinChainSpec, xy_spectroscopy_sweep
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    ring = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=3)
+    loop = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
+    points = xy_spectroscopy_sweep(ring, [0.6, 0.8], m=3, loop=loop, runs=2, seed=3, jobs=2)
+    print(multiprocessing.get_start_method())
+    print(repr([tuple(p) for p in points]))
+"""
+
+
 class TestXYSweep:
     def test_sweep_rows_are_consistent(self):
-        spec = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, h=0.7, gamma=np.pi / 3, keep=3)
-        points = xy_spectroscopy_sweep(spec, [0.6, 0.8], m=3, loop=FAST_LOOP, runs=2, seed=3)
+        points = xy_spectroscopy_sweep(SWEEP_RING, **SWEEP_ARGS)
         assert [p.h for p in points] == [0.6, 0.8]
         for p in points:
             assert len(p.exact_lambdas) == 3 and len(p.est_lambdas) == 3
             assert p.eps_abs >= 0 and p.eps_rel >= 0
 
     def test_point_determinism(self):
-        spec = SpinChainSpec(N=6, J_x=-1.0, J_y=-0.5, h=0.7, gamma=np.pi / 3, keep=3)
-        p1 = xy_sweep_point(spec, 3, FAST_LOOP, runs=2, seed=11)
-        p2 = xy_sweep_point(spec, 3, FAST_LOOP, runs=2, seed=11)
+        reduced, _ = xy_ground_reduced(SWEEP_RING, 0.7)
+        p1 = xy_sweep_point(0.7, reduced, 3, FAST_LOOP, runs=2, seed=11)
+        p2 = xy_sweep_point(0.7, reduced, 3, FAST_LOOP, runs=2, seed=11)
         assert p1 == p2
+
+    def test_points_do_not_depend_on_jobs(self):
+        one = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS, jobs=1)
+        two = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS, jobs=2)
+        assert one == two
+
+    def test_spawned_workers_give_the_same_points(self, tmp_path):
+        # a spawned worker inherits nothing: it trains on the reduced state it is handed
+        script = tmp_path / "spawned_sweep.py"
+        script.write_text(SPAWNED_SWEEP)
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        method, points = run.stdout.splitlines()
+        assert method == "spawn"
+        want = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS, jobs=1)
+        assert points == repr([tuple(p) for p in want])

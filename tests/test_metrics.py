@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqse.ansatz import BlockKind, LayeredAnsatz, apply_ansatz
-from vqse.hamiltonians import default_local_weights, lowest_levels
+from vqse.hamiltonians import (
+    AdaptiveHamiltonian,
+    DegenerateSpectrumError,
+    default_local_weights,
+    global_from_local,
+    lowest_levels,
+)
 from vqse.metrics import (
     bound_from_cost,
     bound_from_purity,
@@ -110,30 +117,36 @@ class TestBoundFromCost:
         with pytest.raises(ValueError):
             bound_from_cost(0.1, [0.9, 0.2], 1.0)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bounds_hold_for_arbitrary_circuits(self, seed):
-        # the inequalities hold for any angles, not only optimized ones
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 4))
-        m = 2
-        rho = random_density_matrix(n, rank=2, seed=seed + 60)
-        a = LayeredAnsatz.random(n, 2, BlockKind.RY_CZ, rng)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_bounds_hold_for_arbitrary_circuits(self, data):
+        # C5 for any angles, not only trained ones: on a uniform mixture over a
+        # random rank-r subspace (an r-fold degenerate spectrum), each error is
+        # under both bounds and the purity bound under the cost bound, for the
+        # local, the global and an adaptive Hamiltonian with random marked bitstrings
+        n = data.draw(st.integers(2, 6), label="n")
+        kind = data.draw(st.sampled_from(list(BlockKind)), label="kind")
+        rank = data.draw(st.integers(1, 2**n), label="rank")
+        m = data.draw(st.integers(1, min(2 ** (n - 1), 4)), label="m")
+        layers = data.draw(st.integers(1, 3), label="layers")
+        f = data.draw(st.floats(0.0, 1.0), label="f")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        basis, _ = np.linalg.qr(rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank)))
+        rho = DensityMatrix(factor=basis / np.sqrt(rank))
+        a = LayeredAnsatz.random(n, layers, kind, rng)
         local = default_local_weights(n, m)
-        est = readout(rho, a, m=m)
-        lam = exact_eigs(rho)[0]
-        c = local.energies() @ apply_ansatz(rho, a).diagonal()
-        energies = [e for e, _ in lowest_levels(local, m + 1)]
-        pur = purity(rho)
-        eps_l = eigen_errors(lam, est, m).eps_lambda
-        eps_v = eigenvector_error(rho, a, est)
-        cb = bound_from_cost(c, energies, pur)
-        wide = readout(rho, a, m=default_m_hat(m, n))
-        bp = bound_from_purity(pur, wide.lambdas, n, wide.m)
-        assert eps_l <= cb.value + 1e-9
-        assert eps_v <= cb.value + 1e-9
-        assert eps_l <= bp + 1e-9
-        assert eps_v <= bp + 1e-9
-        assert bp <= cb.value + 1e-9
+        glob = global_from_local(local, m)
+        marked = [format(int(i), f"0{n}b") for i in rng.choice(2**n, m, replace=False)]
+        est, wide = readout(rho, a, m=m), readout(rho, a, m=default_m_hat(m, n))
+        probabilities = apply_ansatz(rho, a).diagonal()
+        for h in (local, glob, AdaptiveHamiltonian(local, glob.with_bitstrings(marked), f)):
+            try:
+                energies = [e for e, _ in lowest_levels(h, m + 1)]
+            except DegenerateSpectrumError:
+                continue  # the cost bound needs m + 1 distinct lowest levels
+            cost = float(h.energies() @ probabilities)
+            report = build_error_report(rho, a, est, rho.eigenvalues(), cost, energies, purity(rho), wide)
+            assert check_error_report(report) == []
 
 
 class TestBoundFromPurity:

@@ -317,6 +317,22 @@ class TestReadout:
         assert est.lambdas[0] == pytest.approx(1.0)
         assert np.allclose(est.lambdas[1:], 0.0)
 
+    @pytest.mark.parametrize("shots", [-5, 2.5, float("nan")])
+    def test_shots_must_be_a_non_negative_integer(self, shots):
+        # 2.5 would draw 2 shots and divide the counts by 2.5; -5 and NaN would fail inside numpy
+        rho = random_density_matrix(2, seed=1)
+        a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, 0)
+        message = "shots must be a non-negative integer"
+        with pytest.raises(ValueError, match=message):
+            cost_config(2, 2, "adaptive", shots=shots)
+        with pytest.raises(ValueError, match=message):
+            readout(rho, a, m=2, shots=shots, rng=0)
+        with pytest.raises(ValueError, match=message):
+            param_shift_gradient(rho, a, default_local_weights(2, 2), shots=shots, rng=0)
+        # a numpy integer is an integer
+        assert cost_config(2, 2, "adaptive", shots=np.int64(8)).shots == 8
+        assert readout(rho, a, m=2, shots=np.int64(8), rng=0).shots_used == 8
+
     def test_partial_sums_majorized_by_spectrum(self):
         for seed in range(8):
             rho = random_density_matrix(3, seed=seed)
