@@ -117,9 +117,34 @@ class TestBoundFromCost:
         with pytest.raises(ValueError):
             bound_from_cost(0.1, [0.9, 0.2], 1.0)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bounds_hold_for_arbitrary_circuits(self, seed):
+        # the inequalities hold for any angles, not only optimized ones
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        m = 2
+        rho = random_density_matrix(n, rank=2, seed=seed + 60)
+        a = LayeredAnsatz.random(n, 2, BlockKind.RY_CZ, rng)
+        local = default_local_weights(n, m)
+        est = readout(rho, a, m=m)
+        lam = exact_eigs(rho)[0]
+        c = local.energies() @ apply_ansatz(rho, a).diagonal()
+        energies = [e for e, _ in lowest_levels(local, m + 1)]
+        pur = purity(rho)
+        eps_l = eigen_errors(lam, est, m).eps_lambda
+        eps_v = eigenvector_error(rho, a, est)
+        cb = bound_from_cost(c, energies, pur)
+        wide = readout(rho, a, m=default_m_hat(m, n))
+        bp = bound_from_purity(pur, wide.lambdas, n, wide.m)
+        assert eps_l <= cb.value + 1e-9
+        assert eps_v <= cb.value + 1e-9
+        assert eps_l <= bp + 1e-9
+        assert eps_v <= bp + 1e-9
+        assert bp <= cb.value + 1e-9
+
     @settings(max_examples=100)
     @given(data=st.data())
-    def test_bounds_hold_for_arbitrary_circuits(self, data):
+    def test_bounds_hold_on_random_mixtures_and_hamiltonians(self, data):
         # C5 for any angles, not only trained ones: on a uniform mixture over a
         # random rank-r subspace (an r-fold degenerate spectrum), each error is
         # under both bounds and the purity bound under the cost bound, for the
