@@ -476,10 +476,6 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
     def fail(key: str, message: str):
         raise ConfigError(f"key {key!r} {message}", section[key][1] if key in section else None)
 
-    if experiment != "wstate":
-        n = cfg["state"].n if experiment == "custom" else cfg["keep" if experiment == "xy" else "n"]
-        if cfg["m"] > 2**n:
-            fail("m", f"must lie in [1, 2^n = {2**n}], got {cfg['m']}")
     if experiment == "pca" and cfg["n"] + cfg["n_ancilla"] > 12:
         fail("n_ancilla" if "n_ancilla" in section else "n",
              f"must keep n + n_ancilla at most 12, got {cfg['n']} + {cfg['n_ancilla']}")
@@ -496,8 +492,9 @@ def _check_ranges(section: dict, experiment: str, cfg: dict) -> None:
     if cfg[total] % cfg[period]:
         fail(period, f"must divide {total}={cfg[total]}, got {cfg[period]}")
     if experiment != "wstate":
-        # the cost the run builds: weights invalid on their own (already at m = 1)
-        # are r1's or delta's fault, weights that cannot certify m levels are m's
+        # the cost the run builds: weights invalid on their own (already at m = 1) are
+        # r1's or delta's fault, weights that cannot certify m levels (or m > 2^n) are m's
+        n = cfg["state"].n if experiment == "custom" else cfg["keep" if experiment == "xy" else "n"]
         for key, levels in (("r1" if "r1" in section else "delta", 1), ("m", cfg["m"])):
             try:
                 _loop_from(cfg).cost_config(n, levels)

@@ -39,7 +39,6 @@ from .metrics import (
 from . import qmath
 from .qmath import (
     DensityMatrix,
-    KrausChannel,
     PureState,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -96,7 +95,7 @@ class SpinChainSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-gate noise: depolarizing after every gate, damping on each qubit."""
+    """Per-gate noise on 1- and 2-qubit gates: depolarizing, then damping on each target."""
 
     p_depol_1q: float = 0.0
     p_depol_2q: float = 0.0
@@ -109,39 +108,23 @@ class NoiseSpec:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
     @functools.cached_property
-    def channels(self) -> tuple[KrausChannel | None, KrausChannel | None, KrausChannel | None]:
-        """1-qubit depolarizing, 2-qubit depolarizing and damping channel (None if off), built once."""
-        return (
-            depolarizing_channel(self.p_depol_1q, 1) if self.p_depol_1q > 0 else None,
-            depolarizing_channel(self.p_depol_2q, 2) if self.p_depol_2q > 0 else None,
-            amplitude_damping_channel(self.gamma_ad) if self.gamma_ad > 0 else None,
-        )
+    def superoperators(self) -> dict[int, np.ndarray]:
+        """The noise after a k-qubit gate, k = 1 or 2, as one superoperator on qubit-interleaved vec(rho).
 
-    @functools.cached_property
-    def _superoperators(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def superoperator(self, k: int) -> np.ndarray:
-        """The noise after a k-qubit gate as one superoperator on qubit-interleaved vec(rho).
-
-        Depolarizing on the gate's targets (the 1-qubit channel after a 1-qubit
-        gate, else the 2-qubit one), then damping on each target: in interleaved
-        order each qubit's row and column bits are adjacent, so the damping is
-        a kron of per-qubit superoperators.  Built once per arity, read-only.
+        Depolarizing on the targets at rate p_depol_kq, then damping on each target: a kron of
+        per-qubit superoperators, as interleaved order keeps each qubit's row and column bits
+        adjacent.  A zero rate gives an exact identity.  Built once, read-only.
         """
-        if k not in self._superoperators:
-            depol_1q, depol_2q, damping = self.channels
-            depol = depol_1q if k == 1 else depol_2q
-            sup = np.eye(4**k)
-            if depol is not None:
-                if depol.arity != k:
-                    raise ValueError(f"channel arity {depol.arity} does not match {k} targets")
-                sup = _interleaved(depol.superoperator, k)
-            if damping is not None:
-                sup = functools.reduce(np.kron, [damping.superoperator] * k, np.eye(1)) @ sup
-            sup.flags.writeable = False
-            self._superoperators[k] = sup
-        return self._superoperators[k]
+        damping = amplitude_damping_channel(self.gamma_ad).superoperator
+        sups = {}
+        for k, p in ((1, self.p_depol_1q), (2, self.p_depol_2q)):
+            depol = _interleaved(depolarizing_channel(p, k).superoperator, k)
+            sups[k] = functools.reduce(np.kron, [damping] * k) @ depol
+            sups[k].flags.writeable = False
+        return sups
+
+
+_NOISELESS = NoiseSpec()
 
 
 @dataclass(frozen=True)
@@ -721,18 +704,20 @@ def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -
     Each gate is followed by depolarizing on its targets (the 1-qubit channel
     after a 1-qubit gate, the 2-qubit one otherwise), then amplitude damping
     on each target.  The gate and its noise are fused into one superoperator
-    S = D_k kron(u, u*) (`NoiseSpec.superoperator`), which keeps that order.
+    S = D_k kron(u, u*) (`NoiseSpec.superoperators`), which keeps that order.
     vec(rho) is held in qubit-interleaved bit order r_0 c_0 r_1 c_1 ..., where
     a gate on qubits q..q+k-1 acts on the one run of bits 2q..2q+2k-1, so each
     gate is one `_apply_left` matmul; a gate with unsorted targets is first
     given sorted ones by permuting its qubit axes, which the noise commutes
-    with.  Targets, shapes and unitarity are checked for the whole list
-    before any gate runs, unitarity as one stacked check per arity.
+    with.  Targets, shapes, arity (1 or 2) and unitarity are checked for the
+    whole list before any gate runs, unitarity as one stacked check per arity.
     """
-    noise = noise or NoiseSpec()
+    noise = noise or _NOISELESS
     checked = []
     for g in gates:
         u, targets = _check_gate(g.matrix, g.targets, n)
+        if len(targets) > 2:
+            raise ValueError(f"gate on targets {targets}: the noise model covers 1- and 2-qubit gates only")
         if list(targets) != sorted(targets):
             k, order = len(targets), np.argsort(targets)
             u = u.reshape((2,) * 2 * k).transpose([*order, *(order + k)]).reshape(u.shape)
@@ -744,7 +729,7 @@ def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -
         us = np.stack([checked[i][0] for i in gate_ids])
         _check_unitary(us)
         krons = (us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(-1, 4**k, 4**k)
-        for i, s in zip(gate_ids, noise.superoperator(k) @ _interleaved(krons, k)):
+        for i, s in zip(gate_ids, noise.superoperators[k] @ _interleaved(krons, k)):
             sups[i] = s
     vec = np.zeros((4**n, 1), dtype=complex)
     vec[0] = 1.0

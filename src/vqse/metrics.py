@@ -111,7 +111,6 @@ class ErrorReport:
     bound_purity: float
     m_hat: int
     bound_cost_degenerate: bool = False
-    rel_terms_excluded: int = 0
 
 
 def build_error_report(
@@ -137,7 +136,6 @@ def build_error_report(
         bound_purity=bound_from_purity(purity, wide.lambdas, rho.n, wide.m),
         m_hat=wide.m,
         bound_cost_degenerate=cb.degenerate,
-        rel_terms_excluded=errs.n_excluded,
     )
 
 

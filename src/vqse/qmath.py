@@ -152,14 +152,6 @@ class DensityMatrix:
             return (self._factor.real**2 + self._factor.imag**2).sum(axis=1)
         return self.data.diagonal().real.copy()
 
-    @classmethod
-    def basis_state(cls, n: int, z: str | int) -> "DensityMatrix":
-        """|z><z| for a computational-basis label (bitstring or index)."""
-        i = bitstring_to_index(z) if isinstance(z, str) else int(z)
-        d = np.zeros((2**n, 2**n), dtype=complex)
-        d[i, i] = 1.0
-        return cls(d, validate=False)
-
     def __repr__(self) -> str:
         return f"DensityMatrix(n={self.n})"
 
@@ -178,13 +170,6 @@ class PureState:
             nrm = np.linalg.norm(amp)
             if abs(nrm - 1.0) > NORM_TOL:
                 raise ValueError(f"norm {nrm} is not 1 within {NORM_TOL}")
-
-    @classmethod
-    def basis_state(cls, n: int, z: str | int) -> "PureState":
-        i = bitstring_to_index(z) if isinstance(z, str) else int(z)
-        amp = np.zeros(2**n, dtype=complex)
-        amp[i] = 1.0
-        return cls(amp, validate=False)
 
     def __repr__(self) -> str:
         return f"PureState(n={self.n})"

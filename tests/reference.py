@@ -1,13 +1,28 @@
 """Test-side references that the package does not use itself.
 
-`random_density_matrix` draws a seeded mixed state; `dense_circuit` builds
+`basis_pure_state` and `basis_density_matrix` build a computational-basis
+state; `random_density_matrix` draws a seeded mixed state; `dense_circuit` builds
 V(theta) as a dense matrix from np.kron-embedded block unitaries, apart from
 the factor walk (`ansatz._forward_states`) the package trains with.
 """
 
 import numpy as np
 
-from vqse.qmath import DensityMatrix
+from vqse.qmath import DensityMatrix, PureState, bitstring_to_index
+
+
+def basis_pure_state(n, z):
+    """|z> for a computational-basis label (bitstring or index)."""
+    i = bitstring_to_index(z) if isinstance(z, str) else int(z)
+    amp = np.zeros(2**n, dtype=complex)
+    amp[i] = 1.0
+    return PureState(amp, validate=False)
+
+
+def basis_density_matrix(n, z):
+    """|z><z| for a computational-basis label (bitstring or index)."""
+    amp = basis_pure_state(n, z).amplitudes
+    return DensityMatrix(np.outer(amp, amp.conj()), validate=False)
 
 
 def random_density_matrix(n, rank=None, seed=None):

@@ -20,7 +20,7 @@ from vqse.ansatz import (
 )
 from vqse.qmath import DensityMatrix, fidelity_pure
 
-from reference import dense_circuit, random_density_matrix
+from reference import basis_density_matrix, dense_circuit, random_density_matrix
 
 
 class TestStructure:
@@ -219,10 +219,10 @@ class TestApplyAnsatz:
         assert np.abs(apply_ansatz(rho, a).data - rho.data).max() < 1e-12
 
     def test_zero_angle_gcnotg_acts_as_cnot(self):
-        rho = DensityMatrix.basis_state(2, "10")
+        rho = basis_density_matrix(2, "10")
         a = LayeredAnsatz(2, 1, BlockKind.G_CNOT_G, np.zeros(12))
         out = apply_ansatz(rho, a)
-        assert np.allclose(out.data, DensityMatrix.basis_state(2, "11").data)
+        assert np.allclose(out.data, basis_density_matrix(2, "11").data)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -234,13 +234,13 @@ class TestPrepareEigenvector:
     def test_zero_angles_all_zero_bitstring(self):
         a = LayeredAnsatz(3, 1, BlockKind.RY_CZ, np.zeros(8))
         psi = prepare_eigenvector(a, "000")
-        assert fidelity_pure(DensityMatrix.basis_state(3, "000"), psi) == pytest.approx(1.0)
+        assert fidelity_pure(basis_density_matrix(3, "000"), psi) == pytest.approx(1.0)
 
     def test_diagonal_block_gives_global_phase_only(self):
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         psi = prepare_eigenvector(a, "11")
         # CZ^dag |11> = -|11>: fidelity ignores the global phase
-        assert fidelity_pure(DensityMatrix.basis_state(2, "11"), psi) == pytest.approx(1.0)
+        assert fidelity_pure(basis_density_matrix(2, "11"), psi) == pytest.approx(1.0)
         assert psi.amplitudes[3] == pytest.approx(-1.0)
 
     def test_is_column_of_v_dagger(self):

@@ -45,7 +45,6 @@ from vqse.qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
     amplitude_damping_channel,
     apply_channel,
     apply_unitary,
@@ -55,6 +54,9 @@ from vqse.qmath import (
     purity,
 )
 from vqse.solver import readout
+
+from reference import basis_density_matrix
+
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
 FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=0.0, keep=4)
@@ -527,7 +529,7 @@ SHIPPED_NOISE = NoiseSpec(p_depol_1q=0.002, p_depol_2q=0.02)
 
 def gate_by_gate(n, gates, noise):
     """The noisy circuit from the public calls: unitary, depolarizing, then damping per target."""
-    rho = DensityMatrix.basis_state(n, 0)
+    rho = basis_density_matrix(n, 0)
     for g in gates:
         rho = apply_unitary(rho, g.matrix, g.targets)
         p = noise.p_depol_1q if len(g.targets) == 1 else noise.p_depol_2q
@@ -585,12 +587,17 @@ class TestWStateCircuit:
             (Gate(CNOT, (1, 1)), "duplicate"),
             (Gate(PAULI_X, (3,)), "out of range"),
             (Gate(CNOT, (0,)), "does not match"),
+            (Gate(np.eye(8, dtype=complex), (0, 1, 2)), r"targets \(0, 1, 2\)"),
         ],
-        ids=["non-unitary 1q", "non-unitary 2q", "duplicate target", "target out of range", "shape"],
+        ids=["non-unitary 1q", "non-unitary 2q", "duplicate target", "target out of range", "shape",
+             "three qubits"],
     )
-    def test_bad_gate_raises(self, gate, message):
-        with pytest.raises(ValueError, match=message):
-            run_circuit(3, w_preparation_gates() + [gate], SHIPPED_NOISE)
+    def test_bad_gate_raises(self, monkeypatch, gate, message):
+        # the whole list is checked before the first gate runs, whatever the noise
+        monkeypatch.setattr(qmath, "_apply_left", mock.Mock(side_effect=AssertionError("a gate ran")))
+        for noise in (SHIPPED_NOISE, NoiseSpec(), None):
+            with pytest.raises(ValueError, match=message):
+                run_circuit(3, w_preparation_gates() + [gate], noise)
 
     @pytest.mark.parametrize("circuit", ["w_preparation", "gcnotg_2_layers"])
     def test_one_contraction_per_gate(self, monkeypatch, circuit):
@@ -755,6 +762,14 @@ class TestPcaExperiment:
         # tightening the target can only increase runs-per-success
         finite = [x for x in res.rps_final if np.isfinite(x)]
         assert all(b >= a for a, b in zip(finite, finite[1:]))
+
+    def test_two_layer_full_rank_comes_within_twice_the_direct_floor(self):
+        # direct minimization of eps_lambda over this circuit's 24 angles bottoms out
+        # at 2.1e-3 (tests/test_acceptance.py); the trainer ends near 3e-3, so a best
+        # run above twice the floor is the trainer's regression, not the circuit's limit
+        loop = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=300, s=30)
+        res = pca_experiment(4, 6, loop, runs=10, seed=1234, n_ancilla=4, jobs=2)
+        assert res.best_run.eps_final <= 2 * 2.1e-3
 
 
 class TestJobsIndependence:

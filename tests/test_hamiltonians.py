@@ -18,7 +18,7 @@ from vqse.hamiltonians import (
 )
 from vqse.qmath import DensityMatrix, exact_eigs
 
-from reference import random_density_matrix
+from reference import basis_density_matrix, random_density_matrix
 
 
 def local_energy(r, z):
@@ -180,7 +180,7 @@ class TestCost:
 
     def test_basis_state(self):
         w = default_local_weights(3, 3)
-        rho = DensityMatrix.basis_state(3, "000")
+        rho = basis_density_matrix(3, "000")
         assert w.energies() @ rho.diagonal() == pytest.approx(local_energy(w.r, "000"))
 
     def test_maximally_mixed_with_global(self):
@@ -200,7 +200,7 @@ class TestSampledCost:
 
     def test_deterministic_on_basis_state(self):
         w = default_local_weights(2, 2)
-        rho = DensityMatrix.basis_state(2, "10")
+        rho = basis_density_matrix(2, "10")
         for shots in (1, 7, 1000):
             mean = w.energies() @ sample_counts(rho, shots, 0) / shots
             assert mean == pytest.approx(local_energy(w.r, "10"))

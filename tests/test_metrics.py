@@ -27,7 +27,7 @@ from vqse.metrics import (
 from vqse.qmath import DensityMatrix, exact_eigs, purity
 from vqse.solver import EigenEstimate, readout
 
-from reference import random_density_matrix
+from reference import basis_density_matrix, random_density_matrix
 
 
 def make_estimate(lambdas, bitstrings, shots=0):
@@ -67,7 +67,7 @@ class TestEigenErrors:
 
 class TestEigenvectorError:
     def test_pure_state_perfectly_diagonalized(self):
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         est = readout(rho, a, m=1)
         assert eigenvector_error(rho, a, est) == pytest.approx(0.0, abs=1e-12)

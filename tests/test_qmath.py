@@ -23,7 +23,7 @@ from vqse.qmath import (
     purity,
 )
 
-from reference import random_density_matrix
+from reference import basis_density_matrix, basis_pure_state, random_density_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -45,7 +45,7 @@ def random_unitary(dim, seed):
 class TestConventions:
     def test_qubit0_is_most_significant_bit(self):
         # flipping qubit 0 of |000> must land on index 4 = |100>
-        rho = DensityMatrix.basis_state(3, "000")
+        rho = basis_density_matrix(3, "000")
         out = apply_unitary(rho, PAULI_X, [0])
         assert out.data[4, 4] == pytest.approx(1.0)
         assert bitstring_to_index("100") == 4
@@ -117,7 +117,7 @@ class TestFactor:
         assert np.abs(f @ f.conj().T - rho.data).max() < 1e-14
 
     def test_eigh_factor_is_cached_and_has_the_state_rank(self):
-        rho = DensityMatrix.basis_state(3, "101")
+        rho = basis_density_matrix(3, "101")
         assert rho.factor() is rho.factor()
         assert rho.factor().shape == (8, 1)
         a = _known_factor("rank_deficient")
@@ -138,14 +138,14 @@ class TestFactor:
 
 class TestApplyUnitary:
     def test_identity_fixes_state(self):
-        rho = DensityMatrix.basis_state(1, "0")
+        rho = basis_density_matrix(1, "0")
         out = apply_unitary(rho, np.eye(2), [0])
         assert np.allclose(out.data, rho.data)
 
     def test_pauli_x_flips_basis_state(self):
-        rho = DensityMatrix.basis_state(1, "0")
+        rho = basis_density_matrix(1, "0")
         out = apply_unitary(rho, PAULI_X, [0])
-        assert np.allclose(out.data, DensityMatrix.basis_state(1, "1").data)
+        assert np.allclose(out.data, basis_density_matrix(1, "1").data)
 
     def test_cnot_is_an_involution(self):
         # oracle: two applications via explicit dense matrix multiplication
@@ -167,7 +167,7 @@ class TestApplyUnitary:
         assert np.abs(out.data - full @ rho.data @ full.conj().T).max() < 1e-12
 
     def test_rejects_non_unitary(self):
-        rho = DensityMatrix.basis_state(1, "0")
+        rho = basis_density_matrix(1, "0")
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(rho, np.array([[1, 1], [0, 1]]), [0])
 
@@ -185,9 +185,9 @@ class TestPartialTrace:
         assert np.abs(red.data - np.eye(2) / 2).max() < 1e-12
 
     def test_product_state_reduction(self):
-        rho = DensityMatrix.basis_state(2, "01")
+        rho = basis_density_matrix(2, "01")
         red = partial_trace(rho, [1])
-        assert np.allclose(red.data, DensityMatrix.basis_state(1, "1").data)
+        assert np.allclose(red.data, basis_density_matrix(1, "1").data)
 
     def test_reduction_spectrum_equals_schmidt_coefficients(self):
         # oracle: SVD of the amplitude matrix of a random pure tripartite state
@@ -228,7 +228,7 @@ class TestExactEigs:
         assert np.allclose(w, [0.25, 0.25, 0.25, 0.25])
 
     def test_pure_state(self):
-        w, v = exact_eigs(DensityMatrix.basis_state(1, "0"))
+        w, v = exact_eigs(basis_density_matrix(1, "0"))
         assert np.allclose(w, [1.0, 0.0])
         assert abs(abs(v[0, 0]) - 1.0) < 1e-12
 
@@ -285,7 +285,7 @@ class TestEigenvalues:
 
 class TestPurityFidelity:
     def test_purity_examples(self):
-        assert purity(DensityMatrix.basis_state(1, "0")) == pytest.approx(1.0)
+        assert purity(basis_density_matrix(1, "0")) == pytest.approx(1.0)
         assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25)
 
     def test_purity_matches_eigenvalue_sum(self):
@@ -294,9 +294,9 @@ class TestPurityFidelity:
         assert abs(purity(rho) - (w**2).sum()) < 1e-10
 
     def test_fidelity_pure_examples(self):
-        zero = DensityMatrix.basis_state(1, "0")
-        assert fidelity_pure(zero, PureState.basis_state(1, "0")) == pytest.approx(1.0)
-        assert fidelity_pure(zero, PureState.basis_state(1, "1")) == pytest.approx(0.0)
+        zero = basis_density_matrix(1, "0")
+        assert fidelity_pure(zero, basis_pure_state(1, "0")) == pytest.approx(1.0)
+        assert fidelity_pure(zero, basis_pure_state(1, "1")) == pytest.approx(0.0)
         mixed = DensityMatrix(np.eye(8) / 8)
         rng = np.random.default_rng(0)
         amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -305,7 +305,7 @@ class TestPurityFidelity:
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity_pure(DensityMatrix(np.eye(4) / 4), PureState.basis_state(1, "0"))
+            fidelity_pure(DensityMatrix(np.eye(4) / 4), basis_pure_state(1, "0"))
 
 
 class TestChannels:
@@ -315,23 +315,23 @@ class TestChannels:
         assert np.abs(out.data - rho.data).max() < 1e-12
 
     def test_depolarizing_one_gives_maximally_mixed(self):
-        rho = DensityMatrix.basis_state(1, "0")
+        rho = basis_density_matrix(1, "0")
         out = apply_channel(rho, depolarizing_channel(1.0), [0])
         assert np.abs(out.data - np.eye(2) / 2).max() < 1e-12
 
     def test_depolarizing_embedded_leaves_other_qubit(self):
-        rho = DensityMatrix.basis_state(2, "10")
+        rho = basis_density_matrix(2, "10")
         out = apply_channel(rho, depolarizing_channel(1.0), [1])
         assert np.abs(partial_trace(out, [1]).data - np.eye(2) / 2).max() < 1e-12
-        assert np.allclose(partial_trace(out, [0]).data, DensityMatrix.basis_state(1, "1").data)
+        assert np.allclose(partial_trace(out, [0]).data, basis_density_matrix(1, "1").data)
 
     def test_amplitude_damping_on_excited_state(self):
         # oracle: direct Kraus algebra K0 |1><1| K0^dag + K1 |1><1| K1^dag
         gamma = 0.3
-        rho = DensityMatrix.basis_state(1, "1")
+        rho = basis_density_matrix(1, "1")
         out = apply_channel(rho, amplitude_damping_channel(gamma), [0])
-        expected = (1 - gamma) * DensityMatrix.basis_state(1, "1").data \
-            + gamma * DensityMatrix.basis_state(1, "0").data
+        expected = (1 - gamma) * basis_density_matrix(1, "1").data \
+            + gamma * basis_density_matrix(1, "0").data
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_two_qubit_depolarizing_trace_preserving(self):

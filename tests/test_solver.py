@@ -32,7 +32,7 @@ from vqse.solver import (
     readout,
 )
 
-from reference import dense_circuit, random_density_matrix
+from reference import basis_density_matrix, dense_circuit, random_density_matrix
 
 
 def cost_config(n, m, variant="local", shots=0):
@@ -190,6 +190,28 @@ def adjoint_cases(draw):
     return rho, a, h
 
 
+class TestWhyLocalCostFirst:
+    def test_global_gradients_shrink_faster_with_n_than_local(self):
+        # global-cost gradients vanish faster with n than local-cost ones (Cerezo,
+        # Sone, Volkoff, Cincio & Coles, Nat. Commun. 12, 1791 (2021)), which is why
+        # training starts from H_L: Var[dC/dtheta] over random angles, global over local
+        ratios = []
+        for n in (4, 6, 8):
+            rho = random_density_matrix(n, rank=4, seed=n)
+            local = default_local_weights(n, 3)
+            costs = (local, global_from_local(local, 3))
+            rng = np.random.default_rng(n)
+            grads = [[], []]
+            for _ in range(200):
+                a = LayeredAnsatz.random(n, 2, BlockKind.RY_CZ, rng)
+                for g, h in zip(grads, costs):
+                    g.append(param_shift_gradient(rho, a, h))
+            var_local, var_global = (np.var(g, axis=0).mean() for g in grads)
+            ratios.append(var_global / var_local)
+        assert ratios[0] > ratios[1] > ratios[2]
+        assert ratios[2] < 0.5 * ratios[0]
+
+
 class TestAdjointProperty:
     @settings(max_examples=60)
     @given(adjoint_cases())
@@ -297,7 +319,7 @@ class TestReadout:
         assert est.shots_used == 0
 
     def test_deterministic_state_sampled_exactly(self):
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         est = readout(rho, a, m=1, shots=1000, rng=3)
         assert est.lambdas[0] == pytest.approx(1.0)
@@ -310,7 +332,7 @@ class TestReadout:
         assert est.bitstrings == ("00", "01", "10")
 
     def test_padding_flagged_when_too_few_outcomes(self):
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         est = readout(rho, a, m=3, shots=50, rng=0)
         assert est.padded
@@ -410,7 +432,7 @@ class TestOptimize:
     def test_stationary_start_stays_put(self):
         # |00><00| with zero angles is a cost minimum of the local Hamiltonian;
         # the gradient vanishes so the trace never increases
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         res = optimize(rho, a, cost_config(2, 2), StepwiseSchedule(20, 5),
                        OptimizerConfig(lr=0.01), rng=0)
@@ -420,7 +442,7 @@ class TestOptimize:
 
     def test_converges_on_pure_basis_state(self):
         # landscape with a known global minimum at cost = E(00)
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         cfg = cost_config(2, 2)
         emin = min(cfg.local.energies())
         rng = np.random.default_rng(1)
@@ -532,7 +554,7 @@ class TestOptimize:
         assert all(p1 == p2 for p1, p2 in zip(r1.trace, r2.trace))
 
     def test_gd_option(self):
-        rho = DensityMatrix.basis_state(2, "00")
+        rho = basis_density_matrix(2, "00")
         rng = np.random.default_rng(4)
         a = LayeredAnsatz.random(2, 1, BlockKind.RY_CZ, rng)
         res = optimize(rho, a, cost_config(2, 2), StepwiseSchedule(150, 15),
