@@ -435,26 +435,31 @@ FIELD_HALVINGS = 4  # times the search may halve every grid cell before it gives
 def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance: float = 1e-8) -> float:
     """Field magnitude where the ground state factorizes (1 - lambda_1 < tol).
 
-    At finite size a factorizing point is a minimum of 1 - lambda_1 (a unique
-    product ground state) or an exact level crossing, whose degenerate ground
-    space holds the product states (1 - lambda_1 jumps there).  Candidates:
+    At finite size a factorizing point is normally an exact level crossing,
+    whose degenerate ground space holds the product states (1 - lambda_1 jumps
+    there), else a minimum of 1 - lambda_1 (a unique product ground state).
+    Each round scans the grid, then takes candidates in this order:
 
-    * the minimum of 1 - lambda_1, golden-searched around the best grid point;
     * where grid neighbours' ground levels lie in different sectors a and b
       (`_FieldLine.sectors`), the sign change of E_a - E_b, the two sectors'
       lowest levels, bisected to adjacent floats: one rule at every angle.
+      The crossing with the smallest residual wins if it meets `tolerance`.
+    * Only if none does, the minimum of 1 - lambda_1 golden-searched around
+      the best grid point; the smallest residual of it and the crossings
+      wins, the minimum on a tie.
 
-    The smallest residual wins.  If it misses `tolerance`, every grid cell is
-    halved and the grid scanned again, up to `FIELD_HALVINGS` times; a crossing
-    is missed only if it shares a cell with another on the finest grid.  H(h)
-    and its sectors are built once per chain (`SpinChainSpec._line`), shared
-    with `factorization_residual` and the sweep, and each field is solved once.
-    Cost per scan: one eigvalsh per sector (a conjugate pair as sector m's
-    complex block), plus one sector eigh, per new grid point, candidate and
-    residual round (61 per golden search), and a degenerate ground level one
-    more sector eigh per sector holding it; one eigvalsh of each of the two
-    sectors per bisection step.  No level or vector comes from the full
-    2^N x 2^N matrix.
+    If that misses `tolerance`, every grid cell is halved and the grid scanned
+    again, up to `FIELD_HALVINGS` times; a crossing is missed only if it shares
+    a cell with another on the finest grid.  H(h) and its sectors are built
+    once per chain (`SpinChainSpec._line`), shared with `factorization_residual`
+    and the sweep, and each field is solved once.
+
+    Cost: 3 + crossings ground solves when a crossing suffices on a 3-point
+    grid (one per grid point and crossing), 61 more per golden search.  A
+    ground solve is one eigvalsh per sector (a conjugate pair as sector m's
+    complex block) and one sector eigh, one more per further sector holding a
+    degenerate level; a bisection step is one eigvalsh of each of its two
+    sectors.  No level or vector comes from the full 2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -471,15 +476,22 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     def split(a, b):
         return lambda h: line.lowest(a, h) - line.lowest(b, h)
 
+    def best(candidates):  # (residual, field) of the smallest residual, the first one on a tie
+        pairs = ((scan(h)[0], float(h)) for h in candidates)
+        return min(pairs, key=lambda c: c[0], default=(math.inf, math.nan))
+
     for _ in range(FIELD_HALVINGS + 1):
         residuals, sectors = zip(*map(scan, hs))
-        k = int(np.argmin(residuals))
-        lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
-        candidates = [_golden_min(lambda h: scan(h)[0], lo, hi)]
-        for h0, h1, a, b in zip(hs, hs[1:], sectors, sectors[1:]):
-            if a != b:
-                candidates.append(_bisect_sign_change(split(a, b), h0, h1))
-        best_r, best_h = min(((scan(h)[0], float(h)) for h in candidates), key=lambda c: c[0])
+        crossings = [
+            _bisect_sign_change(split(a, b), h0, h1)
+            for h0, h1, a, b in zip(hs, hs[1:], sectors, sectors[1:])
+            if a != b
+        ]
+        best_r, best_h = best(crossings)
+        if not best_r < tolerance:  # no crossing suffices: add the minimum around the best grid point
+            k = int(np.argmin(residuals))
+            lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
+            best_r, best_h = best([_golden_min(lambda h: scan(h)[0], lo, hi), *crossings])
         if best_r < tolerance:
             return best_h
         hs = np.sort(np.concatenate([hs, 0.5 * (hs[:-1] + hs[1:])]))

@@ -3,11 +3,20 @@
 `basis_pure_state` and `basis_density_matrix` build a computational-basis
 state; `random_density_matrix` draws a seeded mixed state; `dense_circuit` builds
 V(theta) as a dense matrix from np.kron-embedded block unitaries, apart from
-the factor walk (`ansatz._forward_states`) the package trains with.
+the factor walk (`ansatz._forward_states`) the package trains with;
+`locate_factorization_all_candidates` is the factorizing-field search that
+golden-searches every round and weighs its minimum against every crossing.
 """
 
 import numpy as np
 
+from vqse.experiments import (
+    FIELD_HALVINGS,
+    FactorizationNotFound,
+    _bisect_sign_change,
+    _check_fields,
+    _golden_min,
+)
 from vqse.qmath import DensityMatrix, PureState, bitstring_to_index
 
 
@@ -41,3 +50,33 @@ def dense_circuit(a):
     for mat, (q, _) in zip(a.block_matrices(), a.block_pairs):
         v = np.kron(np.kron(np.eye(2**q), mat), np.eye(2 ** (a.n - q - 2))) @ v
     return v
+
+
+def locate_factorization_all_candidates(spec, h_grid, tolerance=1e-8):
+    """`locate_factorization` by the all-candidates rule: each round the golden
+    minimum around the best grid point, then every bisected crossing; the
+    smallest residual wins, the first on a tie."""
+    hs = np.asarray(sorted(float(h) for h in h_grid))
+    _check_fields(spec, hs)
+    line = spec._line
+
+    def scan(h):
+        _, s, _, i = line.ground(h)
+        return float(1.0 - s[0] ** 2), i
+
+    def split(a, b):
+        return lambda h: line.lowest(a, h) - line.lowest(b, h)
+
+    for _ in range(FIELD_HALVINGS + 1):
+        residuals, sectors = zip(*map(scan, hs))
+        k = int(np.argmin(residuals))
+        lo, hi = hs[max(k - 1, 0)], hs[min(k + 1, hs.size - 1)]
+        candidates = [_golden_min(lambda h: scan(h)[0], lo, hi)]
+        for h0, h1, a, b in zip(hs, hs[1:], sectors, sectors[1:]):
+            if a != b:
+                candidates.append(_bisect_sign_change(split(a, b), h0, h1))
+        best_r, best_h = min(((scan(h)[0], float(h)) for h in candidates), key=lambda c: c[0])
+        if best_r < tolerance:
+            return best_h
+        hs = np.sort(np.concatenate([hs, 0.5 * (hs[:-1] + hs[1:])]))
+    raise FactorizationNotFound(f"best residual {best_r:.3e}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vqse.cli import ConfigError, main, parse_config_text
+from vqse.cli import ConfigError, _median, main, parse_config_text
 from vqse.experiments import random_low_rank_state
 
 PCA_CFG = """\
@@ -534,3 +534,30 @@ class TestSweepCommand:
         cfg.write_text(PCA_CFG)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "sweep" in capsys.readouterr().err
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [0.3],
+        [0.5, 0.1, 0.2],
+        [0.4, 0.1, 0.3, 0.2],
+        [0.1, 0.1, 0.7, 0.7],
+        [1e-300, 3e-16, 0.1 + 0.2, 1e300],
+        [0.1, np.nan, 0.2],
+        [np.nan, 0.1, 0.2, 0.3],
+        [np.nan],
+    ], ids=["one", "odd", "even", "ties", "even-wide", "odd-nan", "even-nan", "nan"])
+    def test_same_float_as_numpy(self, values):
+        for vals in (values, [np.float64(v) for v in values]):
+            got, want = _median(vals), np.median(vals)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_same_float_as_numpy_on_random_lists(self):
+        rng = np.random.default_rng(7)
+        for size in range(1, 16):
+            for _ in range(20):
+                vals = list(rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size))
+                if rng.random() < 0.2:
+                    vals[rng.integers(size)] = np.nan
+                got, want = _median(vals), np.median(vals)
+                assert got == want or (np.isnan(got) and np.isnan(want))

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vqse import experiments, qmath
 from vqse.ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector
+from vqse.cli import load_config, parse_config_text
 from vqse.experiments import (
     FactorizationNotFound,
     Gate,
@@ -55,7 +56,7 @@ from vqse.qmath import (
 )
 from vqse.solver import readout
 
-from reference import basis_density_matrix
+from reference import basis_density_matrix, locate_factorization_all_candidates
 
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -65,6 +66,12 @@ AFM_RING = SpinChainSpec(N=8, J_x=-1.0, J_y=-0.5, gamma=np.pi / 3, keep=4)
 TILTED_FM_RING = SpinChainSpec(N=8, J_x=1.0, J_y=0.5, gamma=np.pi / 6, keep=4)
 # the factorizing-field searches pinned here: the xy_afm_shots grid and C7's FM grid
 FIELD_GRIDS = {"afm": (AFM_RING, [0.9, 1.0, 1.1]), "fm": (FM_RING, np.arange(0.4, 1.01, 0.05))}
+
+
+def _shipped_grid(name):
+    """The h_grid of configs/<name>.cfg, as a run reads it."""
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    return load_config(parse_config_text(path.read_text()), {})[2]["h_grid"]
 
 
 @functools.cache
@@ -440,6 +447,56 @@ class TestFactorization:
         assert w[1] - w[0] > 0.5
         s = np.linalg.svd(v[:, 0].reshape(2**ring.keep, -1), compute_uv=False)
         assert 1.0 - s[0] ** 2 < 1e-12
+
+    @pytest.fixture
+    def golden_calls(self, monkeypatch):
+        # the search's golden calls; the product-seeking angle scan makes its own
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            if f.__qualname__.startswith("locate_factorization."):
+                calls.append(args)
+            return _golden_min(f, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_golden_min", counted)
+        return calls
+
+    @pytest.mark.parametrize("ring, grid, solves", [
+        (AFM_RING, [0.9, 1.0, 1.1], 4),  # three grid points and the crossing
+        (FM_RING, _shipped_grid("xy_fm_transverse"), 16),  # 13 grid points and three crossings
+    ], ids=["afm-xy_afm_shots", "fm-shipped"])
+    def test_golden_search_skipped_when_a_crossing_suffices(self, golden_calls, ring, grid, solves):
+        ring = dataclasses.replace(ring)  # a cold line
+        h_star = locate_factorization(ring, grid)
+        assert factorization_residual(ring, h_star) < 1e-8
+        assert golden_calls == []
+        assert len(ring._line._grounds) == solves
+
+    @pytest.mark.parametrize("ring", [AFM_RING, TILTED_FM_RING], ids=["afm", "tilted-fm"])
+    def test_golden_search_runs_when_no_crossing_is_bracketed(self, golden_calls, ring):
+        locate_factorization(dataclasses.replace(ring), [1.7, 1.9, 2.1])
+        assert len(golden_calls) >= 1
+
+    @pytest.mark.parametrize("ring, grid", [
+        (AFM_RING, _shipped_grid("xy_afm")),
+        (FM_RING, _shipped_grid("xy_fm_transverse")),
+        (AFM_RING, [0.9, 1.0, 1.1]),
+        (FM_RING, [0.3, 0.8, 1.3]),
+        (AFM_RING, [0.7, 1.05, 1.4]),
+        (AFM_RING, np.linspace(0.1, 2.0, 13)),
+        (AFM_RING, [1.7, 1.9, 2.1]),
+        (TILTED_FM_RING, [1.7, 1.9, 2.1]),
+        (FM_RING, np.arange(0.4, 1.01, 0.05)),
+        (AFM_RING, np.arange(0.5, 1.51, 0.1)),
+    ], ids=[
+        "afm-shipped", "fm-shipped", "afm-0.9-1.1x3", "fm-0.3-1.3x3", "afm-0.7-1.4x3",
+        "afm-0.1-2.0x13", "afm-1.7-2.1x3", "tilted-fm-1.7-2.1x3", "fm-C7", "afm-C7",
+    ])
+    def test_same_field_as_the_all_candidates_rule(self, ring, grid):
+        # crossings first, golden search only as fallback: the same float as
+        # weighing the golden minimum against every crossing in every round
+        ring = dataclasses.replace(ring)
+        assert locate_factorization(ring, grid) == locate_factorization_all_candidates(ring, grid)
 
     def test_search_cost_in_full_diagonalizations(self, monkeypatch):
         calls = []
