@@ -33,7 +33,6 @@ from .hamiltonians import (
 )
 from .solver import (
     CostConfig,
-    EigenEstimate,
     OptimizerConfig,
     ShotPlan,
     StepwiseSchedule,
@@ -44,10 +43,10 @@ from .solver import (
     readout,
 )
 from .metrics import (
+    EigenEstimate,
     ErrorReport,
     bound_from_cost,
     bound_from_purity,
-    check_error_report,
     eigen_errors,
     eigenvector_error,
     runs_per_success,

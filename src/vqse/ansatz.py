@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qmath import DensityMatrix, PureState, bitstring_to_index, _apply_left
+from .qmath import DensityMatrix, PureState, _apply_left, _bitstring_index
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # control = first target qubit (the gate's most significant index bit)
@@ -230,17 +230,10 @@ def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
     return DensityMatrix(factor=factor, validate=False)
 
 
-def _basis_index(a: LayeredAnsatz, z: str) -> int:
-    """Index of |z> on a's register; ValueError unless z is a bitstring of length a.n."""
-    if len(z) != a.n:
-        raise ValueError(f"bitstring length {len(z)} does not match n={a.n}")
-    return bitstring_to_index(z)
-
-
 def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:
     """V^dag(theta) |z>: the circuit that prepares an inferred eigenvector."""
     vec = np.zeros((2**a.n, 1), dtype=complex)
-    vec[_basis_index(a, z)] = 1.0
+    vec[_bitstring_index(z, a.n)] = 1.0
     for mat, pair in zip(reversed(a.block_matrices()), reversed(a.block_pairs)):
         vec = _apply_left(vec, mat.conj().T, pair, a.n)
     return PureState(vec, validate=False)

@@ -319,25 +319,25 @@ def _run_pca_like(experiment: str, cfg: dict, out: Path, seed: int, jobs: int, s
     write_csv(out / f"{experiment}_rps.csv",
               ["target", "rps_final", "rps_min_trace"],
               zip(result.rps_targets, result.rps_final, result.rps_min_trace))
-    _write_pca_summary(out / f"{experiment}_summary.txt", experiment, seed, result)
+    _write_pca_summary(out / f"{experiment}_summary.txt", experiment, seed, loop.cost_variant, result)
     best = result.best_run
-    say(f"best run {best.run_index}: eps_lambda={best.eps_final:.6e} "
+    say(f"best run {best.run_index}: eps_lambda={best.report.eps_lambda:.6e} "
         f"(min over trace {result.best_eps_min_trace:.6e})")
     return [f"{experiment}_trace.csv", f"{experiment}_rps.csv", f"{experiment}_summary.txt"]
 
 
-def _write_pca_summary(path: Path, experiment: str, seed: int, result: PcaResult) -> None:
+def _write_pca_summary(path: Path, experiment: str, seed: int, cost: str, result: PcaResult) -> None:
     sections = {
         "summary": {
             "experiment": experiment,
             "n": result.n,
             "m": result.m,
-            "cost": result.variant,
+            "cost": cost,
             "seed": seed,
             "runs": len(result.runs),
             "exact_lambdas": result.exact_lambdas[:result.m],
             "best_run": result.best_run.run_index,
-            "best_eps_lambda_final": result.best_run.eps_final,
+            "best_eps_lambda_final": result.best_run.report.eps_lambda,
             "best_eps_lambda_min_trace": result.best_eps_min_trace,
         }
     }
@@ -347,10 +347,10 @@ def _write_pca_summary(path: Path, experiment: str, seed: int, result: PcaResult
             "n": result.n,
             "m": result.m,
             "final_cost": r.result.trace[-1].cost,
-            "purity": r.purity,
+            "purity": result.purity,
             "energies": r.final_levels,
-            "est_lambdas": r.estimate.lambdas,
-            "est_bitstrings": r.estimate.bitstrings,
+            "est_lambdas": r.result.estimate.lambdas,
+            "est_bitstrings": r.result.estimate.bitstrings,
             "m_hat": rep.m_hat,
             "est_lambdas_wide": r.wide_lambdas,
             "eps_lambda": rep.eps_lambda,
@@ -359,7 +359,7 @@ def _write_pca_summary(path: Path, experiment: str, seed: int, result: PcaResult
             "bound_cost": rep.bound_cost,
             "bound_purity": rep.bound_purity,
             "bound_cost_degenerate": rep.bound_cost_degenerate,
-            "theta_opt": r.result.theta_opt,
+            "theta_opt": r.result.ansatz.theta,
         }
     path.write_text(_ini_text(sections))
 
@@ -420,7 +420,7 @@ def _run_wstate(cfg: dict, out: Path, seed: int, jobs: int, say) -> list[str]:
             rows.append((i, row.iteration, row.cost, row.fidelity_sigma))
     write_csv(out / "wstate_trace.csv", ["run", "iter", "cost", "fidelity_sigma"], rows)
 
-    finals = [r.final_fidelity for r in results]
+    finals = [r.rows[-1].fidelity_sigma for r in results]
     summary = {
         "experiment": "wstate",
         "seed": seed,

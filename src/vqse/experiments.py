@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import CNOT, BlockKind, LayeredAnsatz, _basis_index, prepare_eigenvector, rotation_y
+from .ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector, rotation_y
 from .hamiltonians import default_local_weights, lowest_levels
 from .metrics import (
     ErrorReport,
@@ -51,7 +51,6 @@ from .qmath import (
 )
 from .solver import (
     CostConfig,
-    EigenEstimate,
     OptimizeResult,
     OptimizerConfig,
     StepwiseSchedule,
@@ -509,11 +508,8 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
 class PcaRun:
     run_index: int
     result: OptimizeResult
-    estimate: EigenEstimate
     report: ErrorReport
-    eps_final: float
     eps_min_trace: float
-    purity: float
     wide_lambdas: np.ndarray
     final_levels: tuple[float, ...]
 
@@ -522,8 +518,8 @@ class PcaRun:
 class PcaResult:
     n: int
     m: int
-    variant: str
     exact_lambdas: np.ndarray
+    purity: float
     runs: list[PcaRun]
     rps_targets: np.ndarray
     rps_final: list[float]
@@ -531,32 +527,26 @@ class PcaResult:
 
     @property
     def best_run(self) -> PcaRun:
-        return min(self.runs, key=lambda r: r.eps_final)
+        return min(self.runs, key=lambda r: r.report.eps_lambda)
 
     @property
     def best_eps_min_trace(self) -> float:
         return min(r.eps_min_trace for r in self.runs)
 
 
-def _eigensolver_runs(rho: DensityMatrix, m: int, loop: LoopConfig, indexed_seeds) -> list[PcaRun]:
-    """Training runs on rho in lockstep, one per (run index, seed) pair, with their reports."""
+def _eigensolver_runs(rho: DensityMatrix, m: int, loop: LoopConfig, pur: float, indexed_seeds) -> list[PcaRun]:
+    """Training runs on rho (of purity `pur`) in lockstep, one per (run index, seed) pair, with their reports."""
     results = loop.train(rho, m, [child for _, child in indexed_seeds])
-    pur = purity(rho)
     runs = []
     for (i, _), res in zip(indexed_seeds, results):
         levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
         est_wide = read_estimate(res.transformed, default_m_hat(m, rho.n))
-        report = build_error_report(
-            rho, res.ansatz, res.estimate, rho.eigenvalues(), res.trace[-1].cost, levels, pur, est_wide
-        )
+        report = build_error_report(rho, res.ansatz, res.estimate, res.trace[-1].cost, levels, pur, est_wide)
         runs.append(PcaRun(
             run_index=i,
             result=res,
-            estimate=res.estimate,
             report=report,
-            eps_final=report.eps_lambda,
             eps_min_trace=min(p.eps_abs for p in res.trace),
-            purity=pur,
             wide_lambdas=est_wide.lambdas,
             final_levels=levels,
         ))
@@ -579,17 +569,18 @@ def eigensolver_experiment(
     same seed share initial angles run by run.
     """
     exact = rho.eigenvalues()  # cached on rho, so the runs (and workers) reuse it
+    pur = purity(rho)
     children = list(enumerate(np.random.SeedSequence(seed).spawn(runs)))
-    out_runs = _in_chunks(_eigensolver_runs, (rho, m, loop), children, jobs)
+    out_runs = _in_chunks(_eigensolver_runs, (rho, m, loop, pur), children, jobs)
 
     targets = np.logspace(0, -12, 13)
-    finals = [r.eps_final for r in out_runs]
+    finals = [r.report.eps_lambda for r in out_runs]
     mins = [r.eps_min_trace for r in out_runs]
     return PcaResult(
         n=rho.n,
         m=m,
-        variant=loop.cost_variant,
         exact_lambdas=exact,
+        purity=pur,
         runs=out_runs,
         rps_targets=targets,
         rps_final=[runs_per_success(finals, t) for t in targets],
@@ -701,7 +692,7 @@ def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
     rotations around one self-inverse entangler) so that per-gate noise
     applies at the same granularity as in the preparation circuit.
     """
-    _basis_index(a, z)  # the checks prepare_eigenvector makes
+    qmath._bitstring_index(z, a.n)  # the check prepare_eigenvector makes
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
     daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
     for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):
@@ -760,8 +751,7 @@ class WStateRow(NamedTuple):
 @dataclass
 class WStateResult:
     baseline_fidelity: float
-    rows: list[WStateRow]
-    final_fidelity: float  # noisy re-preparation of V^dag |z_1>
+    rows: list[WStateRow]  # the last row's fidelity_sigma: the final noisy re-preparation of V^dag |z_1>
     eigenvector_fidelity: float  # |<W| V^dag |z_1>|^2 of the learned eigenvector
     theta_opt: np.ndarray
 
@@ -786,9 +776,8 @@ def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResul
         out.append(WStateResult(
             baseline_fidelity=baseline,
             rows=run_rows,
-            final_fidelity=run_rows[-1].fidelity_sigma,
             eigenvector_fidelity=float(abs(np.vdot(psi.amplitudes, learned.amplitudes)) ** 2),
-            theta_opt=res.theta_opt,
+            theta_opt=res.ansatz.theta,
         ))
     return out
 

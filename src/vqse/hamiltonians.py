@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .qmath import DensityMatrix, bitstring_to_index, index_to_bitstring
+from .qmath import DensityMatrix, _bitstring_index, bitstring_to_index, index_to_bitstring
 
 LEVEL_GAP_TOL = 1e-9
 
@@ -75,7 +75,7 @@ class GlobalPart:
         if len(self.bitstrings) != q.size or q.size == 0:
             raise ValueError("need one weight per bitstring")
         for z in self.bitstrings:
-            _check_bitstring(z, self.n)
+            _bitstring_index(z, self.n)
         if len(set(self.bitstrings)) != len(self.bitstrings):
             raise ValueError("marked bitstrings must be distinct")
         if not np.all((q > 0) & (q <= 1)):
@@ -194,8 +194,3 @@ def _bit_table(n: int) -> np.ndarray:
     """(2^n, n) array of bits, row i = bitstring of index i, qubit 0 first."""
     idx = np.arange(2**n)[:, None]
     return (idx >> np.arange(n - 1, -1, -1)[None, :]) & 1
-
-
-def _check_bitstring(z: str, n: int) -> None:
-    if len(z) != n or any(c not in "01" for c in z):
-        raise ValueError(f"expected a bitstring of length {n}, got {z!r}")

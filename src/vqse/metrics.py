@@ -1,4 +1,4 @@
-"""Error functionals for a completed run and the two verification bounds.
+"""Eigenvalue estimates, their error functionals and the two verification bounds.
 
 For exact eigenvalues lambda_i and estimates lambda~_i (top-m diagonal
 entries of the transformed state):
@@ -29,10 +29,68 @@ import numpy as np
 
 from .ansatz import LayeredAnsatz, prepare_eigenvector
 from .qmath import DensityMatrix
-# re-exported: the training loop in solver records these errors, and solver cannot import metrics
-from .solver import ZERO_EIGENVALUE_TOL, EigenErrors, EigenEstimate, eigen_errors  # noqa: F401
 
+ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class EigenEstimate:
+    """Ordered eigenvalue estimates and the bitstrings they were read from.
+
+    shots_used == 0 means the estimates are exact diagonal entries of the
+    transformed state; otherwise they are empirical frequencies.  `padded`
+    flags estimates filled with zeros because fewer than m distinct
+    bitstrings were observed.
+    """
+
+    lambdas: np.ndarray
+    bitstrings: tuple[str, ...]
+    shots_used: int = 0
+    padded: bool = False
+
+    def __post_init__(self):
+        lam = np.array(self.lambdas, dtype=float).reshape(-1)
+        lam.flags.writeable = False
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "bitstrings", tuple(self.bitstrings))
+        if lam.size != len(self.bitstrings):
+            raise ValueError("one bitstring per estimate required")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("estimates must be finite")
+        if len(set(self.bitstrings)) != len(self.bitstrings):
+            raise ValueError("bitstrings must be distinct")
+        if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
+            raise ValueError("estimates must lie in [0, 1]")
+        if np.any(np.diff(lam) > 1e-12):
+            raise ValueError("estimates must be sorted descending")
+        if lam.sum() > 1.0 + 1e-9:
+            raise ValueError(f"estimates sum to {lam.sum()} > 1")
+
+    @property
+    def m(self) -> int:
+        return self.lambdas.size
+
+
+class EigenErrors(NamedTuple):
+    eps_lambda: float
+    eps_rel: float
+    n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
+
+
+def eigen_errors(exact: np.ndarray, est: EigenEstimate, m: int) -> EigenErrors:
+    """Absolute and relative eigenvalue errors over the top m estimates.
+
+    Relative-error terms with an exact eigenvalue at numerical zero are
+    excluded from the sum and counted in n_excluded.
+    """
+    exact = np.asarray(exact, dtype=float)
+    if est.m < m or exact.size < m:
+        raise ValueError(f"need at least m={m} exact values and estimates")
+    d = exact[:m] - est.lambdas[:m]
+    nz = exact[:m] > ZERO_EIGENVALUE_TOL
+    eps_rel = float(((d[nz] / exact[:m][nz]) ** 2).sum())
+    return EigenErrors(float((d**2).sum()), eps_rel, int(m - nz.sum()))
 
 
 def eigenvector_error(rho: DensityMatrix, a: LayeredAnsatz, est: EigenEstimate) -> float:
@@ -117,24 +175,21 @@ def build_error_report(
     rho: DensityMatrix,
     a: LayeredAnsatz,
     est: EigenEstimate,
-    exact: np.ndarray,
     cost: float,
     lowest_energies: Sequence[float],
     purity: float,
-    est_wide: EigenEstimate | None = None,
+    est_wide: EigenEstimate,
 ) -> ErrorReport:
-    """Assemble the report; `est_wide` supplies the m^ > m readout if available."""
-    m = est.m
-    wide = est_wide if est_wide is not None else est
-    errs = eigen_errors(exact, est, m)
+    """Assemble the report against rho's exact spectrum; `est_wide` is the m^ >= m readout."""
+    errs = eigen_errors(rho.eigenvalues(), est, est.m)
     cb = bound_from_cost(cost, lowest_energies, purity)
     return ErrorReport(
         eps_lambda=errs.eps_lambda,
         eps_rel=errs.eps_rel,
         eps_v=eigenvector_error(rho, a, est),
         bound_cost=cb.value,
-        bound_purity=bound_from_purity(purity, wide.lambdas, rho.n, wide.m),
-        m_hat=wide.m,
+        bound_purity=bound_from_purity(purity, est_wide.lambdas, rho.n, est_wide.m),
+        m_hat=est_wide.m,
         bound_cost_degenerate=cb.degenerate,
     )
 
@@ -161,8 +216,3 @@ def bound_checks(
     checks = [BoundCheck(e, b, bv - ev) for e, ev in errors for b, bv in bounds]
     return checks + [BoundCheck("bound_purity", "bound_cost", bound_cost - bound_purity)]
 
-
-def check_error_report(report: ErrorReport) -> list[str]:
-    """Violated bound inequalities (empty when the run verifies)."""
-    checks = bound_checks(report.eps_lambda, report.eps_v, report.bound_cost, report.bound_purity)
-    return [f"{c.lhs} > {c.rhs} (margin {c.margin:.3e})" for c in checks if not c.holds]

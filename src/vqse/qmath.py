@@ -46,6 +46,13 @@ def bitstring_to_index(z: str) -> int:
     return int(z, 2)
 
 
+def _bitstring_index(z: str, n: int) -> int:
+    """Index of basis state |z> of n qubits; ValueError unless z is a bitstring of length n."""
+    if len(z) != n:
+        raise ValueError(f"expected a bitstring of length {n}, got {z!r}")
+    return bitstring_to_index(z)
+
+
 def index_to_bitstring(i: int, n: int) -> str:
     """Bitstring of length n for basis index i (qubit 0 = MSB)."""
     if not 0 <= i < 2**n:

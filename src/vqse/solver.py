@@ -1,5 +1,5 @@
 """Optimization engine: parameter-shift gradients, Adam/GD steppers, the
-adaptive training loop, eigenvalue readout and its errors, and the shot planner.
+adaptive training loop, eigenvalue readout and the shot planner.
 
 The training loop follows a fixed iteration budget n_max.  With the adaptive
 cost, every s iterations (s divides n_max) the transformed state is measured
@@ -49,9 +49,9 @@ from .hamiltonians import (
     global_from_local,
     sample_counts,
 )
+from .metrics import ZERO_EIGENVALUE_TOL, EigenEstimate
 from .qmath import DensityMatrix, _apply_left, index_to_bitstring
 
-ZERO_EIGENVALUE_TOL = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -82,65 +82,6 @@ class StepwiseSchedule:
 
     def is_update(self, k: int) -> bool:
         return k % self.s == 0
-
-
-@dataclass(frozen=True)
-class EigenEstimate:
-    """Ordered eigenvalue estimates and the bitstrings they were read from.
-
-    shots_used == 0 means the estimates are exact diagonal entries of the
-    transformed state; otherwise they are empirical frequencies.  `padded`
-    flags estimates filled with zeros because fewer than m distinct
-    bitstrings were observed.
-    """
-
-    lambdas: np.ndarray
-    bitstrings: tuple[str, ...]
-    shots_used: int = 0
-    padded: bool = False
-
-    def __post_init__(self):
-        lam = np.array(self.lambdas, dtype=float).reshape(-1)
-        lam.flags.writeable = False
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "bitstrings", tuple(self.bitstrings))
-        if lam.size != len(self.bitstrings):
-            raise ValueError("one bitstring per estimate required")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("estimates must be finite")
-        if len(set(self.bitstrings)) != len(self.bitstrings):
-            raise ValueError("bitstrings must be distinct")
-        if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
-            raise ValueError("estimates must lie in [0, 1]")
-        if np.any(np.diff(lam) > 1e-12):
-            raise ValueError("estimates must be sorted descending")
-        if lam.sum() > 1.0 + 1e-9:
-            raise ValueError(f"estimates sum to {lam.sum()} > 1")
-
-    @property
-    def m(self) -> int:
-        return self.lambdas.size
-
-
-class EigenErrors(NamedTuple):
-    eps_lambda: float
-    eps_rel: float
-    n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
-
-
-def eigen_errors(exact: np.ndarray, est: EigenEstimate, m: int) -> EigenErrors:
-    """Absolute and relative eigenvalue errors over the top m estimates.
-
-    Relative-error terms with an exact eigenvalue at numerical zero are
-    excluded from the sum and counted in n_excluded.
-    """
-    exact = np.asarray(exact, dtype=float)
-    if est.m < m or exact.size < m:
-        raise ValueError(f"need at least m={m} exact values and estimates")
-    d = exact[:m] - est.lambdas[:m]
-    nz = exact[:m] > ZERO_EIGENVALUE_TOL
-    eps_rel = float(((d[nz] / exact[:m][nz]) ** 2).sum())
-    return EigenErrors(float((d**2).sum()), eps_rel, int(m - nz.sum()))
 
 
 @dataclass(frozen=True)
@@ -182,20 +123,14 @@ def read_estimate(rho_t: DensityMatrix, m: int, shots: int = 0, rng=None) -> Eig
     if not 1 <= m <= 2**rho_t.n:
         raise ValueError(f"m={m} out of range")
     _check_shots(shots)
-    if shots == 0:
-        p = rho_t.diagonal()
-        shots_used = 0
-    else:
-        p = sample_counts(rho_t, shots, rng) / shots
-        shots_used = shots
+    p = rho_t.diagonal() if shots == 0 else sample_counts(rho_t, shots, rng) / shots
     order = np.argsort(-p, kind="stable")[:m]
     lambdas = np.clip(p[order], 0.0, 1.0)
-    padded = bool(shots_used and np.any(lambdas == 0.0))
     return EigenEstimate(
         lambdas=lambdas,
         bitstrings=tuple(index_to_bitstring(int(i), rho_t.n) for i in order),
-        shots_used=shots_used,
-        padded=padded,
+        shots_used=shots,
+        padded=bool(shots and np.any(lambdas == 0.0)),
     )
 
 
@@ -350,12 +285,11 @@ class TracePoint(NamedTuple):
 
 @dataclass
 class OptimizeResult:
-    theta_opt: np.ndarray
     trace: list[TracePoint]
     final_hamiltonian: Hamiltonian
-    ansatz: LayeredAnsatz
-    transformed: DensityMatrix  # V rho V^dag at theta_opt
-    estimate: EigenEstimate | None = None
+    ansatz: LayeredAnsatz  # the trained circuit: its theta is the final parameters
+    transformed: DensityMatrix  # V rho V^dag at ansatz.theta
+    estimate: EigenEstimate
 
 
 def optimize(
@@ -455,7 +389,7 @@ def optimize_runs(
         final = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
         rho_t = DensityMatrix(factor=states[-1][i], validate=False)
         results.append(OptimizeResult(
-            theta_opt=final.theta, trace=traces[i], final_hamiltonian=hams[i], ansatz=final, transformed=rho_t,
+            trace=traces[i], final_hamiltonian=hams[i], ansatz=final, transformed=rho_t,
             estimate=read_estimate(rho_t, m, cost.shots, rngs[i]),
         ))
     return results

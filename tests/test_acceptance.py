@@ -44,7 +44,7 @@ from vqse.hamiltonians import (
     default_local_weights,
     global_from_local,
 )
-from vqse.metrics import bound_from_purity, check_error_report
+from vqse.metrics import bound_checks, bound_from_purity
 from vqse.qmath import exact_eigs
 from vqse.solver import param_shift_gradient, plan_shots, readout
 
@@ -169,7 +169,7 @@ def test_c3_pca_convergence(pca_n4_battery):
     trained, and the trainer there ends at 2.9e-3.
     """
     res = pca_n4_battery
-    best_final = min(r.eps_final for r in res.runs)
+    best_final = min(r.report.eps_lambda for r in res.runs)
     best_trace = min(r.eps_min_trace for r in res.runs)
     best = min(best_final, best_trace)
     best_rel = min(r.report.eps_rel for r in res.runs)
@@ -196,7 +196,7 @@ def test_c4_cost_variant_ordering(variant_battery_n6):
     circuit can represent the solutions.
     """
     res = variant_battery_n6
-    med = {v: float(np.median([r.eps_final for r in res[v].runs])) for v in res}
+    med = {v: float(np.median([r.report.eps_lambda for r in res[v].runs])) for v in res}
     clause_a = med["adaptive"] <= med["local"]
     clause_b = med["local"] <= med["global"]
     clause_c = med["global"] >= 10 * med["adaptive"]
@@ -212,21 +212,23 @@ def test_c4_cost_variant_ordering(variant_battery_n6):
     # hard checks: the battery itself must be sound
     for v, r in res.items():
         assert len(r.runs) == 20, v
-        assert all(np.isfinite(x.eps_final) and x.eps_final > 0 for x in r.runs), v
+        assert all(np.isfinite(x.report.eps_lambda) and x.report.eps_lambda > 0 for x in r.runs), v
 
 
 def test_c5_verification_bounds(pca_n4_battery, variant_battery_n6):
     """Error bounds hold for every run of criteria 3 and 4 (zero tolerance)."""
-    all_runs = list(pca_n4_battery.runs)
+    all_runs = [(pca_n4_battery.purity, r) for r in pca_n4_battery.runs]
     for res in variant_battery_n6.values():
-        all_runs.extend(res.runs)
+        all_runs.extend((res.purity, r) for r in res.runs)
     violations = []
     monotone_failures = 0
-    for run in all_runs:
-        violations.extend(check_error_report(run.report))
-        m = run.estimate.m
+    for pur, run in all_runs:
+        rep = run.report
+        violations.extend(c for c in bound_checks(rep.eps_lambda, rep.eps_v, rep.bound_cost, rep.bound_purity)
+                          if not c.holds)
+        m = run.result.estimate.m
         n = run.result.ansatz.n
-        narrow = bound_from_purity(run.purity, run.estimate.lambdas, n, m)
+        narrow = bound_from_purity(pur, run.result.estimate.lambdas, n, m)
         wide = run.report.bound_purity  # computed at m_hat = 2m
         if wide > narrow + 1e-12:
             monotone_failures += 1
@@ -329,7 +331,7 @@ def test_c8_error_mitigation():
         z1 = readout(rho, a, 1).bitstrings[0]
         eig_fidelities.append(abs(np.vdot(psi, prepare_eigenvector(a, z1).amplitudes)) ** 2)
     mean_eig = float(np.mean(eig_fidelities))
-    mean_reprep = float(np.mean([r.final_fidelity for r in results]))
+    mean_reprep = float(np.mean([r.rows[-1].fidelity_sigma for r in results]))
     decreasing = sum(1 for r in results if r.rows[-1].cost < r.rows[0].cost)
     trend_ok = decreasing >= 9
     gain_ok = mean_eig > baseline

@@ -741,14 +741,14 @@ class TestWStateMitigation:
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=20, s=10)
         res = w_state_mitigation_runs(NoiseSpec(), loop, runs=1, seed=0)[0]
         assert res.baseline_fidelity == pytest.approx(1.0)
-        assert res.final_fidelity <= 1.0 + 1e-12
+        assert res.rows[-1].fidelity_sigma <= 1.0 + 1e-12
 
     def test_noiseless_training_converges_to_w(self):
         # best of 10: the two-layer circuit can prepare the state exactly,
         # so the cost reaches the lowest level and the fidelity approaches 1
         loop = LoopConfig(layers=2, kind=BlockKind.G_CNOT_G, n_max=150, s=30)
         results = w_state_mitigation_runs(NoiseSpec(), loop, runs=10, seed=0, jobs=2)
-        best = max(r.final_fidelity for r in results)
+        best = max(r.rows[-1].fidelity_sigma for r in results)
         assert best > 0.99
         e1 = min(loop.cost_config(3, 1).local.energies())
         best_cost = min(r.rows[-1].cost for r in results)
@@ -761,7 +761,7 @@ class TestWStateMitigation:
         # one-CNOT block always gives two; training stops at the 0.8727 cap
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=150, s=30)
         results = w_state_mitigation_runs(NoiseSpec(), loop, runs=10, seed=0, jobs=2)
-        finals = [r.final_fidelity for r in results]
+        finals = [r.rows[-1].fidelity_sigma for r in results]
         assert max(finals) <= 0.8728
         assert max(finals) >= 0.872
 
@@ -788,30 +788,31 @@ class TestPcaExperiment:
         lam = res.exact_lambdas
         for r in res.runs:
             for k in range(1, 4):
-                assert r.estimate.lambdas[:k].sum() <= lam[:k].sum() + 1e-10
+                assert r.result.estimate.lambdas[:k].sum() <= lam[:k].sum() + 1e-10
 
     def test_deterministic_and_jobs_independent(self):
         a = pca_experiment(3, 2, FAST_LOOP, runs=2, seed=9, n_ancilla=1, jobs=1)
         b = pca_experiment(3, 2, FAST_LOOP, runs=2, seed=9, n_ancilla=1, jobs=2)
-        assert [r.eps_final for r in a.runs] == [r.eps_final for r in b.runs]
-        assert np.array_equal(a.runs[0].result.theta_opt, b.runs[0].result.theta_opt)
+        assert [r.report.eps_lambda for r in a.runs] == [r.report.eps_lambda for r in b.runs]
+        assert np.array_equal(a.runs[0].result.ansatz.theta, b.runs[0].result.ansatz.theta)
 
     def test_reports_satisfy_bounds(self):
-        from vqse.metrics import check_error_report
+        from vqse.metrics import bound_checks
 
         res = pca_experiment(3, 3, FAST_LOOP, runs=3, seed=2, n_ancilla=2)
         for r in res.runs:
-            assert check_error_report(r.report) == []
+            rep = r.report
+            assert all(c.holds for c in bound_checks(rep.eps_lambda, rep.eps_v, rep.bound_cost, rep.bound_purity))
 
     def test_converges_on_easy_low_rank_instance(self):
         # rank-2 state with an expressive circuit: near-exact recovery
         loop = LoopConfig(layers=3, kind=BlockKind.RY_CZ, n_max=300, s=30)
         res = pca_experiment(3, 2, loop, runs=4, seed=7, n_ancilla=1, jobs=2)
-        assert min(r.eps_final for r in res.runs) < 1e-8
+        assert min(r.report.eps_lambda for r in res.runs) < 1e-8
         rho = random_low_rank_state(3, 1, 7)
         w, v = exact_eigs(rho)
         best = res.best_run
-        prep = prepare_eigenvector(best.result.ansatz, best.estimate.bitstrings[0])
+        prep = prepare_eigenvector(best.result.ansatz, best.result.estimate.bitstrings[0])
         assert abs(np.vdot(v[:, 0], prep.amplitudes)) ** 2 >= 0.99
 
     def test_rps_table_monotone(self):
@@ -826,7 +827,7 @@ class TestPcaExperiment:
         # run above twice the floor is the trainer's regression, not the circuit's limit
         loop = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=300, s=30)
         res = pca_experiment(4, 6, loop, runs=10, seed=1234, n_ancilla=4, jobs=2)
-        assert res.best_run.eps_final <= 2 * 2.1e-3
+        assert res.best_run.report.eps_lambda <= 2 * 2.1e-3
 
 
 class TestJobsIndependence:
@@ -841,10 +842,10 @@ class TestJobsIndependence:
         one, two = (eigensolver_experiment(rho, 2, loop, runs, seed, jobs=jobs) for jobs in (1, 2))
         assert [r.run_index for r in two.runs] == list(range(runs))
         for a, b in zip(one.runs, two.runs):
-            assert np.array_equal(a.result.theta_opt, b.result.theta_opt)
+            assert np.array_equal(a.result.ansatz.theta, b.result.ansatz.theta)
             assert a.result.trace == b.result.trace
-            assert a.report == b.report and a.estimate.bitstrings == b.estimate.bitstrings
-            assert np.array_equal(a.estimate.lambdas, b.estimate.lambdas)
+            assert a.report == b.report and a.result.estimate.bitstrings == b.result.estimate.bitstrings
+            assert np.array_equal(a.result.estimate.lambdas, b.result.estimate.lambdas)
         assert one.rps_final == two.rps_final
 
     @settings(max_examples=4)
@@ -856,7 +857,7 @@ class TestJobsIndependence:
         for a, b in zip(one, two, strict=True):
             assert np.array_equal(a.theta_opt, b.theta_opt)
             assert a.rows == b.rows
-            assert (a.final_fidelity, a.eigenvector_fidelity) == (b.final_fidelity, b.eigenvector_fidelity)
+            assert (a.rows[-1].fidelity_sigma, a.eigenvector_fidelity) == (b.rows[-1].fidelity_sigma, b.eigenvector_fidelity)
 
 
 # the sweep of the start-method tests: an N = 6 antiferromagnet, two fields, two runs per field

@@ -15,10 +15,10 @@ from vqse.hamiltonians import (
     lowest_levels,
 )
 from vqse.metrics import (
+    bound_checks,
     bound_from_cost,
     bound_from_purity,
     build_error_report,
-    check_error_report,
     default_m_hat,
     eigen_errors,
     eigenvector_error,
@@ -170,8 +170,9 @@ class TestBoundFromCost:
             except DegenerateSpectrumError:
                 continue  # the cost bound needs m + 1 distinct lowest levels
             cost = float(h.energies() @ probabilities)
-            report = build_error_report(rho, a, est, rho.eigenvalues(), cost, energies, purity(rho), wide)
-            assert check_error_report(report) == []
+            report = build_error_report(rho, a, est, cost, energies, purity(rho), wide)
+            checks = bound_checks(report.eps_lambda, report.eps_v, report.bound_cost, report.bound_purity)
+            assert all(c.holds for c in checks)
 
 
 class TestBoundFromPurity:
@@ -226,7 +227,6 @@ class TestErrorReport:
             rho=rho,
             a=a,
             est=est,
-            exact=exact_eigs(rho)[0],
             cost=local.energies() @ apply_ansatz(rho, a).diagonal(),
             lowest_energies=[e for e, _ in lowest_levels(local, m + 1)],
             purity=purity(rho),
@@ -238,15 +238,37 @@ class TestErrorReport:
             report = replace(report, **tamper)
         return report
 
+    @pytest.mark.parametrize("form", ["data", "factor"])
+    def test_eigenvalue_errors_match_the_dense_oracle(self, form):
+        # the report reads rho's own spectrum; a dense eigh (exact_eigs) is the oracle
+        rng = np.random.default_rng(21)
+        f = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        f /= np.linalg.norm(f)
+        rho = DensityMatrix(f @ f.conj().T) if form == "data" else DensityMatrix(factor=f)
+        a = LayeredAnsatz.random(3, 2, BlockKind.RY_CZ, 4)
+        m = 2
+        local = default_local_weights(3, m)
+        est = readout(rho, a, m=m)
+        report = build_error_report(
+            rho, a, est, local.energies() @ apply_ansatz(rho, a).diagonal(),
+            [e for e, _ in lowest_levels(local, m + 1)], purity(rho), readout(rho, a, m=default_m_hat(m, 3)),
+        )
+        want = eigen_errors(exact_eigs(rho)[0], est, m)
+        assert report.eps_lambda == pytest.approx(want.eps_lambda, rel=0, abs=1e-12)
+        assert report.eps_rel == pytest.approx(want.eps_rel, rel=0, abs=1e-12)
+
     def test_clean_report_verifies(self):
-        assert check_error_report(self._report()) == []
+        report = self._report()
+        checks = bound_checks(report.eps_lambda, report.eps_v, report.bound_cost, report.bound_purity)
+        assert all(c.holds for c in checks)
 
     def test_tampered_eps_detected(self):
         for value in (2.0, math.nan):
             bad = self._report(tamper={"eps_lambda": value})
-            assert any("eps_lambda > bound" in v for v in check_error_report(bad)), value
+            checks = bound_checks(bad.eps_lambda, bad.eps_v, bad.bound_cost, bad.bound_purity)
+            assert any(c.lhs == "eps_lambda" and not c.holds for c in checks), value
 
     def test_tampered_bound_ordering_detected(self):
         bad = self._report(tamper={"bound_purity": 5.0, "bound_cost": 4.0})
-        violations = check_error_report(bad)
-        assert any("bound_purity > bound_cost" in v for v in violations)
+        checks = bound_checks(bad.eps_lambda, bad.eps_v, bad.bound_cost, bad.bound_purity)
+        assert any((c.lhs, c.rhs) == ("bound_purity", "bound_cost") and not c.holds for c in checks)

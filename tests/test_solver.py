@@ -271,7 +271,7 @@ class TestLockstepProperty:
         for a, seed, rng, got in zip(ansatze, seeds, lock_rngs, together):
             solo_rng = np.random.default_rng(seed)
             want = optimize(rho, a, cost, schedule, adam, solo_rng)
-            assert np.abs(got.theta_opt - want.theta_opt).max() <= 1e-12
+            assert np.abs(got.ansatz.theta - want.ansatz.theta).max() <= 1e-12
             assert np.abs(np.array(got.trace) - np.array(want.trace)).max() <= 1e-12
             assert np.abs(got.transformed.factor() - want.transformed.factor()).max() <= 1e-12
             assert got.estimate.bitstrings == want.estimate.bitstrings
@@ -438,7 +438,7 @@ class TestOptimize:
                        OptimizerConfig(lr=0.01), rng=0)
         costs = [p.cost for p in res.trace]
         assert np.all(np.diff(costs) <= 1e-12)
-        assert np.array_equal(res.theta_opt, a.theta)
+        assert np.array_equal(res.ansatz.theta, a.theta)
 
     def test_converges_on_pure_basis_state(self):
         # landscape with a known global minimum at cost = E(00)
@@ -550,7 +550,7 @@ class TestOptimize:
             return optimize(rho, a, cfg, StepwiseSchedule(20, 5), OptimizerConfig(), rng)
 
         r1, r2 = run(), run()
-        assert np.array_equal(r1.theta_opt, r2.theta_opt)
+        assert np.array_equal(r1.ansatz.theta, r2.ansatz.theta)
         assert all(p1 == p2 for p1, p2 in zip(r1.trace, r2.trace))
 
     def test_gd_option(self):
