@@ -15,8 +15,8 @@ through a half-angle Pauli generator, so the +-pi/2 parameter-shift rule used
 by the optimizer is exact.  Global phases are considered irrelevant; compare
 unitaries via |Tr(U^dag W)| / 2^n and states via fidelity.
 
-Blocks are built as stacks: a circuit's B blocks, their derivatives or their
-parameter-shifted copies each come from one vectorized `BlockKind` call.
+Blocks are built as stacks: a circuit's B blocks, their angles' generators or
+their parameter-shifted copies each come from one vectorized `BlockKind` call.
 """
 
 from __future__ import annotations
@@ -103,33 +103,28 @@ class BlockKind(Enum):
         """The four single-qubit rotations (pre0, pre1, post0, post1): (..., 4, 2, 2)."""
         return _chain(self._factors(angles))
 
-    def _blocks(self, rotations: np.ndarray) -> np.ndarray:
-        """kron(post0, post1) . entangler . kron(pre0, pre1) for rotations (..., 4, 2, 2)."""
+    def unitaries(self, angles) -> np.ndarray:
+        """Blocks kron(post0, post1) . entangler . kron(pre0, pre1), (..., 4, 4); wires (MSB, LSB)."""
+        rotations = self.rotations(angles)
         pre = _kron(rotations[..., 0, :, :], rotations[..., 1, :, :])
         post = _kron(rotations[..., 2, :, :], rotations[..., 3, :, :])
         return post @ self.entangler @ pre
 
-    def unitaries(self, angles) -> np.ndarray:
-        """4x4 block unitaries, (..., 4, 4); wire order (pair[0], pair[1]) = (MSB, LSB)."""
-        return self._blocks(self.rotations(angles))
+    def angle_generators(self, angles) -> np.ndarray:
+        """Each angle's generator Q, moved to the outer end of its block: (..., 4, k, 2, 2).
 
-    def derivatives(self, angles) -> np.ndarray:
-        """dB/dtheta_j for every angle j of every block: (..., angles_per_block, 4, 4).
-
-        Angle j's elementary factor R_k(t) is replaced by (i sigma_k / 2) R_k(t).
-        That product only permutes, negates and halves entries, so a derivative
-        that is exactly zero stays exactly zero.
+        Factor i of a rotation F_{k-1} ... F_0 commutes with its g_i = i sigma / 2,
+        so dB/dtheta is B (Q on the wire), Q = U^dag g_i U with U = F_{i-1} ... F_0,
+        for a pre rotation and (Q on the wire) B, Q = V g_i V^dag with
+        V = F_{k-1} ... F_{i+1}, for a post one.  The end factor's Q is g itself.
         """
-        factors = self._factors(angles)
-        k, w = len(self.axes), self.angles_per_block
-        derived = np.stack([_GENERATOR[ax] for ax in self.axes]) @ factors
-        # [..., q, i, j]: factor j of rotation q, with factor i derived
-        swapped = np.where(np.eye(k, dtype=bool)[:, :, None, None],
-                           derived[..., None, :, :, :], factors[..., None, :, :, :])
-        d_rot = _chain(swapped).reshape(factors.shape[:-4] + (w, 2, 2))
-        # derivative j = q k + i changes rotation q only
-        own = (np.arange(w) // k)[:, None, None, None] == np.arange(4)[:, None, None]
-        return self._blocks(np.where(own, d_rot[..., :, None, :, :], _chain(factors)[..., None, :, :, :]))
+        factors, k = self._factors(angles), len(self.axes)
+        out = np.broadcast_to(np.stack([_GENERATOR[ax] for ax in self.axes]), factors.shape).copy()
+        for i in range(1, k):  # conjugate g_i in place; the end factor keeps g
+            u, v = _chain(factors[..., :2, :i, :, :]), _chain(factors[..., 2:, k - i:, :, :])
+            out[..., :2, i, :, :] = u.conj().swapaxes(-1, -2) @ out[..., :2, i, :, :] @ u
+            out[..., 2:, -1 - i, :, :] = v @ out[..., 2:, -1 - i, :, :] @ v.conj().swapaxes(-1, -2)
+        return out
 
     @classmethod
     def parse(cls, name: str) -> "BlockKind":

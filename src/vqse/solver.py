@@ -28,8 +28,8 @@ multinomial draw.  With exact costs the same
 derivative is computed in adjoint form (Jones & Gacon, arXiv:2009.02823): a
 backward state lam = (B_{b+1} ... )^dag H psi_B is swept from the end, each
 block's 4x4 environment Tr_rest[psi_b lam^dag] is one matmul into a stack,
-and all angles are read off that stack in one einsum against the stack of
-block derivatives.
+and every angle is read off its block's environment as the angle's generator
+traced against a 2x2 wire block, with no derivative circuit built.
 """
 
 from __future__ import annotations
@@ -100,10 +100,12 @@ class ShotPlan:
 
 
 def plan_shots(c: float, delta: float, lambda_min: float) -> ShotPlan:
-    if c <= 0 or lambda_min <= 0:
-        raise ValueError("c and lambda_min must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if not 0 < lambda_min <= 1:  # an eigenvalue of rho is at most 1
+        raise ValueError(f"lambda_min must lie in (0, 1], got {lambda_min!r}")
     n = math.ceil(math.log(1.0 / delta) / (2.0 * c**2 * lambda_min**2))
     return ShotPlan(c, delta, lambda_min, max(n, 1))
 
@@ -198,9 +200,11 @@ def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarr
     One backward sweep from lam = H psi_B stacks every run's and block's 4x4
     environment G_b = Tr_rest[psi_b lam^dag], then sets lam <- B_b^dag lam.
     For the pair (q, q+1), G_b is one matmul of the two factors with the
-    pair's two row bits moved to the front, (R, 4, rest) @ (R, rest, 4).  All
-    angles' 2 Re Tr(dB_j G_b) then come from one einsum against the stack of
-    block derivatives.
+    pair's two row bits moved to the front, (R, 4, rest) @ (R, rest, 4).
+    With dB_j = B_b (Q_j on its wire) for a pre rotation and (Q_j on its wire)
+    B_b for a post one (`BlockKind.angle_generators`), 2 Re Tr(dB_j G_b) is
+    2 Re Tr(Q_j W), W being G_b B_b (pre) or B_b G_b (post) traced over the
+    block's other wire: two 4x4 products per block and 2x2 work per angle.
     """
     pairs, n = a.block_pairs, a.n
     runs, blocks = mats.shape[:2]
@@ -215,11 +219,11 @@ def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarr
         env[:, b] = psi @ lam_t.conj().swapaxes(-1, -2)
         if b:
             lam = _apply_left(lam, daggers[:, b], pairs[b], n)
-    derivs = a.kind.derivatives(angles)
-    if blocks == 1:  # einsum sums in another order over a batch axis of length 1 than over a longer one
-        traces = np.stack([np.einsum("bjik,bki->bj", d, g) for d, g in zip(derivs, env)])
-    else:  # Tr(dB_j G_b)
-        traces = np.einsum("bjik,bki->bj", derivs.reshape((runs * blocks,) + derivs.shape[2:]), env.reshape(-1, 4, 4))
+    # e[..., s, a, b, c, d] is G_b B_b (s = 0, pre) or B_b G_b (s = 1, post); W keeps wire 0, then wire 1
+    e = np.stack([env @ mats, mats @ env], axis=2).reshape(runs, blocks, 2, 2, 2, 2, 2)
+    wires = np.stack([e[..., :, 0, :, 0] + e[..., :, 1, :, 1], e[..., 0, :, 0, :] + e[..., 1, :, 1, :]], axis=3)
+    wires = wires.reshape(runs, blocks, 4, 1, 2, 2).swapaxes(-1, -2)
+    traces = (a.kind.angle_generators(angles) * wires).sum(axis=(-2, -1))  # Tr(Q W) = Tr(dB_j G_b)
     return 2.0 * traces.real.reshape(runs, -1)
 
 

@@ -5,7 +5,8 @@ state; `random_density_matrix` draws a seeded mixed state; `dense_circuit` build
 V(theta) as a dense matrix from np.kron-embedded block unitaries, apart from
 the factor walk (`ansatz._forward_states`) the package trains with;
 `locate_factorization_all_candidates` is the factorizing-field search that
-golden-searches every round and weighs its minimum against every crossing.
+golden-searches every round and weighs its minimum against every crossing;
+`mix_special_angles` puts exact 0, +-pi/2 and +-pi into drawn angles.
 """
 
 import numpy as np
@@ -42,6 +43,16 @@ def random_density_matrix(n, rank=None, seed=None):
     a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = a @ a.conj().T
     return DensityMatrix(m / m.trace(), validate=False)
+
+
+SPECIAL_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+
+
+def mix_special_angles(rng, angles, share):
+    """Replace about `share` of the entries of `angles` (in place) by SPECIAL_ANGLES; return it."""
+    special = rng.random(angles.shape) < share
+    angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
+    return angles
 
 
 def dense_circuit(a):

@@ -160,6 +160,32 @@ def test_c2_majorization_invariant():
     assert elapsed < 60
 
 
+def test_c2_majorization_with_gcnotg_and_adaptive_hamiltonian():
+    """C2's floor, cost >= sort(E) . lambda, on >= 500 G_CNOT_G triples under
+    an adaptive H at a random weight f with random distinct marked bitstrings."""
+    t0 = time.time()
+    worst_margin = np.inf
+    count = 0
+    rng = np.random.default_rng(2002)
+    while count < 500:
+        n = int(rng.integers(2, 5))
+        m = 2 if n == 2 else 3
+        rho = random_density_matrix(n, rank=int(rng.integers(1, 2**n + 1)), seed=count)
+        a = LayeredAnsatz.random(n, int(rng.integers(1, 3)), BlockKind.G_CNOT_G, rng)
+        local = default_local_weights(n, m)
+        marked = [format(int(i), f"0{n}b") for i in rng.choice(2**n, m, replace=False)]
+        h = AdaptiveHamiltonian(local, global_from_local(local, m).with_bitstrings(marked), f=rng.uniform(0, 1))
+        c = h.energies() @ apply_ansatz(rho, a).diagonal()
+        floor = np.sort(h.energies()) @ exact_eigs(rho)[0]
+        worst_margin = min(worst_margin, c - floor)
+        count += 1
+    elapsed = time.time() - t0
+    announce("C2 majorization-invariant (gcnotg, adaptive H)", worst_margin >= -1e-10 and elapsed < 30,
+             f"{count} triples, worst margin = {worst_margin:.3e}, {elapsed:.1f}s")
+    assert worst_margin >= -1e-10
+    assert elapsed < 30
+
+
 def test_c3_pca_convergence(pca_n4_battery):
     """n=4 adaptive PCA of a random low-rank state reaches eps_lambda < 1e-6.
 

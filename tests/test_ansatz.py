@@ -20,7 +20,7 @@ from vqse.ansatz import (
 )
 from vqse.qmath import DensityMatrix, fidelity_pure
 
-from reference import basis_density_matrix, dense_circuit, random_density_matrix
+from reference import basis_density_matrix, dense_circuit, mix_special_angles, random_density_matrix
 
 
 class TestStructure:
@@ -99,29 +99,46 @@ class TestDenseCircuit:
         assert np.abs(w + v).max() < 1e-10
 
 
+def generator_derivative(kind, angles, j):
+    """dB/dtheta_j of one block from `kind.angle_generators`: B (Q on the wire) for
+    a pre rotation, (Q on the wire) B for a post one."""
+    q, i = divmod(j, len(kind.axes))
+    gen = kind.angle_generators(angles)[q, i]
+    wide = np.kron(gen, np.eye(2)) if q % 2 == 0 else np.kron(np.eye(2), gen)
+    block = kind.unitaries(angles)
+    return block @ wide if q < 2 else wide @ block
+
+
 class TestBlockDerivatives:
     @pytest.mark.parametrize("kind", list(BlockKind))
     def test_matches_half_of_pi_shifted_block(self, kind):
         # R_k(t + pi) = R_k(t) i sigma_k, so dB/dtheta_j = B(theta + pi e_j) / 2
-        angles = np.random.default_rng(4).uniform(-np.pi, np.pi, kind.angles_per_block)
-        derivs = kind.derivatives(angles)
-        assert derivs.shape == (kind.angles_per_block, 4, 4)
-        for j in range(kind.angles_per_block):
-            shifted = angles.copy()
-            shifted[j] += np.pi
-            assert np.abs(derivs[j] - block_unitary(kind, shifted) / 2).max() < 1e-15
+        w = kind.angles_per_block
+        assert kind.angle_generators(np.zeros(w)).shape == (4, len(kind.axes), 2, 2)
+        for angles in np.random.default_rng(4).uniform(-np.pi, np.pi, (100, w)):
+            for j in range(w):
+                shifted = angles.copy()
+                shifted[j] += np.pi
+                assert np.abs(generator_derivative(kind, angles, j) - block_unitary(kind, shifted) / 2).max() < 1e-15
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    def test_end_generators_are_exact(self, kind):
+        # the first factor of a pre rotation and the last of a post one need no conjugation
+        gens = kind.angle_generators(np.random.default_rng(5).uniform(-np.pi, np.pi, (3, kind.angles_per_block)))
+        first, last = _REFERENCE_GENERATOR[kind.axes[0]], _REFERENCE_GENERATOR[kind.axes[-1]]
+        assert all(np.array_equal(g, first) for g in gens[:, :2, 0].reshape(-1, 2, 2))
+        assert all(np.array_equal(g, last) for g in gens[:, 2:, -1].reshape(-1, 2, 2))
 
     def test_exact_zeros_at_zero_angles(self):
         # pre rotation on pair[0] at t = 0: CZ (dR_y(0) x I), dR_y(0) = [[0, 1/2], [-1/2, 0]]
         d_ry = np.array([[0.0, 0.5], [-0.5, 0.0]])
         expected = CZ @ np.kron(d_ry, np.eye(2))
-        assert np.array_equal(BlockKind.RY_CZ.derivatives(np.zeros(4))[0], expected)
+        assert np.array_equal(generator_derivative(BlockKind.RY_CZ, np.zeros(4), 0), expected)
 
 
 _REFERENCE_ROTATION = {"y": rotation_y, "z": rotation_z}
 _REFERENCE_GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex),
                         "z": np.diag([0.5j, -0.5j])}
-SPECIAL_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
 
 
 def _reference_block(kind, angles, derived=None):
@@ -153,9 +170,7 @@ def angle_stacks(draw):
     lead = draw(st.sampled_from([(), (blocks,), (blocks, w, 2)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     angles = rng.uniform(-np.pi, np.pi, lead + (w,))
-    special = rng.random(angles.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
-    return kind, angles
+    return kind, mix_special_angles(rng, angles, draw(st.sampled_from([0.0, 0.3, 1.0])))
 
 
 class TestBlockStacks:
@@ -165,28 +180,28 @@ class TestBlockStacks:
         kind, angles = case
         lead, w = angles.shape[:-1], kind.angles_per_block
         rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
-        derivatives = kind.derivatives(angles)
         assert rotations.shape == lead + (4, 2, 2)
         assert unitaries.shape == lead + (4, 4)
-        assert derivatives.shape == lead + (w, 4, 4)
+        assert kind.angle_generators(angles).shape == lead + (4, len(kind.axes), 2, 2)
         for idx in np.ndindex(lead):
             ref_rotations, ref_unitary = _reference_block(kind, angles[idx])
             assert np.array_equal(rotations[idx], np.array(ref_rotations))
             assert np.array_equal(unitaries[idx], ref_unitary)
             for j in range(w):
-                assert np.array_equal(derivatives[idx][j], _reference_block(kind, angles[idx], j)[1])
+                derived = _reference_block(kind, angles[idx], j)[1]
+                assert np.abs(generator_derivative(kind, angles[idx], j) - derived).max() < 1e-15
 
     @settings(max_examples=40)
     @given(angle_stacks())
     def test_every_slice_matches_the_single_block_call(self, case):
         kind, angles = case
         rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
-        derivatives = kind.derivatives(angles)
+        generators = kind.angle_generators(angles)
         for idx in np.ndindex(angles.shape[:-1]):
             assert np.array_equal(rotations[idx], kind.rotations(angles[idx]))
             assert np.array_equal(unitaries[idx], kind.unitaries(angles[idx]))
             assert np.array_equal(unitaries[idx], block_unitary(kind, angles[idx]))
-            assert np.array_equal(derivatives[idx], kind.derivatives(angles[idx]))
+            assert np.array_equal(generators[idx], kind.angle_generators(angles[idx]))
 
 
 @st.composite

@@ -32,7 +32,7 @@ from vqse.solver import (
     readout,
 )
 
-from reference import basis_density_matrix, dense_circuit, random_density_matrix
+from reference import basis_density_matrix, dense_circuit, mix_special_angles, random_density_matrix
 
 
 def cost_config(n, m, variant="local", shots=0):
@@ -171,7 +171,8 @@ class TestParameterShiftRule:
 
 @st.composite
 def adjoint_cases(draw):
-    """Untrained circuit, rank-r state (factor given or from eigh), adaptive H."""
+    """Untrained circuit with exact 0, +-pi/2 and +-pi mixed into its angles,
+    rank-r state (factor given or from eigh), adaptive H."""
     n = draw(st.integers(2, 5))
     kind = draw(st.sampled_from(list(BlockKind)))
     layers = draw(st.integers(1, 2))
@@ -181,7 +182,8 @@ def adjoint_cases(draw):
     factor /= np.linalg.norm(factor)
     given_factor = draw(st.booleans())
     rho = DensityMatrix(factor=factor) if given_factor else DensityMatrix(factor @ factor.conj().T)
-    a = LayeredAnsatz.random(n, layers, kind, rng)
+    theta = rng.uniform(-np.pi, np.pi, LayeredAnsatz.n_parameters(n, layers, kind))
+    a = LayeredAnsatz(n, layers, kind, mix_special_angles(rng, theta, draw(st.sampled_from([0.0, 0.3, 1.0]))))
     m = draw(st.integers(1, 2))
     marked = draw(st.lists(st.integers(0, 2**n - 1), min_size=m, max_size=m, unique=True))
     local = default_local_weights(n, m)
@@ -239,6 +241,26 @@ class TestLockstepSampledGradient:
         got = _gradient(states, ansatze[0], angles, mats, energies, shots, rngs)
         for i, (a, h, seed) in enumerate(zip(ansatze, hams, (5, 6))):
             assert np.array_equal(got[i], full_forward_sampled_gradient(rho, a, h, shots, seed))
+
+
+class TestLockstepExactGradient:
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("runs", [2, 3])
+    # one block at n = 2, L = 1; an idle qubit in each row at odd n
+    @pytest.mark.parametrize("n,layers", [(2, 1), (3, 2), (5, 1)])
+    def test_runs_match_their_own_one_run_call(self, kind, runs, n, layers):
+        rng = np.random.default_rng(17 + n)
+        rho = random_density_matrix(n, rank=3, seed=n)
+        ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in range(runs)]
+        energies = rng.standard_normal((runs, 2**n))
+        angles = np.stack([a.block_angles for a in ansatze])
+        mats = kind.unitaries(angles)
+        states = _forward_states(rho.factor(), ansatze[0], mats)
+        got = _gradient(states, ansatze[0], angles, mats, energies, 0, None)
+        for i, a in enumerate(ansatze):
+            own = kind.unitaries(angles[i:i + 1])
+            states = _forward_states(rho.factor(), a, own)
+            assert np.array_equal(got[i], _gradient(states, a, angles[i:i + 1], own, energies[i:i + 1], 0, None)[0])
 
 
 @st.composite
@@ -427,6 +449,15 @@ class TestPlanShots:
         with pytest.raises(ValueError):
             plan_shots(0.1, 0.01, 0.0)
 
+    @pytest.mark.parametrize("args,name", [
+        ((np.inf, 0.1, 0.1), "c"), ((np.nan, 0.1, 0.1), "c"), ((0.1, np.nan, 0.1), "delta"),
+        ((0.1, 0.1, np.inf), "lambda_min"), ((0.1, 0.1, np.nan), "lambda_min"), ((0.1, 0.1, 1.5), "lambda_min"),
+    ], ids=["c-inf", "c-nan", "delta-nan", "lambda_min-inf", "lambda_min-nan", "lambda_min-1.5"])
+    def test_rejects_non_finite_and_unphysical_input_by_name(self, args, name):
+        # an eigenvalue of rho is at most 1; inf once planned 1 run, NaN failed inside math.ceil
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            plan_shots(*args)
+
 
 class TestOptimize:
     def test_stationary_start_stays_put(self):
@@ -490,13 +521,13 @@ class TestOptimize:
     def test_one_walk_per_step(self, monkeypatch, shots):
         # every theta is walked once, for its trace row and the next gradient,
         # from one stack of its block unitaries; each step's gradient builds one
-        # stack of derivatives (exact) or of shifted blocks (sampled); the
+        # stack of angle generators (exact) or of shifted blocks (sampled); the
         # sampled gradient walks its shifted copies as columns of one array,
         # not as forward walks of their own
         import vqse.solver
 
-        calls = {"walks": 0, "unitary stacks": 0, "shifted stacks": 0, "derivative stacks": 0}
-        unitaries, derivatives = BlockKind.unitaries, BlockKind.derivatives
+        calls = {"walks": 0, "unitary stacks": 0, "shifted stacks": 0, "generator stacks": 0}
+        unitaries, angle_generators = BlockKind.unitaries, BlockKind.angle_generators
 
         def walks(*args):
             calls["walks"] += 1
@@ -507,14 +538,14 @@ class TestOptimize:
             calls["shifted stacks" if np.ndim(angles) == 5 else "unitary stacks"] += 1
             return unitaries(kind, angles)
 
-        def counted_derivatives(kind, angles):
-            calls["derivative stacks"] += 1
-            return derivatives(kind, angles)
+        def counted_generators(kind, angles):
+            calls["generator stacks"] += 1
+            return angle_generators(kind, angles)
 
         forward_states = vqse.solver._forward_states
         monkeypatch.setattr(vqse.solver, "_forward_states", walks)
         monkeypatch.setattr(BlockKind, "unitaries", counted_unitaries)
-        monkeypatch.setattr(BlockKind, "derivatives", counted_derivatives)
+        monkeypatch.setattr(BlockKind, "angle_generators", counted_generators)
         rho = random_density_matrix(3, seed=4)
         rng = np.random.default_rng(2)
         a = LayeredAnsatz.random(3, 2, BlockKind.RY_CZ, rng)
@@ -523,7 +554,7 @@ class TestOptimize:
                  OptimizerConfig(), rng)
         assert calls["walks"] == n_max + 1
         assert calls["unitary stacks"] == n_max + 1
-        assert calls["derivative stacks"] == (n_max if shots == 0 else 0)
+        assert calls["generator stacks"] == (n_max if shots == 0 else 0)
         assert calls["shifted stacks"] == (n_max if shots else 0)
 
     def test_returns_final_transformed_state(self):
