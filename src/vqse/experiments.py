@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector, rotation_y
-from .hamiltonians import default_local_weights, lowest_levels
+from .hamiltonians import _bit_table, default_local_weights, lowest_levels
 from .metrics import (
     ErrorReport,
     build_error_report,
@@ -165,6 +165,10 @@ def random_low_rank_state(n: int, n_ancilla: int, seed) -> DensityMatrix:
     each row's first entry kept, in O(d) memory.  Entries are real and
     generically non-sparse; the state is held as the factor t, rho = t t^T.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if n_ancilla < 0:
+        raise ValueError(f"n_ancilla must be non-negative, got {n_ancilla}")
     if n + n_ancilla > 12:
         raise ValueError("n + n_ancilla must not exceed 12")
     rng = np.random.default_rng(seed)
@@ -286,8 +290,7 @@ class _FieldLine:
     def __init__(self, spec: SpinChainSpec):
         N, d, sin = spec.N, 2**spec.N, math.sin(spec.gamma)
         self.N, self.gamma, self.keep = N, spec.gamma, spec.keep
-        idx = np.arange(d)
-        bits = (idx[:, None] >> np.arange(N - 1, -1, -1)) & 1  # column j: site j
+        idx, bits = np.arange(d), _bit_table(N)  # bits column j: site j
         ones = bits.sum(axis=1)
         site, nxt = np.arange(N), (np.arange(N) + 1) % N
         flips = idx ^ (1 << (N - 1 - site))[:, None] ^ (1 << (N - 1 - nxt))[:, None]
@@ -541,7 +544,7 @@ def _eigensolver_runs(rho: DensityMatrix, m: int, loop: LoopConfig, pur: float, 
     for (i, _), res in zip(indexed_seeds, results):
         levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
         est_wide = read_estimate(res.transformed, default_m_hat(m, rho.n))
-        report = build_error_report(rho, res.ansatz, res.estimate, res.trace[-1].cost, levels, pur, est_wide)
+        report = build_error_report(rho, res.transformed, res.estimate, res.trace[-1].cost, levels, pur, est_wide)
         runs.append(PcaRun(
             run_index=i,
             result=res,
@@ -621,13 +624,13 @@ def xy_sweep_point(h: float, reduced: DensityMatrix, m: int, loop: LoopConfig, r
     exact = reduced.eigenvalues()
     results = loop.train(reduced, m, np.random.SeedSequence(seed).spawn(runs))
     best = min(results, key=lambda res: res.trace[-1].cost)  # the first of equals
-    errs = eigen_errors(exact, best.estimate, m)
+    errs = eigen_errors(exact, best.estimate.lambdas, m)
     return SweepPoint(
         h=h,
         exact_lambdas=tuple(float(x) for x in exact[:m]),
         est_lambdas=tuple(float(x) for x in best.estimate.lambdas),
-        eps_abs=errs.eps_lambda,
-        eps_rel=errs.eps_rel,
+        eps_abs=float(errs.eps_lambda),
+        eps_rel=float(errs.eps_rel),
         best_cost=best.trace[-1].cost,
     )
 

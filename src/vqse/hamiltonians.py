@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .qmath import DensityMatrix, _bitstring_index, bitstring_to_index, index_to_bitstring
+from .qmath import _bitstring_index, bitstring_to_index, index_to_bitstring
 
 LEVEL_GAP_TOL = 1e-9
 
@@ -183,11 +183,12 @@ def lowest_levels(h: Hamiltonian, m: int) -> list[tuple[float, str]]:
     return [(float(e[i]), index_to_bitstring(int(i), n)) for i in order[:m]]
 
 
-def sample_counts(rho_tilde: DensityMatrix, shots: int, rng) -> np.ndarray:
-    """Multinomial outcome counts over all 2^n bitstrings, index order."""
+def sample_counts(p: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Multinomial outcome counts over all 2^n bitstrings, index order, for each row of
+    probabilities p, (..., 2^n), clipped at 0 and normalized."""
     rng = np.random.default_rng(rng)
-    p = np.clip(rho_tilde.diagonal(), 0.0, None)
-    return rng.multinomial(shots, p / p.sum())
+    p = np.clip(p, 0.0, None)
+    return rng.multinomial(shots, p / p.sum(axis=-1, keepdims=True))
 
 
 def _bit_table(n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ entries of the transformed state):
 * eps_lambda = sum_{i<=m} (lambda_i - lambda~_i)^2      (absolute error)
 * eps_rel    = sum_{i<=m} (lambda_i - lambda~_i)^2 / lambda_i^2
 * eps_v      = sum_{i<=m} <delta_i|delta_i>, with
-  |delta_i> = rho |v_i> - lambda~_i |v_i> for the prepared eigenvector |v_i>.
+  |delta_i> = rho |v_i> - lambda~_i |v_i> for the prepared eigenvector |v_i> = V^dag |z_i>,
+  equal (V unitary) to || rho~ |z_i> - lambda~_i |z_i> ||^2 on rho~ = V rho V^dag.
 
 Two computable upper bounds hold for both eps_lambda and eps_v:
 
@@ -27,8 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import LayeredAnsatz, prepare_eigenvector
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, _bitstring_index
 
 ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -73,34 +73,34 @@ class EigenEstimate:
 
 
 class EigenErrors(NamedTuple):
-    eps_lambda: float
-    eps_rel: float
+    eps_lambda: np.ndarray  # the estimates' leading shape: one value per row
+    eps_rel: np.ndarray
     n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
 
 
-def eigen_errors(exact: np.ndarray, est: EigenEstimate, m: int) -> EigenErrors:
+def eigen_errors(exact: np.ndarray, lambdas: np.ndarray, m: int) -> EigenErrors:
     """Absolute and relative eigenvalue errors over the top m estimates.
 
-    Relative-error terms with an exact eigenvalue at numerical zero are
+    `lambdas` is (..., m' >= m), one row per run, and the errors take its leading
+    shape.  Relative-error terms with an exact eigenvalue at numerical zero are
     excluded from the sum and counted in n_excluded.
     """
-    exact = np.asarray(exact, dtype=float)
-    if est.m < m or exact.size < m:
+    exact, lambdas = np.asarray(exact, dtype=float), np.asarray(lambdas, dtype=float)
+    if lambdas.shape[-1] < m or exact.size < m:
         raise ValueError(f"need at least m={m} exact values and estimates")
-    d = exact[:m] - est.lambdas[:m]
+    d = exact[:m] - lambdas[..., :m]
     nz = exact[:m] > ZERO_EIGENVALUE_TOL
-    eps_rel = float(((d[nz] / exact[:m][nz]) ** 2).sum())
-    return EigenErrors(float((d**2).sum()), eps_rel, int(m - nz.sum()))
+    eps_rel = ((d[..., nz] / exact[:m][nz]) ** 2).sum(axis=-1)
+    return EigenErrors((d**2).sum(axis=-1), eps_rel, int(m - nz.sum()))
 
 
-def eigenvector_error(rho: DensityMatrix, a: LayeredAnsatz, est: EigenEstimate) -> float:
-    """Residual sum_i || rho |v_i> - lambda~_i |v_i> ||^2 for prepared eigenvectors."""
-    total = 0.0
-    for lam, z in zip(est.lambdas, est.bitstrings):
-        v = prepare_eigenvector(a, z).amplitudes
-        delta = rho.data @ v - lam * v
-        total += float(np.vdot(delta, delta).real)
-    return total
+def eigenvector_error(rho_t: DensityMatrix, est: EigenEstimate) -> float:
+    """sum_i || rho~ |z_i> - lambda~_i |z_i> ||^2, column z_i of rho~ = psi psi^dag being psi psi[z_i]^dag."""
+    psi = rho_t.factor()
+    idx = [_bitstring_index(z, rho_t.n) for z in est.bitstrings]
+    delta = psi @ psi[idx].conj().T
+    delta[idx, np.arange(est.m)] -= est.lambdas
+    return float((delta.real**2 + delta.imag**2).sum())
 
 
 class CostBound(NamedTuple):
@@ -173,20 +173,20 @@ class ErrorReport:
 
 def build_error_report(
     rho: DensityMatrix,
-    a: LayeredAnsatz,
+    rho_t: DensityMatrix,
     est: EigenEstimate,
     cost: float,
     lowest_energies: Sequence[float],
     purity: float,
     est_wide: EigenEstimate,
 ) -> ErrorReport:
-    """Assemble the report against rho's exact spectrum; `est_wide` is the m^ >= m readout."""
-    errs = eigen_errors(rho.eigenvalues(), est, est.m)
+    """Assemble the report against rho's exact spectrum and rho_t = V rho V^dag; `est_wide` is the m^ >= m readout."""
+    errs = eigen_errors(rho.eigenvalues(), est.lambdas, est.m)
     cb = bound_from_cost(cost, lowest_energies, purity)
     return ErrorReport(
-        eps_lambda=errs.eps_lambda,
-        eps_rel=errs.eps_rel,
-        eps_v=eigenvector_error(rho, a, est),
+        eps_lambda=float(errs.eps_lambda),
+        eps_rel=float(errs.eps_rel),
+        eps_v=eigenvector_error(rho_t, est),
         bound_cost=cb.value,
         bound_purity=bound_from_purity(purity, est_wide.lambdas, rho.n, est_wide.m),
         m_hat=est_wide.m,

@@ -382,8 +382,8 @@ def exact_eigs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr[rho^2], equal to the sum of squared eigenvalues; 1 iff pure."""
-    return float(np.vdot(rho.data, rho.data).real)
+    """Tr[rho^2], the sum of the squared (cached) eigenvalues; 1 iff pure."""
+    return float((rho.eigenvalues() ** 2).sum())
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

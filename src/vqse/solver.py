@@ -49,7 +49,7 @@ from .hamiltonians import (
     global_from_local,
     sample_counts,
 )
-from .metrics import ZERO_EIGENVALUE_TOL, EigenEstimate
+from .metrics import EigenEstimate, eigen_errors
 from .qmath import DensityMatrix, _apply_left, index_to_bitstring
 
 ADAM_BETA1 = 0.9
@@ -125,7 +125,7 @@ def read_estimate(rho_t: DensityMatrix, m: int, shots: int = 0, rng=None) -> Eig
     if not 1 <= m <= 2**rho_t.n:
         raise ValueError(f"m={m} out of range")
     _check_shots(shots)
-    p = rho_t.diagonal() if shots == 0 else sample_counts(rho_t, shots, rng) / shots
+    p = rho_t.diagonal() if shots == 0 else sample_counts(rho_t.diagonal(), shots, rng) / shots
     order = np.argsort(-p, kind="stable")[:m]
     lambdas = np.clip(p[order], 0.0, 1.0)
     return EigenEstimate(
@@ -165,10 +165,8 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     shifted circuits are column groups of one wide array, in angle order with
     + before -: at block b the copies in flight get B_b in one contraction,
     and the 2w copies of psi_b shifted at block b join them.  Each finished
-    copy's outcome distribution is its squared row norms summed over the
-    rank, clipped and normalized like `sample_counts`; one multinomial draw
-    per run samples all its copies, in the same stream order as one
-    `sample_counts` call per copy.
+    copy's outcome probabilities are its squared row norms summed over the
+    rank; one `sample_counts` call per run samples all its copies.
     """
     if shots == 0:
         return _adjoint_gradient(states, a, angles, mats, energies)
@@ -187,8 +185,7 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
         wide = np.concatenate([wide] + fresh, axis=-1)
     # (runs, copies, 2^n) outcome probabilities, each copy's row contiguous
     p = (wide.real**2 + wide.imag**2).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
-    p = np.clip(p, 0.0, None)
-    counts = np.stack([rng.multinomial(shots, q / q.sum(axis=-1, keepdims=True)) for rng, q in zip(rngs, p)])
+    counts = np.stack([sample_counts(q, shots, rng) for rng, q in zip(rngs, p)])
     # (1, 2^n) @ (2^n, 1) per copy is the dot of `energies @ counts`; a matrix-vector product rounds differently
     val = (counts[:, :, None, :] @ energies[:, None, :, None]).reshape(runs, -1) / shots
     return 0.5 * (val[:, 0::2] - val[:, 1::2])
@@ -346,8 +343,7 @@ def optimize_runs(
     if not ansatze or len(rngs) != len(ansatze) or len({(b.n, b.layers, b.kind) for b in ansatze}) > 1:
         raise ValueError("lockstep runs need one generator each and circuits of one shape")
     a, runs, m = ansatze[0], len(ansatze), cost.m
-    factor, lam_exact = rho.factor(), rho.eigenvalues()[:m]
-    nonzero = lam_exact > ZERO_EIGENVALUE_TOL
+    factor, lam_exact = rho.factor(), rho.eigenvalues()
     # f(0) = 0: the adaptive loop starts from the local Hamiltonian
     hams: list[Hamiltonian] = [cost.global_part if cost.variant == "global" else cost.local] * runs
     energies = np.tile(hams[0].energies(), (runs, 1))  # row i re-read only when run i's H changes
@@ -364,10 +360,9 @@ def optimize_runs(
         costs = (energies[:, None, :] @ diag[:, :, None]).reshape(runs)  # one dot per run, as in `_gradient`
         if np.isnan(costs).any():
             raise FloatingPointError(f"cost became NaN at iteration {k}")
-        # the arithmetic of eigen_errors on read_estimate's top m, for every run at once
+        # read_estimate's top m, for every run at once
         top = np.take_along_axis(diag, np.argsort(-diag, axis=-1, kind="stable")[:, :m], axis=-1)
-        d = lam_exact - np.clip(top, 0.0, 1.0)
-        eps_abs, eps_rel = (d**2).sum(axis=-1), ((d[:, nonzero] / lam_exact[nonzero]) ** 2).sum(axis=-1)
+        eps_abs, eps_rel, _ = eigen_errors(lam_exact, np.clip(top, 0.0, 1.0), m)
         for i in range(runs):
             traces[i].append(TracePoint(k, t, float(costs[i]), float(eps_abs[i]), float(eps_rel[i])))
             if callback is not None:

@@ -6,11 +6,14 @@ V(theta) as a dense matrix from np.kron-embedded block unitaries, apart from
 the factor walk (`ansatz._forward_states`) the package trains with;
 `locate_factorization_all_candidates` is the factorizing-field search that
 golden-searches every round and weighs its minimum against every crossing;
-`mix_special_angles` puts exact 0, +-pi/2 and +-pi into drawn angles.
+`mix_special_angles` puts exact 0, +-pi/2 and +-pi into drawn angles;
+`dense_eigenvector_error` is eps_v on the 2^n x 2^n matrix of rho, each
+eigenvector prepared by its own V^dag |z> circuit.
 """
 
 import numpy as np
 
+from vqse.ansatz import prepare_eigenvector
 from vqse.experiments import (
     FIELD_HALVINGS,
     FactorizationNotFound,
@@ -53,6 +56,16 @@ def mix_special_angles(rng, angles, share):
     special = rng.random(angles.shape) < share
     angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
     return angles
+
+
+def dense_eigenvector_error(rho, a, est):
+    """sum_i || rho |v_i> - lambda~_i |v_i> ||^2 with |v_i> = V^dag |z_i> and rho's dense matrix."""
+    total = 0.0
+    for lam, z in zip(est.lambdas, est.bitstrings):
+        v = prepare_eigenvector(a, z).amplitudes
+        delta = rho.data @ v - lam * v
+        total += float(np.vdot(delta, delta).real)
+    return total
 
 
 def dense_circuit(a):

@@ -5,6 +5,7 @@ import pytest
 
 from vqse.cli import ConfigError, _median, main, parse_config_text
 from vqse.experiments import random_low_rank_state
+from vqse.qmath import DensityMatrix
 
 PCA_CFG = """\
 [run]
@@ -99,6 +100,21 @@ class TestRunCommand:
         header = (out / "pca_trace.csv").read_text().splitlines()[0]
         assert header == "run,iter,t,cost,eps_abs,eps_rel"
         assert (out / "pca_rps.csv").read_text().splitlines()[0] == "target,rps_final,rps_min_trace"
+
+    def test_pca_run_builds_no_dense_matrix(self, tmp_path, monkeypatch):
+        # every state on the PCA path is a factor; none may have its 2^n x 2^n A A^dag built
+        built, dense = [], DensityMatrix.data
+
+        def counted(rho):
+            if rho._data is None:  # given as a factor, not yet built
+                built.append(rho.n)
+            return dense.fget(rho)
+
+        monkeypatch.setattr(DensityMatrix, "data", property(counted))
+        cfg = tmp_path / "pca.cfg"
+        cfg.write_text(PCA_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built == []
 
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

@@ -105,6 +105,11 @@ class TestRandomLowRankState:
         with pytest.raises(ValueError):
             random_low_rank_state(9, 4, seed=0)
 
+    @pytest.mark.parametrize("n, n_ancilla, name", [(0, 2, "n"), (-1, 2, "n"), (3, -1, "n_ancilla")])
+    def test_bad_sizes_refused_by_name(self, n, n_ancilla, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            random_low_rank_state(n, n_ancilla, seed=0)
+
     @pytest.mark.parametrize("n, n_ancilla, seed", [(3, 0, 4), (4, 4, 7), (6, 2, 1), (8, 2, 1234)])
     def test_row_by_row_draw_is_column_zero_of_the_full_draw(self, n, n_ancilla, seed):
         # the seeded stream of a (d, d) draw, kept bit for bit

@@ -27,7 +27,7 @@ from vqse.metrics import (
 from vqse.qmath import DensityMatrix, exact_eigs, purity
 from vqse.solver import EigenEstimate, readout
 
-from reference import basis_density_matrix, random_density_matrix
+from reference import basis_density_matrix, dense_eigenvector_error, mix_special_angles, random_density_matrix
 
 
 def make_estimate(lambdas, bitstrings, shots=0):
@@ -37,32 +37,42 @@ def make_estimate(lambdas, bitstrings, shots=0):
 class TestEigenErrors:
     def test_perfect_estimates(self):
         est = make_estimate([0.5, 0.3], ["00", "01"])
-        res = eigen_errors(np.array([0.5, 0.3, 0.2]), est, 2)
+        res = eigen_errors(np.array([0.5, 0.3, 0.2]), est.lambdas, 2)
         assert res.eps_lambda == 0.0 and res.eps_rel == 0.0
 
     def test_hand_computed_example(self):
         est = make_estimate([0.5, 0.4], ["00", "01"])
-        res = eigen_errors(np.array([0.5, 0.5]), est, 2)
+        res = eigen_errors(np.array([0.5, 0.5]), est.lambdas, 2)
         assert res.eps_lambda == pytest.approx(0.01)
         assert res.eps_rel == pytest.approx(0.04)
 
     def test_all_zero_estimates(self):
         est = make_estimate([0.0], ["00"])
-        res = eigen_errors(np.array([1.0]), est, 1)
+        res = eigen_errors(np.array([1.0]), est.lambdas, 1)
         assert res.eps_lambda == pytest.approx(1.0)
         assert res.eps_rel == pytest.approx(1.0)
 
     def test_zero_eigenvalue_terms_excluded_and_counted(self):
         est = make_estimate([0.6, 0.2], ["00", "01"])
-        res = eigen_errors(np.array([0.8, 0.0]), est, 2)
+        res = eigen_errors(np.array([0.8, 0.0]), est.lambdas, 2)
         assert res.eps_lambda == pytest.approx(0.04 + 0.04)
         assert res.eps_rel == pytest.approx((0.2 / 0.8) ** 2)
         assert res.n_excluded == 1
 
+    def test_stacked_rows_match_their_own_calls(self):
+        # stacked rows, as the training trace passes them, against one call per row; exact 0 excluded
+        exact = np.array([0.5, 0.3, 0.2, 0.0])
+        rows = np.random.default_rng(3).random((2, 3, 4))
+        got = eigen_errors(exact, rows, 4)
+        assert got.eps_lambda.shape == got.eps_rel.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            want = eigen_errors(exact, rows[i, j], 4)
+            assert got.eps_lambda[i, j] == want.eps_lambda and got.eps_rel[i, j] == want.eps_rel
+
     def test_insufficient_data(self):
         est = make_estimate([0.6], ["00"])
         with pytest.raises(ValueError):
-            eigen_errors(np.array([1.0]), est, 2)
+            eigen_errors(np.array([1.0]), est.lambdas, 2)
 
 
 class TestEigenvectorError:
@@ -70,14 +80,14 @@ class TestEigenvectorError:
         rho = basis_density_matrix(2, "00")
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         est = readout(rho, a, m=1)
-        assert eigenvector_error(rho, a, est) == pytest.approx(0.0, abs=1e-12)
+        assert eigenvector_error(apply_ansatz(rho, a), est) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_state_in_standard_basis(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
         a = LayeredAnsatz(2, 1, BlockKind.RY_CZ, np.zeros(4))
         for m in (1, 2, 4):
             est = readout(rho, a, m=m)
-            assert eigenvector_error(rho, a, est) == pytest.approx(0.0, abs=1e-12)
+            assert eigenvector_error(apply_ansatz(rho, a), est) == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_formula(self):
         # oracle: direct |rho v - lambda v|^2 for each prepared vector
@@ -91,7 +101,30 @@ class TestEigenvectorError:
             v = prepare_eigenvector(a, z).amplitudes
             d = rho.data @ v - lam * v
             total += float(np.vdot(d, d).real)
-        assert eigenvector_error(rho, a, est) == pytest.approx(total, abs=1e-14)
+        assert eigenvector_error(apply_ansatz(rho, a), est) == pytest.approx(total, abs=1e-14)
+
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_transformed_residual_matches_the_dense_oracle(self, data):
+        # eps_v read off rho~ = V rho V^dag against V^dag |z_i> circuits and rho's dense
+        # matrix, on untrained angles with exact 0, +-pi/2 and +-pi mixed in
+        n = data.draw(st.integers(2, 5), label="n")
+        kind = data.draw(st.sampled_from(list(BlockKind)), label="kind")
+        layers = data.draw(st.integers(1, 3), label="layers")
+        rank = data.draw(st.integers(1, 2**n), label="rank")
+        m = data.draw(st.integers(1, 2**n), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+        factor /= np.linalg.norm(factor)
+        given_factor = data.draw(st.booleans(), label="given_factor")
+        rho = DensityMatrix(factor=factor) if given_factor else DensityMatrix(factor @ factor.conj().T)
+        theta = rng.uniform(-np.pi, np.pi, LayeredAnsatz.n_parameters(n, layers, kind))
+        share = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="share")
+        a = LayeredAnsatz(n, layers, kind, mix_special_angles(rng, theta, share))
+        est = readout(rho, a, m=m)
+        got = eigenvector_error(apply_ansatz(rho, a), est)
+        assert abs(got - dense_eigenvector_error(rho, a, est)) < 1e-12
 
 
 class TestBoundFromCost:
@@ -131,8 +164,8 @@ class TestBoundFromCost:
         c = local.energies() @ apply_ansatz(rho, a).diagonal()
         energies = [e for e, _ in lowest_levels(local, m + 1)]
         pur = purity(rho)
-        eps_l = eigen_errors(lam, est, m).eps_lambda
-        eps_v = eigenvector_error(rho, a, est)
+        eps_l = eigen_errors(lam, est.lambdas, m).eps_lambda
+        eps_v = eigenvector_error(apply_ansatz(rho, a), est)
         cb = bound_from_cost(c, energies, pur)
         wide = readout(rho, a, m=default_m_hat(m, n))
         bp = bound_from_purity(pur, wide.lambdas, n, wide.m)
@@ -170,7 +203,7 @@ class TestBoundFromCost:
             except DegenerateSpectrumError:
                 continue  # the cost bound needs m + 1 distinct lowest levels
             cost = float(h.energies() @ probabilities)
-            report = build_error_report(rho, a, est, cost, energies, purity(rho), wide)
+            report = build_error_report(rho, apply_ansatz(rho, a), est, cost, energies, purity(rho), wide)
             checks = bound_checks(report.eps_lambda, report.eps_v, report.bound_cost, report.bound_purity)
             assert all(c.holds for c in checks)
 
@@ -225,7 +258,7 @@ class TestErrorReport:
         est = readout(rho, a, m=m)
         report = build_error_report(
             rho=rho,
-            a=a,
+            rho_t=apply_ansatz(rho, a),
             est=est,
             cost=local.energies() @ apply_ansatz(rho, a).diagonal(),
             lowest_energies=[e for e, _ in lowest_levels(local, m + 1)],
@@ -250,10 +283,10 @@ class TestErrorReport:
         local = default_local_weights(3, m)
         est = readout(rho, a, m=m)
         report = build_error_report(
-            rho, a, est, local.energies() @ apply_ansatz(rho, a).diagonal(),
+            rho, apply_ansatz(rho, a), est, local.energies() @ apply_ansatz(rho, a).diagonal(),
             [e for e, _ in lowest_levels(local, m + 1)], purity(rho), readout(rho, a, m=default_m_hat(m, 3)),
         )
-        want = eigen_errors(exact_eigs(rho)[0], est, m)
+        want = eigen_errors(exact_eigs(rho)[0], est.lambdas, m)
         assert report.eps_lambda == pytest.approx(want.eps_lambda, rel=0, abs=1e-12)
         assert report.eps_rel == pytest.approx(want.eps_rel, rel=0, abs=1e-12)
 

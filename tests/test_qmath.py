@@ -293,6 +293,16 @@ class TestPurityFidelity:
         w, _ = exact_eigs(rho)
         assert abs(purity(rho) - (w**2).sum()) < 1e-10
 
+    @pytest.mark.parametrize("form", ["data", "factor"])
+    @pytest.mark.parametrize("n, rank, seed", [(1, 1, 0), (3, 2, 1), (4, 16, 2), (6, 5, 3)])
+    def test_purity_matches_the_dense_oracle(self, form, n, rank, seed):
+        # the spectrum's sum of squares against Tr[rho^2] = <rho, rho> on the dense matrix
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+        f /= np.linalg.norm(f)
+        rho = DensityMatrix(f @ f.conj().T) if form == "data" else DensityMatrix(factor=f)
+        assert abs(purity(rho) - np.vdot(rho.data, rho.data).real) < 1e-12
+
     def test_fidelity_pure_examples(self):
         zero = basis_density_matrix(1, "0")
         assert fidelity_pure(zero, basis_pure_state(1, "0")) == pytest.approx(1.0)

@@ -70,7 +70,7 @@ def full_forward_sampled_gradient(rho, a, h, shots, seed):
         val = []
         for d in (np.pi / 2, -np.pi / 2):
             shifted = LayeredAnsatz(a.n, a.layers, a.kind, a.theta + d * e_nu)
-            val.append(float(energies @ sample_counts(apply_ansatz(rho, shifted), shots, rng)) / shots)
+            val.append(float(energies @ sample_counts(apply_ansatz(rho, shifted).diagonal(), shots, rng)) / shots)
         grad[nu] = 0.5 * (val[0] - val[1])
     return grad
 
