@@ -5,9 +5,10 @@ on pairs (0,1), (2,3), ... and then on pairs (1,2), (3,4), ...; for odd n the
 last qubit idles in one of the rows.  Two block parameterizations are
 supported:
 
-* ``RY_CZ``: a CZ preceded and followed by one y-rotation per wire (4 angles);
+* ``RY_CZ``: a CZ preceded and followed by one y-rotation per wire (4 angles,
+  real: its blocks are float64);
 * ``G_CNOT_G``: a CNOT preceded and followed by one general single-qubit
-  rotation G per wire (12 angles).
+  rotation G per wire (12 angles, complex128 as R_z is).
 
 Rotation convention (half-angle): R_k(theta) = exp(i theta sigma_k / 2) and
 G(a, b, c) = R_z(c) R_y(b) R_z(a).  Under this convention every angle enters
@@ -28,17 +29,15 @@ import numpy as np
 
 from .qmath import DensityMatrix, PureState, _apply_left, _bitstring_index
 
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0])
 # control = first target qubit (the gate's most significant index bit)
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
 
 
 def rotation_y(theta) -> np.ndarray:
     """R_y(theta) = exp(i theta sigma_y / 2); an array of angles gives a (..., 2, 2) stack."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2)).astype(complex)
+    return np.stack([c, s, -s, c], axis=-1).reshape(np.shape(theta) + (2, 2))
 
 
 def rotation_z(theta) -> np.ndarray:
@@ -49,7 +48,7 @@ def rotation_z(theta) -> np.ndarray:
 
 _ROTATION = {"y": rotation_y, "z": rotation_z}
 # i sigma_k / 2, so that dR_k(t)/dt = (i sigma_k / 2) R_k(t)
-_GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex), "z": np.diag([0.5j, -0.5j])}
+_GENERATOR = {"y": np.array([[0.0, 0.5], [-0.5, 0.0]]), "z": np.diag([0.5j, -0.5j])}
 
 
 def _chain(factors: np.ndarray) -> np.ndarray:
@@ -116,10 +115,12 @@ class BlockKind(Enum):
         Factor i of a rotation F_{k-1} ... F_0 commutes with its g_i = i sigma / 2,
         so dB/dtheta is B (Q on the wire), Q = U^dag g_i U with U = F_{i-1} ... F_0,
         for a pre rotation and (Q on the wire) B, Q = V g_i V^dag with
-        V = F_{k-1} ... F_{i+1}, for a post one.  The end factor's Q is g itself.
+        V = F_{k-1} ... F_{i+1}, for a post one.  The end factor's Q is g itself,
+        so one-axis blocks (k = 1) build no factor.
         """
-        factors, k = self._factors(angles), len(self.axes)
-        out = np.broadcast_to(np.stack([_GENERATOR[ax] for ax in self.axes]), factors.shape).copy()
+        k, lead = len(self.axes), np.shape(angles)[:-1]
+        out = np.broadcast_to(np.stack([_GENERATOR[ax] for ax in self.axes]), lead + (4, k, 2, 2)).copy()
+        factors = self._factors(angles) if k > 1 else None
         for i in range(1, k):  # conjugate g_i in place; the end factor keeps g
             u, v = _chain(factors[..., :2, :i, :, :]), _chain(factors[..., 2:, k - i:, :, :])
             out[..., :2, i, :, :] = u.conj().swapaxes(-1, -2) @ out[..., :2, i, :, :] @ u

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .qmath import DensityMatrix, _bitstring_index
+from .qmath import DensityMatrix, _bitstring_index, abs2
 
 ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -100,7 +100,7 @@ def eigenvector_error(rho_t: DensityMatrix, est: EigenEstimate) -> float:
     idx = [_bitstring_index(z, rho_t.n) for z in est.bitstrings]
     delta = psi @ psi[idx].conj().T
     delta[idx, np.arange(est.m)] -= est.lambdas
-    return float((delta.real**2 + delta.imag**2).sum())
+    return float(abs2(delta).sum())
 
 
 class CostBound(NamedTuple):

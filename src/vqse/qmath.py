@@ -1,6 +1,9 @@
-"""Complex linear algebra substrate for small qubit registers (n <= 12).
+"""Real and complex linear algebra substrate for small qubit registers (n <= 12).
 
-The variational circuit acts only on a purification factor A of a state,
+Each array is real or complex as its inputs are: a state given as a real
+matrix or factor is held in float64, a complex one in complex128, so a real
+state under real gates (the `RY_CZ` circuit) runs in real arithmetic.  The
+variational circuit acts only on a purification factor A of a state,
 rho = A A^dag, a 2^n x r array; the outcome probabilities are the squared
 row norms of A.  A state built from A alone builds its 2^n x 2^n matrix on
 first read.  Gate and channel application (one superoperator contraction
@@ -60,6 +63,11 @@ def index_to_bitstring(i: int, n: int) -> str:
     return format(i, f"0{n}b")
 
 
+def abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise as a real array; `.imag` is read only for complex x (on real x it allocates zeros)."""
+    return x.real**2 + x.imag**2 if np.iscomplexobj(x) else x**2
+
+
 class DensityMatrix:
     """An n-qubit mixed state: Hermitian, positive semidefinite, trace one.
 
@@ -69,7 +77,11 @@ class DensityMatrix:
     is read off `data` when it was given, else as the squared row norms of A;
     the spectrum comes from A.  Validation checks the three invariants within
     fixed absolute tolerances; internal operations that preserve them by
-    construction skip the (eigenvalue) check for speed.
+    construction skip the (eigenvalue) check for speed.  The array is held as
+    `np.result_type(input, float)`: real input as float64, complex as
+    complex128, from the dtype alone (a complex array with zero imaginary part
+    stays complex).  `RY_CZ` blocks keep a real factor real; `G_CNOT_G` blocks
+    (R_z is complex) make it complex128.
     """
 
     __slots__ = ("n", "_data", "_factor", "_factor_only", "_eigenvalues")
@@ -80,12 +92,12 @@ class DensityMatrix:
         if (data is None) == (factor is None):
             raise ValueError("need data or a factor, not both")
         if data is not None:
-            data = np.array(data, dtype=complex)
+            data = np.array(data, dtype=np.result_type(np.asarray(data), float))
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError("density matrix must be square")
             data.flags.writeable = False
         else:
-            factor = np.array(factor, dtype=complex)
+            factor = np.array(factor, dtype=np.result_type(np.asarray(factor), float))
             if factor.ndim != 2:
                 raise ValueError(f"factor of shape {factor.shape} is not a matrix")
             factor.flags.writeable = False
@@ -156,7 +168,7 @@ class DensityMatrix:
     def diagonal(self) -> np.ndarray:
         """Real diagonal of rho: standard-basis outcome probabilities."""
         if self._factor_only:
-            return (self._factor.real**2 + self._factor.imag**2).sum(axis=1)
+            return abs2(self._factor).sum(axis=1)
         return self.data.diagonal().real.copy()
 
     def __repr__(self) -> str:

@@ -50,7 +50,7 @@ from .hamiltonians import (
     sample_counts,
 )
 from .metrics import EigenEstimate, eigen_errors
-from .qmath import DensityMatrix, _apply_left, index_to_bitstring
+from .qmath import DensityMatrix, _apply_left, abs2, index_to_bitstring
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -176,7 +176,7 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     shifted = np.tile(angles[..., None, None, :], (1, 1, w, 2, 1))
     shifted[..., np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
     shifted = a.kind.unitaries(shifted)
-    wide = np.empty((runs, 2**n, 0), dtype=complex)
+    wide = np.empty((runs, 2**n, 0), dtype=np.result_type(states[-1], shifted))
     for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
         if b:
             wide = _apply_left(wide, mats[:, b], pair, n)
@@ -184,7 +184,7 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
         fresh = [_apply_left(state, block, pair, n) for block in blocks]
         wide = np.concatenate([wide] + fresh, axis=-1)
     # (runs, copies, 2^n) outcome probabilities, each copy's row contiguous
-    p = (wide.real**2 + wide.imag**2).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
+    p = abs2(wide).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
     counts = np.stack([sample_counts(q, shots, rng) for rng, q in zip(rngs, p)])
     # (1, 2^n) @ (2^n, 1) per copy is the dot of `energies @ counts`; a matrix-vector product rounds differently
     val = (counts[:, :, None, :] @ energies[:, None, :, None]).reshape(runs, -1) / shots
@@ -207,7 +207,7 @@ def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarr
     runs, blocks = mats.shape[:2]
     lam = energies[..., None] * states[-1]
     daggers = mats.conj().swapaxes(-1, -2)
-    env = np.empty((runs, blocks, 4, 4), dtype=complex)
+    env = np.empty((runs, blocks, 4, 4), dtype=np.result_type(states[-1], mats))
     for b in range(blocks - 1, -1, -1):
         psi, lam_t = (
             m.reshape(m.shape[:-2] + (2 ** pairs[b][0], 4, -1)).swapaxes(-3, -2).reshape(m.shape[:-2] + (4, -1))
@@ -356,7 +356,7 @@ def optimize_runs(
         mats = a.kind.unitaries(angles)
         states = _forward_states(factor, a, mats)
         psi = states[-1]
-        diag = (psi.real**2 + psi.imag**2).sum(axis=-1)
+        diag = abs2(psi).sum(axis=-1)
         costs = (energies[:, None, :] @ diag[:, :, None]).reshape(runs)  # one dot per run, as in `_gradient`
         if np.isnan(costs).any():
             raise FloatingPointError(f"cost became NaN at iteration {k}")

@@ -129,11 +129,34 @@ class TestBlockDerivatives:
         assert all(np.array_equal(g, first) for g in gens[:, :2, 0].reshape(-1, 2, 2))
         assert all(np.array_equal(g, last) for g in gens[:, 2:, -1].reshape(-1, 2, 2))
 
+    @pytest.mark.parametrize("kind, built", [(BlockKind.RY_CZ, 0), (BlockKind.G_CNOT_G, 1)])
+    def test_one_axis_blocks_build_no_factor(self, monkeypatch, kind, built):
+        # every rycz generator is the constant g: its rotations, built for the walk, are not formed again
+        calls, factors = [], BlockKind._factors
+        monkeypatch.setattr(BlockKind, "_factors", lambda self, angles: calls.append(1) or factors(self, angles))
+        kind.angle_generators(np.zeros((3, kind.angles_per_block)))
+        assert len(calls) == built
+
     def test_exact_zeros_at_zero_angles(self):
         # pre rotation on pair[0] at t = 0: CZ (dR_y(0) x I), dR_y(0) = [[0, 1/2], [-1/2, 0]]
         d_ry = np.array([[0.0, 0.5], [-0.5, 0.0]])
         expected = CZ @ np.kron(d_ry, np.eye(2))
         assert np.array_equal(generator_derivative(BlockKind.RY_CZ, np.zeros(4), 0), expected)
+
+
+class TestDtypes:
+    def test_real_gates_are_float64(self):
+        # R_y, CZ and CNOT are real, so a rycz block is real orthogonal
+        angles = np.random.default_rng(6).uniform(-np.pi, np.pi, (3, 4))
+        for arr in (CZ, CNOT, rotation_y(angles), BlockKind.RY_CZ.unitaries(angles),
+                    BlockKind.RY_CZ.angle_generators(angles)):
+            assert arr.dtype == np.float64
+
+    def test_gcnotg_blocks_are_complex128(self):
+        angles = np.random.default_rng(7).uniform(-np.pi, np.pi, (3, 12))
+        assert rotation_z(angles).dtype == np.complex128
+        assert BlockKind.G_CNOT_G.unitaries(angles).dtype == np.complex128
+        assert BlockKind.G_CNOT_G.angle_generators(angles).dtype == np.complex128
 
 
 _REFERENCE_ROTATION = {"y": rotation_y, "z": rotation_z}

@@ -101,6 +101,11 @@ class TestRandomLowRankState:
         assert np.array_equal(a.data, b.data)
         assert np.abs(a.data.imag).max() < 1e-12
 
+    @pytest.mark.parametrize("n, n_ancilla", [(3, 0), (4, 1), (6, 2)])
+    def test_factor_is_float64(self, n, n_ancilla):
+        # a real factor keeps the rycz walk in real arithmetic
+        assert random_low_rank_state(n, n_ancilla, seed=3).factor().dtype == np.float64
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             random_low_rank_state(9, 4, seed=0)
@@ -143,6 +148,13 @@ def pauli_chain_hamiltonian(spec, h):
 
 
 class TestXYChain:
+    @pytest.mark.parametrize("ring", [FM_RING, AFM_RING, TILTED_FM_RING], ids=["fm", "afm", "tilted_fm"])
+    @pytest.mark.parametrize("h", [0.3, 1.0, 2.5])
+    def test_reduced_ground_factor_is_float64(self, ring, h):
+        # conjugate-pair sectors are complex, but the ground basis built from them is real
+        rho, _ = xy_ground_reduced(ring, h)
+        assert rho.factor().dtype == np.float64
+
     def test_hamiltonian_is_symmetric(self):
         spec = SpinChainSpec(N=6, J_x=1.0, J_y=0.5, gamma=np.pi / 3, keep=3)
         ham = xy_hamiltonian(spec, 0.8)

@@ -14,6 +14,7 @@ from vqse.qmath import (
     amplitude_damping_channel,
     apply_channel,
     apply_unitary,
+    abs2,
     bitstring_to_index,
     depolarizing_channel,
     exact_eigs,
@@ -86,6 +87,62 @@ class TestDensityMatrix:
     def test_pure_state_norm_checked(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]))
+
+
+class TestDtypeFollowsInput:
+    """Real input is held as float64 and complex input as complex128, by its dtype alone."""
+
+    def test_real_data_stays_real_and_every_read_works(self):
+        # a real [custom] state file is such a matrix
+        a = np.random.default_rng(21).standard_normal((8, 3))
+        data = a @ a.T / np.linalg.norm(a) ** 2
+        rho = DensityMatrix(data)  # validated
+        assert rho.data.dtype == np.float64
+        f = rho.factor()
+        assert f.dtype == np.float64 and np.abs(f @ f.T - data).max() < 1e-14
+        w, v = exact_eigs(rho)
+        wc, vc = exact_eigs(DensityMatrix(data.astype(complex)))
+        assert v.dtype == np.float64
+        assert np.abs(w - wc).max() < 1e-12
+        assert np.abs(v[:, :3] - vc[:, :3]).max() < 1e-12  # the three simple levels, phase-fixed
+        assert np.abs(rho.diagonal() - np.diag(data)).max() < 1e-15
+
+    def test_real_data_is_still_validated(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.2], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_complex_dtype_with_zero_imaginary_part_stays_complex(self):
+        a = np.random.default_rng(22).standard_normal((8, 2)).astype(complex)
+        a /= np.linalg.norm(a)
+        assert DensityMatrix(factor=a).factor().dtype == np.complex128
+        assert DensityMatrix(a @ a.conj().T).data.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "dtype, held", [(np.int64, np.float64), (np.float32, np.float64), (np.complex64, np.complex128)]
+    )
+    def test_narrow_input_is_widened(self, dtype, held):
+        one = np.diag([1, 0]).astype(dtype)
+        assert DensityMatrix(one).data.dtype == held
+        assert DensityMatrix(factor=one[:, :1]).factor().dtype == held
+
+
+class _NoImag(np.ndarray):
+    @property
+    def imag(self):
+        raise AssertionError(".imag read on a real array")
+
+
+class TestAbs2:
+    def test_real_and_complex(self):
+        assert np.array_equal(abs2(np.array([[3.0, -4.0]])), [[9.0, 16.0]])
+        z = abs2(np.array([3 + 4j, -1j]))
+        assert z.dtype == np.float64 and np.array_equal(z, [25.0, 1.0])
+
+    def test_real_input_reads_no_imaginary_part(self):
+        # on a float array `.imag` allocates a zero array
+        assert np.array_equal(abs2(np.arange(3.0).view(_NoImag)), [0.0, 1.0, 4.0])
 
 
 def _known_factor(name):

@@ -1,9 +1,13 @@
 """Tests for gradients, the training loop, readout and the shot planner."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vqse import solver
 from vqse.ansatz import (
     BlockKind,
     LayeredAnsatz,
@@ -318,6 +322,109 @@ class TestLockstepProperty:
         for runs, seeds in ((ansatze, [1, 2]), (ansatze[:1], [1, 2]), ([], [])):
             with pytest.raises(ValueError, match="one shape"):
                 optimize_runs(rho, runs, cost_config(3, 2), StepwiseSchedule(2, 1), OptimizerConfig(), seeds)
+
+
+def locals_at_return(fn, *args):
+    """Call fn(*args); return (its value, the locals of fn's frame as it returns)."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is fn.__code__:
+            seen.update(frame.f_locals)
+
+    sys.setprofile(profile)
+    try:
+        value = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return value, seen
+
+
+def sampled_probabilities(states, a, angles, mats, energies):
+    """The outcome probabilities p that the sampled `_gradient` hands `sample_counts`, one array per run."""
+    seen = []
+
+    def spy(p, shots, rng):
+        seen.append(p.copy())
+        return sample_counts(p, shots, rng)
+
+    with mock.patch.object(solver, "sample_counts", spy):
+        _gradient(states, a, angles, mats, energies, 16, [np.random.default_rng(1) for _ in energies])
+    return seen
+
+
+@st.composite
+def real_cases(draw):
+    """A real rank-r factor, R untrained circuits of one shape with exact 0, +-pi/2
+    and +-pi mixed into their angles, and a cost (adaptive or local)."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(list(BlockKind)))
+    layers = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 2**n))
+    runs = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.standard_normal((2**n, rank))
+    factor /= np.linalg.norm(factor)
+    theta = rng.uniform(-np.pi, np.pi, (runs, LayeredAnsatz.n_parameters(n, layers, kind)))
+    mix_special_angles(rng, theta, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    ansatze = [LayeredAnsatz(n, layers, kind, t) for t in theta]
+    return factor, ansatze, cost_config(n, draw(st.integers(1, 2)), draw(st.sampled_from(["adaptive", "local"])))
+
+
+class TestRealArithmetic:
+    """A real factor runs in float64 under rycz; it must agree with the same inputs cast to complex."""
+
+    @settings(max_examples=40)
+    @given(real_cases())
+    def test_real_path_matches_the_complex_cast(self, case):
+        factor, ansatze, cost = case
+        a = ansatze[0]
+        angles = np.stack([b.block_angles for b in ansatze])
+        mats = a.kind.unitaries(angles)
+        energies = np.stack([cost.local.energies(), cost.global_part.energies()])[: len(ansatze)]
+        real = _forward_states(factor, a, mats)
+        cast = _forward_states(factor.astype(complex), a, mats.astype(complex))
+        for r, c in zip(real, cast):
+            assert np.abs(r - c).max() <= 1e-12
+        exact = [_gradient(s, a, angles, m, energies, 0, None) for s, m in ((real, mats), (cast, mats.astype(complex)))]
+        assert np.abs(exact[0] - exact[1]).max() <= 1e-12
+        p_real, p_cast = (sampled_probabilities(s, a, angles, mats, energies) for s in (real, cast))
+        for r, c in zip(p_real, p_cast):
+            assert r.dtype == np.float64 and np.abs(r - c).max() <= 1e-12
+        schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
+        got, want = (
+            optimize_runs(DensityMatrix(factor=f, validate=False), ansatze, cost, schedule, adam, [1] * len(ansatze))
+            for f in (factor, factor.astype(complex))
+        )
+        for g, w in zip(got, want):
+            assert np.abs(np.array(g.trace) - np.array(w.trace)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind, dtype", [(BlockKind.RY_CZ, np.float64), (BlockKind.G_CNOT_G, np.complex128)])
+    def test_walk_dtype_follows_the_blocks(self, kind, dtype):
+        # a real factor: rycz stays float64 in its states, env, wide and transformed
+        # factor; gcnotg (R_z is complex) is complex128 throughout
+        rho = random_low_rank_state(4, 1, seed=3)
+        a = LayeredAnsatz.random(4, 2, kind, 5)
+        angles = a.block_angles[None]
+        mats = kind.unitaries(angles)
+        states = _forward_states(rho.factor(), a, mats)
+        assert {s.dtype for s in states[1:]} == {np.dtype(dtype)}
+        energies = default_local_weights(4, 2).energies()[None]
+        grad, frame = locals_at_return(solver._adjoint_gradient, states, a, angles, mats, energies)
+        assert frame["env"].dtype == dtype and grad.dtype == np.float64
+        _, frame = locals_at_return(solver._gradient, states, a, angles, mats, energies, 8, [np.random.default_rng(1)])
+        assert frame["wide"].dtype == dtype
+        assert apply_ansatz(rho, a).factor().dtype == dtype
+        res = optimize(rho, a, cost_config(4, 2, "adaptive"), StepwiseSchedule(2, 1), OptimizerConfig(), 1)
+        assert res.transformed.factor().dtype == dtype
+
+    def test_complex_factor_with_zero_imaginary_part_stays_complex(self):
+        # the dtype is read, never the values
+        factor = random_low_rank_state(4, 1, seed=3).factor().astype(complex)
+        a = LayeredAnsatz.random(4, 2, BlockKind.RY_CZ, 5)
+        res = optimize(DensityMatrix(factor=factor, validate=False), a, cost_config(4, 2), StepwiseSchedule(2, 1),
+                       OptimizerConfig(), 1)
+        assert res.transformed.factor().dtype == np.complex128
 
 
 class TestSchedule:
