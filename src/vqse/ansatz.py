@@ -60,8 +60,9 @@ def _chain(factors: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of every 2x2 pair of two stacks, as one broadcast product."""
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (4, 4))
+    """np.kron of every pair of square matrices of two equal-shaped stacks, as one broadcast product."""
+    d = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (d, d))
 
 
 class BlockKind(Enum):

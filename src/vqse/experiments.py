@@ -6,10 +6,10 @@
   estimate the top eigenvalues of a reduced ground state at each point, and
   locate the factorizing field where the ground state becomes a product
   state (largest reduced eigenvalue exactly one).
-* Error mitigation of a noisy W-state preparation: re-purify the state by
-  training on the noisy output and preparing the inferred top eigenvector.
-  The brick circuit that can prepare W (two layers, 4 CNOTs) is deeper
-  than the 3-CNOT preparation.
+* Error mitigation of a noisy W-state preparation: train on the noisy output
+  and re-prepare the top eigenvector under the same noise at every row, all
+  runs in one exact fused walk.  The brick circuit that can prepare W (two
+  layers, 4 CNOTs) is deeper than the 3-CNOT preparation.
 
 All randomness flows from explicit seeds; per-run generators are derived via
 numpy SeedSequence spawning so results are independent of execution order.
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import CNOT, BlockKind, LayeredAnsatz, prepare_eigenvector, rotation_y
+from .ansatz import CNOT, BlockKind, LayeredAnsatz, _kron, prepare_eigenvector, rotation_y
 from .hamiltonians import _bit_table, default_local_weights, lowest_levels
 from .metrics import (
     ErrorReport,
@@ -688,22 +688,6 @@ def w_preparation_gates() -> list[Gate]:
     ]
 
 
-def eigenvector_preparation_gates(a: LayeredAnsatz, z: str) -> list[Gate]:
-    """Gate list preparing V^dag |z>: X gates for z, then reversed blocks.
-
-    Each block dagger is decomposed into its native gates (single-qubit
-    rotations around one self-inverse entangler) so that per-gate noise
-    applies at the same granularity as in the preparation circuit.
-    """
-    qmath._bitstring_index(z, a.n)  # the check prepare_eigenvector makes
-    gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
-    daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
-    for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):
-        gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
-                  Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
-    return gates
-
-
 def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -> DensityMatrix:
     """Run a gate list from |0...0>, with noise after each gate.
 
@@ -734,8 +718,7 @@ def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -
         gate_ids = [i for i, (_, targets) in enumerate(checked) if len(targets) == k]
         us = np.stack([checked[i][0] for i in gate_ids])
         _check_unitary(us)
-        krons = (us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(-1, 4**k, 4**k)
-        for i, s in zip(gate_ids, noise.superoperators[k] @ _interleaved(krons, k)):
+        for i, s in zip(gate_ids, noise.superoperators[k] @ _interleaved(_kron(us, us.conj()), k)):
             sups[i] = s
     vec = np.zeros((4**n, 1), dtype=complex)
     vec[0] = 1.0
@@ -743,6 +726,31 @@ def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -
         vec = qmath._apply_left(vec, s, tuple(b for t in targets for b in (2 * t, 2 * t + 1)), 2 * n)
     rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
     return DensityMatrix(vec.reshape((2,) * 2 * n).transpose(rows_then_columns).reshape(2**n, 2**n), validate=False)
+
+
+def _reprepared_fidelities(ansatze: Sequence[LayeredAnsatz], zs, noise: NoiseSpec, psi: PureState) -> list[float]:
+    """<psi| sigma_i |psi>, sigma_i the `run_circuit` of circuit i's noisy V^dag |z_i> (z_i = basis index zs[i]).
+
+    Exact algebra: gates on different wires commute, so a block dagger's native gates post0^dag,
+    post1^dag, E, pre0^dag, pre1^dag, each with its noise, are one 16 x 16 superoperator
+    kron(S(pre0^dag), S(pre1^dag)) S(E) kron(S(post0^dag), S(post1^dag)) on the pair's interleaved
+    bits (S(u) = D_k kron(u, u*)), and the noisy X gates of z_i a product start.  One stacked build,
+    one `_apply_left` per block for all circuits, one dot per circuit: no value depends on the batch.
+    """
+    a, n = ansatze[0], ansatze[0].n
+    daggers = a.kind.rotations(np.stack([b.block_angles for b in ansatze])).conj().swapaxes(-1, -2)
+    _check_unitary(daggers)
+    s1 = noise.superoperators[1] @ _kron(daggers, daggers.conj())  # (circuits, blocks, wire rotation, 4, 4)
+    ent = noise.superoperators[2] @ _interleaved(_kron(a.kind.entangler, a.kind.entangler.conj()), 2)
+    blocks = _kron(s1[..., 0, :, :], s1[..., 1, :, :]) @ ent @ _kron(s1[..., 2, :, :], s1[..., 3, :, :])
+    # each qubit starts in |0><0| or, after its noisy X, in D_1 |1><1| (interleaved index 3)
+    per_qubit = np.stack([np.eye(4)[0], noise.superoperators[1][:, 3]])[_bit_table(n)[list(zs)]].swapaxes(0, 1)
+    vec = functools.reduce(lambda v, w: (v[:, :, None] * w[:, None, :]).reshape(len(zs), -1), per_qubit)[..., None]
+    for b, (q, _) in reversed(list(enumerate(a.block_pairs))):
+        vec = qmath._apply_left(vec, blocks[:, b], tuple(range(2 * q, 2 * q + 4)), 2 * n)
+    outer = np.outer(psi.amplitudes.conj(), psi.amplitudes).reshape((2,) * 2 * n)
+    weights = outer.transpose(np.arange(2 * n).reshape(2, n).T.reshape(-1)).reshape(-1)  # interleaved
+    return [float(np.dot(weights, v[:, 0]).real) for v in vec]
 
 
 class WStateRow(NamedTuple):
@@ -760,21 +768,24 @@ class WStateResult:
 
 
 def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResult]:
-    """Mitigation runs on one noisy preparation, one per seed, trained in lockstep."""
+    """Mitigation runs on one noisy preparation, one per seed, in lockstep; one re-preparation walk per row."""
     psi = w_state()
     rho = run_circuit(3, w_preparation_gates(), noise)
     baseline = fidelity_pure(rho, psi)
 
-    m = 1
     rows: list[list[WStateRow]] = [[] for _ in seeds]
+    row: list[tuple] = []  # (k, cost, ansatz, z_1 index) of each run of the current row so far
 
     def on_iteration(run: int, k: int, t: float, current: LayeredAnsatz, cost_value: float, transformed):
-        z1 = read_estimate(transformed, m).bitstrings[0]
-        sigma = run_circuit(3, eigenvector_preparation_gates(current, z1), noise)
-        rows[run].append(WStateRow(k, cost_value, fidelity_pure(sigma, psi)))
+        row.append((k, cost_value, current, int(np.argmax(transformed.diagonal()))))  # read_estimate's z_1
+        if run == len(seeds) - 1:  # the callback fires in run order: the row is complete
+            ks, costs, ansatze, zs = zip(*row)
+            for i, values in enumerate(zip(ks, costs, _reprepared_fidelities(ansatze, zs, noise, psi))):
+                rows[i].append(WStateRow(*values))
+            row.clear()
 
     out = []
-    for res, run_rows in zip(loop.train(rho, m, seeds, on_iteration), rows):
+    for res, run_rows in zip(loop.train(rho, 1, seeds, on_iteration), rows):
         learned = prepare_eigenvector(res.ansatz, res.estimate.bitstrings[0])
         out.append(WStateResult(
             baseline_fidelity=baseline,
@@ -791,11 +802,12 @@ def w_state_mitigation_runs(
     """Independent seeded mitigation runs (the averaged protocol), trained in lockstep.
 
     Each run is a noisy preparation, training and a noisy re-preparation.  The
-    training loop acts on the fixed noisy state; at every iteration the
-    current top bitstring's eigenvector-preparation circuit is simulated
-    under the same noise model and its fidelity with the ideal state is
-    recorded.  The learned eigenvector itself is scored once, noise-free,
-    from the final parameters and the final estimate's top bitstring.
+    training loop acts on the fixed noisy state; at every iteration the current
+    top bitstring's V^dag |z_1> is re-prepared under the same noise model, every
+    run's at once in an exact walk of fused block superoperators
+    (`_reprepared_fidelities`), and its fidelity with the ideal state recorded.
+    The learned eigenvector is scored once, noise-free, from the final
+    parameters and the final estimate's top bitstring.
     """
     return _in_chunks(_w_state_runs, (noise, loop), np.random.SeedSequence(seed).spawn(runs), jobs)
 

@@ -13,6 +13,9 @@ oracle for the rest of the package) work on that matrix.  The noisy circuit
 instead (`_interleaved`), where a gate fused with its noise is one
 superoperator matmul on a contiguous run of bits.
 
+A tolerance check that can meet NaN reads `not err <= TOL`: NaN or infinite
+input fails it, where it would pass `err > TOL`.
+
 Bit convention used throughout the package: qubit 0 is the most significant
 bit of a computational-basis index, so for n=3 the basis state |011> sits at
 index 3 and qubit 0 is the leading '0'.
@@ -159,7 +162,7 @@ class DensityMatrix:
         if self._eigenvalues is None:
             s = np.linalg.svd(self.factor(), compute_uv=False)
             w = np.concatenate([s**2, np.zeros(self.dim - s.size)])
-            if abs(w.sum() - 1.0) > TRACE_TOL:
+            if not abs(w.sum() - 1.0) <= TRACE_TOL:
                 raise ValueError(f"eigenvalues sum to {w.sum()}, not 1")
             w.flags.writeable = False
             self._eigenvalues = w
@@ -187,7 +190,7 @@ class PureState:
         self.amplitudes = amp
         if validate:
             nrm = np.linalg.norm(amp)
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:
                 raise ValueError(f"norm {nrm} is not 1 within {NORM_TOL}")
 
     def __repr__(self) -> str:
@@ -212,13 +215,13 @@ class KrausChannel:
         self.arity = num_qubits(dim)
         if any(k.shape != (dim, dim) for k in ops):
             raise ValueError("Kraus operators must be square and equal-sized")
+        if validate:
+            with np.errstate(invalid="ignore"):  # an infinite entry gives NaN, which the check refuses
+                if not np.abs(sum(k.conj().T @ k for k in ops) - np.eye(dim)).max() <= HERMITICITY_TOL:
+                    raise ValueError("channel is not trace preserving: sum K^dag K != I")
         self.operators = ops
         self.superoperator = sum(np.kron(k, k.conj()) for k in ops)
         self.superoperator.flags.writeable = False
-        if validate:
-            s = sum(k.conj().T @ k for k in ops)
-            if np.abs(s - np.eye(dim)).max() > HERMITICITY_TOL:
-                raise ValueError("channel is not trace preserving: sum K^dag K != I")
 
     def __repr__(self) -> str:
         return f"KrausChannel(arity={self.arity}, n_ops={len(self.operators)})"
@@ -319,9 +322,10 @@ def _check_gate(u, targets, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _check_unitary(u: np.ndarray) -> None:
-    """Raise ValueError unless u (a square matrix, or a stack of equal-sized ones) is unitary."""
-    if np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > UNITARITY_TOL:
-        raise ValueError("matrix is not unitary")
+    """Raise ValueError unless u (a square matrix, or a stack of equal-sized ones) is unitary and finite."""
+    with np.errstate(invalid="ignore"):  # an infinite entry gives NaN, which the check refuses
+        if not np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max() <= UNITARITY_TOL:
+            raise ValueError("matrix is not unitary")
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:
@@ -388,7 +392,7 @@ def exact_eigs(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     )
     w = w[order]
     v = v[:, order]
-    if abs(w.sum() - 1.0) > TRACE_TOL:
+    if not abs(w.sum() - 1.0) <= TRACE_TOL:
         raise ValueError(f"eigenvalues sum to {w.sum()}, not 1")
     return w, v
 

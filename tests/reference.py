@@ -8,7 +8,9 @@ the factor walk (`ansatz._forward_states`) the package trains with;
 golden-searches every round and weighs its minimum against every crossing;
 `mix_special_angles` puts exact 0, +-pi/2 and +-pi into drawn angles;
 `dense_eigenvector_error` is eps_v on the 2^n x 2^n matrix of rho, each
-eigenvector prepared by its own V^dag |z> circuit.
+eigenvector prepared by its own V^dag |z> circuit;
+`eigenvector_preparation_gates` is V^dag |z> as a list of native gates, the
+gate-by-gate oracle (with `run_circuit`) of the fused noisy re-preparation.
 """
 
 import numpy as np
@@ -17,11 +19,12 @@ from vqse.ansatz import prepare_eigenvector
 from vqse.experiments import (
     FIELD_HALVINGS,
     FactorizationNotFound,
+    Gate,
     _bisect_sign_change,
     _check_fields,
     _golden_min,
 )
-from vqse.qmath import DensityMatrix, PureState, bitstring_to_index
+from vqse.qmath import PAULI_X, DensityMatrix, PureState, _bitstring_index, bitstring_to_index
 
 
 def basis_pure_state(n, z):
@@ -66,6 +69,22 @@ def dense_eigenvector_error(rho, a, est):
         delta = rho.data @ v - lam * v
         total += float(np.vdot(delta, delta).real)
     return total
+
+
+def eigenvector_preparation_gates(a, z):
+    """Gate list preparing V^dag |z>: X gates for z, then reversed blocks.
+
+    Each block dagger is decomposed into its native gates (single-qubit
+    rotations around one self-inverse entangler) so that per-gate noise
+    applies at the same granularity as in the preparation circuit.
+    """
+    _bitstring_index(z, a.n)  # the check prepare_eigenvector makes
+    gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
+    daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
+    for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):
+        gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
+                  Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
+    return gates
 
 
 def dense_circuit(a):

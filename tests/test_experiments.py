@@ -27,7 +27,6 @@ from vqse.experiments import (
     _golden_min,
     _product_seeking_vector,
     eigensolver_experiment,
-    eigenvector_preparation_gates,
     factorization_residual,
     locate_factorization,
     pca_experiment,
@@ -46,6 +45,7 @@ from vqse.qmath import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PureState,
     amplitude_damping_channel,
     apply_channel,
     apply_unitary,
@@ -56,7 +56,7 @@ from vqse.qmath import (
 )
 from vqse.solver import readout
 
-from reference import basis_density_matrix, locate_factorization_all_candidates
+from reference import basis_density_matrix, eigenvector_preparation_gates, locate_factorization_all_candidates
 
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -662,9 +662,12 @@ class TestWStateCircuit:
             (Gate(PAULI_X, (3,)), "out of range"),
             (Gate(CNOT, (0,)), "does not match"),
             (Gate(np.eye(8, dtype=complex), (0, 1, 2)), r"targets \(0, 1, 2\)"),
+            (Gate(np.array([[np.nan, 0], [0, 1]], dtype=complex), (0,)), "not unitary"),
+            (Gate(np.diag([1, 1, 1, np.inf]).astype(complex), (1, 2)), "not unitary"),
+            (Gate(np.diag([1, -np.inf]).astype(complex), (2,)), "not unitary"),
         ],
         ids=["non-unitary 1q", "non-unitary 2q", "duplicate target", "target out of range", "shape",
-             "three qubits"],
+             "three qubits", "NaN 1q", "inf 2q", "-inf 1q"],
     )
     def test_bad_gate_raises(self, monkeypatch, gate, message):
         # the whole list is checked before the first gate runs, whatever the noise
@@ -751,6 +754,64 @@ class TestWStateCircuit:
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(p_depol_1q=1.5)
+
+
+@st.composite
+def repreparation_batches(draw, on):
+    """1-4 circuits of n in [2, 4] qubits, one kind, 1-3 layers, each with a z; a pure psi; rates switched by `on`."""
+    n, kind, layers = draw(st.integers(2, 4)), draw(st.sampled_from(list(BlockKind))), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 4))
+    ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in range(count)]
+    zs = [int(z) for z in rng.integers(0, 2**n, count)]
+    amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    rates = [draw(st.floats(0.001, 1.0)) if is_on else 0.0 for is_on in on]
+    return ansatze, zs, NoiseSpec(*rates), PureState(amp / np.linalg.norm(amp))
+
+
+class TestFusedRepreparation:
+    """`_reprepared_fidelities`: every circuit's noisy V^dag |z> in one walk of 16 x 16 block superoperators."""
+
+    @pytest.mark.parametrize("on", list(itertools.product([False, True], repeat=3)))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_matches_the_gate_list_and_the_batch_does_not_show(self, on, data):
+        # on: whether p_depol_1q, p_depol_2q and gamma_ad are nonzero
+        ansatze, zs, noise, psi = data.draw(repreparation_batches(on))
+        got = experiments._reprepared_fidelities(ansatze, zs, noise, psi)
+        assert len(got) == len(ansatze)
+        for a, z, value in zip(ansatze, zs, got):
+            gates = eigenvector_preparation_gates(a, qmath.index_to_bitstring(z, a.n))
+            assert abs(value - fidelity_pure(run_circuit(a.n, gates, noise), psi)) <= 1e-12
+            assert experiments._reprepared_fidelities([a], [z], noise, psi) == [value]
+
+    def test_one_contraction_per_block(self, monkeypatch):
+        ansatze = [LayeredAnsatz.random(4, 3, BlockKind.G_CNOT_G, seed) for seed in (1, 2, 3)]
+        calls = []
+        real = qmath._apply_left
+        monkeypatch.setattr(qmath, "_apply_left", lambda *args: calls.append(args) or real(*args))
+        experiments._reprepared_fidelities(ansatze, [0, 5, 15], SHIPPED_NOISE, PureState(np.full(16, 0.25)))
+        assert len(calls) == ansatze[0].n_blocks
+        assert all(op.shape == (3, 16, 16) for _, op, _, _ in calls)
+
+    def test_nan_angles_are_refused(self):
+        a = LayeredAnsatz(3, 1, BlockKind.RY_CZ, [np.nan] + [0.0] * 7)
+        with pytest.raises(ValueError, match="not unitary"):
+            experiments._reprepared_fidelities([a], [0], SHIPPED_NOISE, w_state())
+
+    def test_one_baseline_circuit_per_chunk_and_one_walk_per_row(self, monkeypatch):
+        # the chunks of jobs = 2 run in process here, so the calls can be counted
+        monkeypatch.setattr(experiments, "_parallel_map", lambda fn, tasks, jobs: [fn(*task) for task in tasks])
+        circuits, walks = [], []
+        run, walk = experiments.run_circuit, experiments._reprepared_fidelities
+        monkeypatch.setattr(experiments, "run_circuit", lambda *args: circuits.append(args) or run(*args))
+        monkeypatch.setattr(experiments, "_reprepared_fidelities",
+                            lambda ansatze, *rest: walks.append(len(ansatze)) or walk(ansatze, *rest))
+        loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=6, s=3)
+        results = w_state_mitigation_runs(SHIPPED_NOISE, loop, runs=3, seed=4, jobs=2)
+        assert len(circuits) == 2  # the baseline preparation, once in each chunk of runs [0, 1] and [2]
+        assert walks == [2] * 7 + [1] * 7  # one per row of each chunk, over the chunk's runs
+        assert [[row.iteration for row in r.rows] for r in results] == [list(range(7))] * 3
 
 
 class TestWStateMitigation:

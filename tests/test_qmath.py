@@ -89,6 +89,44 @@ class TestDensityMatrix:
             PureState(np.array([1.0, 1.0]))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteInputFailsEveryCheck:
+    """Each tolerance check reads `not err <= TOL`: NaN, which fails every comparison, must not pass it."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_unitarity(self, bad):
+        u = np.array([[bad, 0], [0, 1]], dtype=complex)
+        controlled = np.eye(4, dtype=complex)
+        controlled[2:, 2:] = u
+        for stack in (u, np.stack([np.eye(2), u]), controlled):
+            with pytest.raises(ValueError, match="not unitary"):
+                qmath._check_unitary(stack)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_unitary(basis_density_matrix(1, "0"), u, [0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pure_state_norm(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            PureState([bad, 1.0])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_kraus_completeness(self, bad):
+        with pytest.raises(ValueError, match="trace preserving"):
+            KrausChannel([[[bad, 0], [0, 1]]])
+        with pytest.raises(ValueError, match="trace preserving"):
+            KrausChannel([np.eye(2) / np.sqrt(2), np.array([[0, bad], [0, 0]]) / np.sqrt(2)])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_eigenvalue_sums(self, bad):
+        # LAPACK refuses a NaN factor itself (LinAlgError is a ValueError); an infinite one gives NaN values
+        with pytest.raises(ValueError):
+            DensityMatrix(factor=np.array([[bad], [0.0]]), validate=False).eigenvalues()
+        with pytest.raises(ValueError, match="sum to"):
+            exact_eigs(DensityMatrix(np.array([[bad, 0], [0, 1.0]]), validate=False))
+
+
 class TestDtypeFollowsInput:
     """Real input is held as float64 and complex input as complex128, by its dtype alone."""
 
