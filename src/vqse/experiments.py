@@ -122,6 +122,15 @@ class NoiseSpec:
             sups[k].flags.writeable = False
         return sups
 
+    @functools.cached_property
+    def entanglers(self) -> dict[BlockKind, np.ndarray]:
+        """S(E) = D_2 kron(E, E*) of each block kind's entangler E, interleaved; built once, read-only."""
+        ents = {}
+        for kind in BlockKind:
+            ents[kind] = self.superoperators[2] @ _interleaved(_kron(kind.entangler, kind.entangler.conj()), 2)
+            ents[kind].flags.writeable = False
+        return ents
+
 
 _NOISELESS = NoiseSpec()
 
@@ -198,37 +207,43 @@ def xy_hamiltonian(spec: SpinChainSpec, h: float) -> np.ndarray:
 def _product_seeking_vector(ground: np.ndarray, keep: int, gamma: float) -> np.ndarray:
     """One vector of a real ground space (orthonormal columns), chosen by a stated rule.
 
-    A simple level's vector is returned as it is.  In a degenerate level the
-    rule seeks the combination whose reduced state has the largest top
-    eigenvalue lambda_1; at a factorizing field that is a product ground state
-    which a generic eigensolver basis hides inside the level.  Each pair of
-    columns is scanned over 361 angles (one stacked SVD) and every local maximum
-    of the scan is golden-refined.  Of the refined vectors within 1e-12 of the
-    best lambda_1, the one whose site 0 points furthest along the field wins:
-    the largest <n.sigma_0>, n = (sin gamma, cos gamma) in (x, z).  Refinement
-    fixes a vector only to about 1e-8 in angle, so values within 1e-6 of that
-    largest one tie, and the largest <sigma^x_0> among them wins.  In a
-    two-dimensional space the pick does not depend on the basis.
+    A simple level's vector is returned as it is.  In a degenerate level the rule seeks
+    the combination whose reduced state has the largest top eigenvalue lambda_1; at a
+    factorizing field that is a product ground state which a generic eigensolver basis
+    hides inside the level.  For each pair of columns, the Gram matrix of
+    cos(phi) v_i + sin(phi) v_j on the smaller side of the keep / rest cut is a pencil
+    S0 + cos(2 phi) S1 + sin(2 phi) S2, built once; lambda_1 is its top eigvalsh,
+    scanned over 361 angles in one stacked call, and every local maximum of the scan is
+    golden-refined, the refined vector's lambda_1 then read off its SVD.  Of the refined
+    vectors within 1e-12 of the best lambda_1, the one whose site 0 points furthest
+    along the field wins: the largest <n.sigma_0>, n = (sin gamma, cos gamma) in (x, z).
+    Refinement fixes a vector only to about 1e-8 in angle, so values within 1e-6 of that
+    largest one tie, and the largest <sigma^x_0> among them wins.  In a two-dimensional
+    space the pick does not depend on the basis.
     """
     if ground.shape[1] == 1:
         return ground[:, 0]
-
-    def lam1(v):  # of one vector, or of a stack of them
-        return np.linalg.svd(v.reshape(v.shape[:-1] + (2**keep, -1)), compute_uv=False)[..., 0] ** 2
 
     phis = np.linspace(0.0, np.pi, 361, endpoint=False)
     peaks = []  # (lambda_1, <n.sigma_0>, <sigma^x_0>, vector) of each refined local maximum
     for i, j in itertools.combinations(range(ground.shape[1]), 2):
         vi, vj = ground[:, i], ground[:, j]
-        scan = lam1(np.cos(phis)[:, None] * vi + np.sin(phis)[:, None] * vj)
+        # each vector as a matrix whose rows are the smaller side of the keep / rest cut
+        mi, mj = (v.reshape(2**keep, -1) if 4**keep <= v.size else v.reshape(2**keep, -1).T for v in (vi, vj))
+        gi, gj, cross = mi @ mi.T, mj @ mj.T, mi @ mj.T
+        s0, s1, s2 = 0.5 * (gi + gj), 0.5 * (gi - gj), 0.5 * (cross + cross.T)
+        def lam1(q):  # of the pencil at one angle, or at a stack of them, shaped (angles, 1, 1)
+            return np.linalg.eigvalsh(s0 + np.cos(2 * q) * s1 + np.sin(2 * q) * s2)[..., -1]
+        scan = lam1(phis[:, None, None])
         # the scan is periodic: the vector at pi is minus the one at 0
         for k in np.flatnonzero((scan >= np.roll(scan, 1)) & (scan >= np.roll(scan, -1))):
             lo, hi = phis[k] - np.pi / 360, phis[k] + np.pi / 360
-            p = _golden_min(lambda q: -lam1(np.cos(q) * vi + np.sin(q) * vj), lo, hi)
+            p = _golden_min(lambda q: -lam1(q), lo, hi)
             cand = np.cos(p) * vi + np.sin(p) * vj
             up, down = cand.reshape(2, -1)  # amplitudes with site 0 (the top bit) up, down
             x, z = 2.0 * up @ down, up @ up - down @ down  # <sigma^x_0>, <sigma^z_0>
-            peaks.append((lam1(cand), math.sin(gamma) * x + math.cos(gamma) * z, x, cand))
+            top = np.linalg.svd(cand.reshape(2**keep, -1), compute_uv=False)[0] ** 2
+            peaks.append((top, math.sin(gamma) * x + math.cos(gamma) * z, x, cand))
     best = max(peak[0] for peak in peaks)
     near = [peak for peak in peaks if peak[0] >= best - 1e-12]
     along = max(peak[1] for peak in near)
@@ -422,7 +437,22 @@ def _golden_min(f, lo: float, hi: float, rounds: int = 59) -> float:
 
 
 def _bisect_sign_change(f, lo: float, hi: float) -> float:
-    """Where f turns from f(lo) <= 0 to f(hi) >= 0, bisected down to adjacent floats."""
+    """Where f turns from f(lo) <= 0 to f(hi) >= 0, to adjacent floats: Illinois regula falsi, then bisection.
+
+    The secant point x of the ends (Dowell & Jarratt, BIT 11, 168 (1971)) becomes the upper end if f(x) > 0,
+    else the lower, and an end kept twice in a row has its value halved.  An x that rounds onto an end (as
+    when its value is 0) moves inside by one ulp, twice as far each further time.
+    """
+    flo, fhi, kept, step = f(lo), f(hi), 0, 0.0  # kept: +1 / -1 if the upper / lower end moved last
+    while flo < fhi:
+        x = lo - flo * (hi - lo) / (fhi - flo)
+        step = 0.0 if lo < x < hi else 2.0 * step or math.ulp(x)
+        if step and not lo < (x := hi - step if x >= hi else lo + step) < hi:
+            break
+        if (fx := f(x)) > 0:
+            hi, fhi, flo, kept = x, fx, flo * (0.5 if kept > 0 else 1.0), 1
+        else:
+            lo, flo, fhi, kept = x, fx, fhi * (0.5 if kept < 0 else 1.0), -1
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) > 0:
             hi = mid
@@ -444,7 +474,7 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
 
     * where grid neighbours' ground levels lie in different sectors a and b
       (`_FieldLine.sectors`), the sign change of E_a - E_b, the two sectors'
-      lowest levels, bisected to adjacent floats: one rule at every angle.
+      lowest levels, found to adjacent floats: one rule at every angle.
       The crossing with the smallest residual wins if it meets `tolerance`.
     * Only if none does, the minimum of 1 - lambda_1 golden-searched around
       the best grid point; the smallest residual of it and the crossings
@@ -460,8 +490,9 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     grid (one per grid point and crossing), 61 more per golden search.  A
     ground solve is one eigvalsh per sector (a conjugate pair as sector m's
     complex block) and one sector eigh, one more per further sector holding a
-    degenerate level; a bisection step is one eigvalsh of each of its two
-    sectors.  No level or vector comes from the full 2^N x 2^N matrix.
+    degenerate level; a crossing takes 4-26 evaluations of E_a - E_b on the
+    pinned chains (48-53 by bisection alone), each one eigvalsh of each of
+    its two sectors.  No level or vector comes from the full 2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -741,8 +772,7 @@ def _reprepared_fidelities(ansatze: Sequence[LayeredAnsatz], zs, noise: NoiseSpe
     daggers = a.kind.rotations(np.stack([b.block_angles for b in ansatze])).conj().swapaxes(-1, -2)
     _check_unitary(daggers)
     s1 = noise.superoperators[1] @ _kron(daggers, daggers.conj())  # (circuits, blocks, wire rotation, 4, 4)
-    ent = noise.superoperators[2] @ _interleaved(_kron(a.kind.entangler, a.kind.entangler.conj()), 2)
-    blocks = _kron(s1[..., 0, :, :], s1[..., 1, :, :]) @ ent @ _kron(s1[..., 2, :, :], s1[..., 3, :, :])
+    blocks = _kron(s1[:, :, 0], s1[:, :, 1]) @ noise.entanglers[a.kind] @ _kron(s1[:, :, 2], s1[:, :, 3])
     # each qubit starts in |0><0| or, after its noisy X, in D_1 |1><1| (interleaved index 3)
     per_qubit = np.stack([np.eye(4)[0], noise.superoperators[1][:, 3]])[_bit_table(n)[list(zs)]].swapaxes(0, 1)
     vec = functools.reduce(lambda v, w: (v[:, :, None] * w[:, None, :]).reshape(len(zs), -1), per_qubit)[..., None]

@@ -164,9 +164,9 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
     shifted circuits are column groups of one wide array, in angle order with
     + before -: at block b the copies in flight get B_b in one contraction,
-    and the 2w copies of psi_b shifted at block b join them.  Each finished
-    copy's outcome probabilities are its squared row norms summed over the
-    rank; one `sample_counts` call per run samples all its copies.
+    and the 2w copies of psi_b shifted at block b, made in one more, join
+    them.  Each finished copy's outcome probabilities are its squared row
+    norms summed over the rank; one `sample_counts` call per run samples all.
     """
     if shots == 0:
         return _adjoint_gradient(states, a, angles, mats, energies)
@@ -180,9 +180,9 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
         if b:
             wide = _apply_left(wide, mats[:, b], pair, n)
-        blocks = shifted[:, b].reshape(runs, 2 * w, 4, 4).swapaxes(0, 1)  # copy by copy, all runs each
-        fresh = [_apply_left(state, block, pair, n) for block in blocks]
-        wide = np.concatenate([wide] + fresh, axis=-1)
+        # the copies axis before the run axis, so `_apply_left` reads both off op: (2w, R, 2^n, rank)
+        fresh = _apply_left(state, shifted[:, b].reshape(runs, 2 * w, 4, 4).swapaxes(0, 1), pair, n)
+        wide = np.concatenate([wide, fresh.transpose(1, 2, 0, 3).reshape(runs, 2**n, -1)], axis=-1)
     # (runs, copies, 2^n) outcome probabilities, each copy's row contiguous
     p = abs2(wide).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
     counts = np.stack([sample_counts(q, shots, rng) for rng, q in zip(rngs, p)])

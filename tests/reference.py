@@ -10,8 +10,15 @@ golden-searches every round and weighs its minimum against every crossing;
 `dense_eigenvector_error` is eps_v on the 2^n x 2^n matrix of rho, each
 eigenvector prepared by its own V^dag |z> circuit;
 `eigenvector_preparation_gates` is V^dag |z> as a list of native gates, the
-gate-by-gate oracle (with `run_circuit`) of the fused noisy re-preparation.
+gate-by-gate oracle (with `run_circuit`) of the fused noisy re-preparation;
+`product_seeking_vector_svd` is the degenerate-level pick scored by an SVD of
+each mixed vector, the oracle of the pencil scan; `sampled_gradient_per_copy`
+is the sampled gradient making each shifted copy of a block in its own
+`_apply_left` call, the oracle of the one contraction per block.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -24,7 +31,8 @@ from vqse.experiments import (
     _check_fields,
     _golden_min,
 )
-from vqse.qmath import PAULI_X, DensityMatrix, PureState, _bitstring_index, bitstring_to_index
+from vqse.hamiltonians import sample_counts
+from vqse.qmath import PAULI_X, DensityMatrix, PureState, _apply_left, _bitstring_index, abs2, bitstring_to_index
 
 
 def basis_pure_state(n, z):
@@ -123,3 +131,50 @@ def locate_factorization_all_candidates(spec, h_grid, tolerance=1e-8):
             return best_h
         hs = np.sort(np.concatenate([hs, 0.5 * (hs[:-1] + hs[1:])]))
     raise FactorizationNotFound(f"best residual {best_r:.3e}")
+
+
+def product_seeking_vector_svd(ground, keep, gamma):
+    """`experiments._product_seeking_vector` with lambda_1 the top singular value squared of each mixed vector:
+    one stacked SVD over the 361 angles, one SVD per golden-refinement step."""
+    if ground.shape[1] == 1:
+        return ground[:, 0]
+
+    def lam1(v):  # of one vector, or of a stack of them
+        return np.linalg.svd(v.reshape(v.shape[:-1] + (2**keep, -1)), compute_uv=False)[..., 0] ** 2
+
+    phis = np.linspace(0.0, np.pi, 361, endpoint=False)
+    peaks = []
+    for i, j in itertools.combinations(range(ground.shape[1]), 2):
+        vi, vj = ground[:, i], ground[:, j]
+        scan = lam1(np.cos(phis)[:, None] * vi + np.sin(phis)[:, None] * vj)
+        for k in np.flatnonzero((scan >= np.roll(scan, 1)) & (scan >= np.roll(scan, -1))):
+            lo, hi = phis[k] - np.pi / 360, phis[k] + np.pi / 360
+            p = _golden_min(lambda q: -lam1(np.cos(q) * vi + np.sin(q) * vj), lo, hi)
+            cand = np.cos(p) * vi + np.sin(p) * vj
+            up, down = cand.reshape(2, -1)
+            x, z = 2.0 * up @ down, up @ up - down @ down
+            peaks.append((lam1(cand), math.sin(gamma) * x + math.cos(gamma) * z, x, cand))
+    best = max(peak[0] for peak in peaks)
+    near = [peak for peak in peaks if peak[0] >= best - 1e-12]
+    along = max(peak[1] for peak in near)
+    return max((peak for peak in near if peak[1] >= along - 1e-6), key=lambda peak: peak[2])[3]
+
+
+def sampled_gradient_per_copy(states, a, angles, mats, energies, shots, rngs):
+    """`solver._gradient` with shots > 0, each block's 2w shifted copies made by 2w `_apply_left` calls."""
+    pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
+    runs, rank = mats.shape[0], states[0].shape[-1]
+    shifted = np.tile(angles[..., None, None, :], (1, 1, w, 2, 1))
+    shifted[..., np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
+    shifted = a.kind.unitaries(shifted)
+    wide = np.empty((runs, 2**n, 0), dtype=np.result_type(states[-1], shifted))
+    for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
+        if b:
+            wide = _apply_left(wide, mats[:, b], pair, n)
+        blocks = shifted[:, b].reshape(runs, 2 * w, 4, 4).swapaxes(0, 1)  # copy by copy, all runs each
+        fresh = [_apply_left(state, block, pair, n) for block in blocks]
+        wide = np.concatenate([wide] + fresh, axis=-1)
+    p = abs2(wide).reshape(runs, 2**n, -1, rank).sum(axis=-1).swapaxes(1, 2).copy()
+    counts = np.stack([sample_counts(q, shots, rng) for rng, q in zip(rngs, p)])
+    val = (counts[:, :, None, :] @ energies[:, None, :, None]).reshape(runs, -1) / shots
+    return 0.5 * (val[:, 0::2] - val[:, 1::2])

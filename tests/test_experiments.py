@@ -24,6 +24,7 @@ from vqse.experiments import (
     SpinChainSpec,
     GROUND_DEGENERACY_TOL,
     _FieldLine,
+    _bisect_sign_change,
     _golden_min,
     _product_seeking_vector,
     eigensolver_experiment,
@@ -56,7 +57,12 @@ from vqse.qmath import (
 )
 from vqse.solver import readout
 
-from reference import basis_density_matrix, eigenvector_preparation_gates, locate_factorization_all_candidates
+from reference import (
+    basis_density_matrix,
+    eigenvector_preparation_gates,
+    locate_factorization_all_candidates,
+    product_seeking_vector_svd,
+)
 
 FAST_LOOP = LoopConfig(layers=2, kind=BlockKind.RY_CZ, n_max=40, s=10)
 # the rings of C7: transverse ferromagnet, and the antiferromagnet of xy_afm_shots
@@ -382,6 +388,81 @@ class TestXYChain:
             SpinChainSpec(N=6, J_x=1.0, J_y=0.5, gamma=0.0, keep=6)
 
 
+SCAN_ANGLES = np.linspace(0.0, np.pi, 361, endpoint=False)
+
+
+def top_singular_squared(vectors, keep):
+    """lambda_1 of each row of `vectors` (one or a stack), from its (kept sites x rest) matrix's SVD."""
+    return np.linalg.svd(vectors.reshape(vectors.shape[:-1] + (2**keep, -1)), compute_uv=False)[..., 0] ** 2
+
+
+@st.composite
+def ground_pairs(draw, side):
+    """A random real 2-D space on N sites with 2^N amplitudes, keep below, at or above N - keep; and a field angle."""
+    if side == "at":
+        N = draw(st.sampled_from([2, 4, 6, 8]))
+        keep = N // 2
+    else:
+        N = draw(st.integers(3, 8))
+        keep = draw(st.integers(1, (N - 1) // 2))
+        keep = keep if side == "below" else N - keep
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space, _ = np.linalg.qr(rng.standard_normal((2**N, 2)))
+    return space, keep, draw(st.floats(0.0, np.pi))
+
+
+class TestPencilPick:
+    """`_product_seeking_vector` scores the pair's mixed vectors by the top eigvalsh of one Gram pencil."""
+
+    @pytest.mark.parametrize("side", ["below", "at", "above"])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_pencil_matches_the_svd_at_every_scan_angle(self, side, data):
+        space, keep, gamma = data.draw(ground_pairs(side))
+        scans, real = [], np.linalg.eigvalsh
+        with mock.patch.object(np.linalg, "eigvalsh", lambda a: scans.append(real(a)[..., -1]) or real(a)):
+            pick = _product_seeking_vector(space, keep, gamma)
+        assert scans[0].shape == (361,)  # the scan, then single angles of the golden refinement
+        mixed = np.cos(SCAN_ANGLES)[:, None] * space[:, 0] + np.sin(SCAN_ANGLES)[:, None] * space[:, 1]
+        assert np.abs(scans[0] - top_singular_squared(mixed, keep)).max() <= 1e-12
+        oracle = product_seeking_vector_svd(space, keep, gamma)
+        assert abs(top_singular_squared(pick, keep) - top_singular_squared(oracle, keep)) <= 1e-12
+
+    @pytest.mark.parametrize("ring, field", [
+        ("afm", "1"),
+        ("afm", "h*"),
+        ("afm", "1-ulp"),
+        ("afm", "1+ulp"),
+        ("fm", "h*"),
+    ])
+    def test_ring_doublet_pick_matches_the_svd_scan(self, ring, field):
+        spec = {"afm": AFM_RING, "fm": FM_RING}[ring]
+        h = {
+            "1": 1.0,
+            "h*": _factorizing_field(ring),
+            "1-ulp": np.nextafter(1.0, 0.0),
+            "1+ulp": np.nextafter(1.0, 2.0),
+        }[field]
+        space = _FieldLine(spec).ground_space(h)[0]
+        assert space.shape[1] == 2
+        pick, oracle = (f(space, spec.keep, spec.gamma) for f in (_product_seeking_vector, product_seeking_vector_svd))
+        assert 1.0 - (pick @ oracle) ** 2 / ((pick @ pick) * (oracle @ oracle)) <= 1e-12
+
+
+# the chains of test_afm_crossing_on_three_point_grid and test_transverse_point_on_coarse_grids
+CROSSING_CHAINS = [
+    *((AFM_RING, grid) for grid in (
+        [0.9, 1.0, 1.1], [0.6, 0.9, 1.2, 1.5], [0.95, 1.05, 1.15], [0.85, 1.05, 1.25], [0.7, 1.05, 1.4],
+        [0.5, 0.8, 1.1, 1.4], [0.99, 1.2, 1.4], np.arange(0.4, 2.01, 0.2), np.arange(0.3, 2.01, 0.25),
+        np.arange(0.5, 1.51, 0.1), np.linspace(0.1, 2.0, 13),
+    )),
+    *((FM_RING, grid) for grid in (
+        np.arange(0.4, 1.01, 0.1), np.arange(0.3, 2.01, 0.1), [0.3, 0.8, 1.3], [0.5, 0.75, 1.0], [0.6, 0.9, 1.2],
+        np.arange(0.4, 1.01, 0.05),
+    )),
+]
+
+
 class TestFactorization:
     def test_transverse_analytic_point(self):
         # transverse field: the product point sits at sqrt(Jx Jy) exactly
@@ -540,6 +621,50 @@ class TestFactorization:
         xy_ground_reduced(afm, 1.0)
         locate_factorization(fm, FIELD_GRIDS["fm"][1])
         assert calls and calls.count(2**AFM_RING.N) == 0
+
+    @pytest.fixture
+    def crossings(self, monkeypatch):
+        # (f, returned field, evaluations of f) of each crossing the search finds
+        found = []
+
+        def counted(f, lo, hi):
+            seen = []
+            x = _bisect_sign_change(lambda h: seen.append(h) or f(h), lo, hi)
+            found.append((f, x, len(seen)))
+            return x
+
+        monkeypatch.setattr(experiments, "_bisect_sign_change", counted)
+        return found
+
+    @pytest.mark.parametrize("ring, grid", CROSSING_CHAINS, ids=[
+        f"{'afm' if ring is AFM_RING else 'fm'}-{grid[0]:g}-{grid[-1]:g}x{len(grid)}" for ring, grid in CROSSING_CHAINS
+    ])
+    def test_crossing_takes_few_evaluations_and_ends_at_adjacent_floats(self, crossings, ring, grid):
+        # regula falsi, then bisection: 4-26 evaluations of E_a - E_b per crossing
+        # on these chains, where bisection alone took 48-53
+        locate_factorization(dataclasses.replace(ring), grid)
+        assert crossings
+        for f, x, evaluations in crossings:
+            assert evaluations <= 30
+            lo = x if f(x) <= 0 else np.nextafter(x, -np.inf)
+            assert f(lo) <= 0 < f(np.nextafter(lo, np.inf))
+        assert sum(count for _, _, count in crossings) <= 20 * len(crossings)
+
+    def test_crossing_on_a_grid_point_takes_four_evaluations(self, crossings):
+        # E_a - E_b is exactly 0 at the xy_afm_shots grid point h = 1: the secant point
+        # rounds onto it, and the inward steps of one and two ulps bracket the sign change
+        h_star = locate_factorization(dataclasses.replace(AFM_RING), [0.9, 1.0, 1.1])
+        (f, x, evaluations), = crossings
+        assert f(1.0) == 0.0 and evaluations == 4
+        assert 0 < 1.0 - h_star <= 4 * np.spacing(1.0)
+
+    @settings(max_examples=50)
+    @given(root=st.floats(0.1, 1.0), power=st.sampled_from([1, 3]), lo=st.floats(-1.0, 0.1))
+    def test_sign_change_of_a_monotone_function_is_found_exactly(self, root, power, lo):
+        # (h - root)^power is <= 0 up to root and > 0 above it; an end may be the root itself
+        f = lambda h: (h - root) ** power  # noqa: E731
+        x = _bisect_sign_change(f, min(lo, root), 1.0)
+        assert (x if f(x) <= 0 else np.nextafter(x, -np.inf)) == root
 
     @pytest.mark.parametrize("rounds", [0, 10, 59])
     def test_golden_search_evaluates_once_per_round(self, rounds):
@@ -798,6 +923,23 @@ class TestFusedRepreparation:
         a = LayeredAnsatz(3, 1, BlockKind.RY_CZ, [np.nan] + [0.0] * 7)
         with pytest.raises(ValueError, match="not unitary"):
             experiments._reprepared_fidelities([a], [0], SHIPPED_NOISE, w_state())
+
+    def test_entangler_superoperator_built_once_per_noise_model_and_kind(self, monkeypatch):
+        # S(E) = D_2 kron(E, E*) is the one 16 x 16 interleaving per kind, both built on first use;
+        # the 2-qubit noise is the other
+        interleaved = []
+        real = experiments._interleaved
+        monkeypatch.setattr(experiments, "_interleaved", lambda sup, k: interleaved.append(sup.shape) or real(sup, k))
+        noise = NoiseSpec(p_depol_1q=0.003, p_depol_2q=0.02, gamma_ad=0.004)
+        for kind in BlockKind:
+            w_state_mitigation_runs(noise, LoopConfig(layers=1, kind=kind, n_max=6, s=3), runs=2, seed=5)
+            ansatze = [LayeredAnsatz.random(3, 1, kind, seed) for seed in (1, 2)]
+            experiments._reprepared_fidelities(ansatze, [0, 3], noise, w_state())
+        assert interleaved.count((16, 16)) == 1 + len(BlockKind)
+        ent = noise.entanglers[BlockKind.G_CNOT_G]
+        assert ent is noise.entanglers[BlockKind.G_CNOT_G] and not ent.flags.writeable
+        want = noise.superoperators[2] @ real(np.kron(CNOT, CNOT.conj()), 2)
+        assert np.array_equal(ent, want)
 
     def test_one_baseline_circuit_per_chunk_and_one_walk_per_row(self, monkeypatch):
         # the chunks of jobs = 2 run in process here, so the calls can be counted

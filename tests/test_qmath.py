@@ -568,6 +568,24 @@ class TestApplyLeft:
         for i in range(runs):
             assert np.array_equal(got[i], qmath._apply_left(mats[i], ops[i], targets, n))
 
+    @pytest.mark.parametrize("q, cols", [(0, 1), (0, 3), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-run"])
+    def test_copies_axis_matches_one_call_per_copy(self, q, cols, shared):
+        # a (C, R, 4, 4) stack, copies before runs, on the pair (q, q + 1) of n = 4 qubits:
+        # q = 0 takes the batched matmul (2^q <= rest), q = 2 with cols < 4 the swapped one;
+        # the factor is shared, (2^n, cols), or per run, (R, 2^n, cols)
+        rng = np.random.default_rng(8 * q + cols)
+        n, runs, copies = 4, 3, 5
+        ops = rng.standard_normal((copies, runs, 4, 4)) + 1j * rng.standard_normal((copies, runs, 4, 4))
+        mat = rng.standard_normal((2**n, cols) if shared else (runs, 2**n, cols))
+        got = qmath._apply_left(mat, ops, (q, q + 1), n)
+        assert got.shape == (copies, runs, 2**n, cols)
+        for c in range(copies):
+            assert np.array_equal(got[c], qmath._apply_left(mat, ops[c], (q, q + 1), n))
+        if shared:  # with no run axis on the factor, (R, C, 4, 4) reads the same way
+            swapped = qmath._apply_left(mat, ops.swapaxes(0, 1), (q, q + 1), n)
+            assert np.array_equal(swapped, got.swapaxes(0, 1))
+
     def test_no_targets_is_the_identity(self):
         rho = random_density_matrix(2, seed=1)
         assert np.array_equal(apply_unitary(rho, np.eye(1), []).data, rho.data)

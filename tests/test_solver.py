@@ -36,7 +36,13 @@ from vqse.solver import (
     readout,
 )
 
-from reference import basis_density_matrix, dense_circuit, mix_special_angles, random_density_matrix
+from reference import (
+    basis_density_matrix,
+    dense_circuit,
+    mix_special_angles,
+    random_density_matrix,
+    sampled_gradient_per_copy,
+)
 
 
 def cost_config(n, m, variant="local", shots=0):
@@ -141,8 +147,9 @@ class TestParameterShiftRule:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_sampled_contractions_linear_in_blocks(self, monkeypatch, kind, layers):
         # one walk (B), the copies in flight through blocks 1..B-1 (B - 1) and
-        # the 2w shifted copies made at each block (2wB); re-walking every
-        # shifted circuit's tail would take B + wB(B + 1)
+        # one contraction per block making its 2w shifted copies (B); one call
+        # per copy took 2wB for those, and re-walking every shifted circuit's
+        # tail would take B + wB(B + 1)
         import vqse.ansatz
         import vqse.solver
 
@@ -153,8 +160,7 @@ class TestParameterShiftRule:
         rho = random_density_matrix(4, seed=5)
         a = LayeredAnsatz.random(4, layers, kind, 6)
         param_shift_gradient(rho, a, adaptive_hamiltonian(4, 2), shots=100, rng=1)
-        blocks, w = a.n_blocks, kind.angles_per_block
-        assert len(calls) == 2 * blocks - 1 + 2 * w * blocks
+        assert len(calls) == 3 * a.n_blocks - 1
 
     def test_flat_at_maximally_mixed_state(self):
         rho = DensityMatrix(np.eye(4) / 4)
@@ -245,6 +251,57 @@ class TestLockstepSampledGradient:
         got = _gradient(states, ansatze[0], angles, mats, energies, shots, rngs)
         for i, (a, h, seed) in enumerate(zip(ansatze, hams, (5, 6))):
             assert np.array_equal(got[i], full_forward_sampled_gradient(rho, a, h, shots, seed))
+
+
+def lockstep_inputs(kind, runs, rank, n=4, layers=2):
+    """The arguments of `_gradient` for `runs` circuits of one shape on one random state, plus the circuit."""
+    rho = random_density_matrix(n, rank=rank, seed=21)
+    ansatze = [LayeredAnsatz.random(n, layers, kind, seed) for seed in range(30, 30 + runs)]
+    angles = np.stack([a.block_angles for a in ansatze])
+    mats = kind.unitaries(angles)
+    states = _forward_states(rho.factor(), ansatze[0], mats)
+    hams = [adaptive_hamiltonian(n, 2), default_local_weights(n, 2)] * runs
+    return states, ansatze[0], angles, mats, np.stack([h.energies() for h in hams[:runs]])
+
+
+class TestBatchedShiftedCopies:
+    """The sampled gradient makes all 2w shifted copies of a block, for every run, in one contraction."""
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("rank", [1, 3, None])
+    def test_counts_and_gradient_match_the_per_copy_calls(self, kind, runs, rank):
+        args = lockstep_inputs(kind, runs, rank)
+        drawn = {}
+        for name, gradient in (("batched", _gradient), ("per-copy", sampled_gradient_per_copy)):
+            rngs = [np.random.default_rng(seed) for seed in range(runs)]
+            counts = []
+
+            def recorded(*a, **k):
+                counts.append(sample_counts(*a, **k))
+                return counts[-1]
+
+            with mock.patch.object(solver, "sample_counts", recorded), mock.patch("reference.sample_counts", recorded):
+                grad = gradient(*args, 200, rngs)
+            drawn[name] = (grad, counts, [rng.bit_generator.state for rng in rngs])
+        (grad, counts, states), (ref_grad, ref_counts, ref_states) = drawn["batched"], drawn["per-copy"]
+        assert np.array_equal(grad, ref_grad)
+        assert len(counts) == len(ref_counts) == runs
+        assert all(np.array_equal(c, r) for c, r in zip(counts, ref_counts))
+        assert states == ref_states
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_one_contraction_per_block_for_its_copies(self, monkeypatch, kind, runs):
+        # one call per block makes its 2w copies (copies axis first), and B - 1 carry the copies in flight
+        states, a, angles, mats, energies = lockstep_inputs(kind, runs, 2, layers=3)
+        calls = []
+        real = solver._apply_left
+        monkeypatch.setattr(solver, "_apply_left", lambda *args: calls.append(args[1].shape) or real(*args))
+        _gradient(states, a, angles, mats, energies, 100, [np.random.default_rng(i) for i in range(runs)])
+        copies = [shape for shape in calls if len(shape) == 4]
+        assert len(calls) == 2 * a.n_blocks - 1
+        assert copies == [(2 * kind.angles_per_block, runs, 4, 4)] * a.n_blocks
 
 
 class TestLockstepExactGradient:
