@@ -72,9 +72,10 @@ class BlockKind(Enum):
     pair[0], pre on pair[1], post on pair[0], post on pair[1]).  Each
     rotation is a product of elementary rotations R_k, one per angle, about
     the axes in `axes` (in the order they act).  Blocks are built as stacks:
-    each builder takes angles of shape (..., angles_per_block), forms every
-    elementary rotation with vectorized cos / sin / exp, and finishes with
-    broadcast Kronecker products and one batched matmul.
+    `_factors` forms every elementary rotation of angles (..., angles_per_block)
+    with vectorized cos / sin / exp, and each builder reads those factors, so a
+    training step forms them once for its block unitaries and its generators;
+    the unitaries finish with broadcast Kronecker products and one batched matmul.
     """
 
     RY_CZ = "rycz"
@@ -99,29 +100,28 @@ class BlockKind(Enum):
         groups = groups.reshape(groups.shape[:-1] + (4, len(self.axes)))
         return np.stack([_ROTATION[ax](groups[..., i]) for i, ax in enumerate(self.axes)], axis=-3)
 
-    def rotations(self, angles) -> np.ndarray:
+    def rotations(self, factors: np.ndarray) -> np.ndarray:
         """The four single-qubit rotations (pre0, pre1, post0, post1): (..., 4, 2, 2)."""
-        return _chain(self._factors(angles))
+        return _chain(factors)
 
-    def unitaries(self, angles) -> np.ndarray:
+    def unitaries(self, factors: np.ndarray) -> np.ndarray:
         """Blocks kron(post0, post1) . entangler . kron(pre0, pre1), (..., 4, 4); wires (MSB, LSB)."""
-        rotations = self.rotations(angles)
+        rotations = self.rotations(factors)
         pre = _kron(rotations[..., 0, :, :], rotations[..., 1, :, :])
         post = _kron(rotations[..., 2, :, :], rotations[..., 3, :, :])
         return post @ self.entangler @ pre
 
-    def angle_generators(self, angles) -> np.ndarray:
+    def angle_generators(self, factors: np.ndarray) -> np.ndarray:
         """Each angle's generator Q, moved to the outer end of its block: (..., 4, k, 2, 2).
 
         Factor i of a rotation F_{k-1} ... F_0 commutes with its g_i = i sigma / 2,
         so dB/dtheta is B (Q on the wire), Q = U^dag g_i U with U = F_{i-1} ... F_0,
         for a pre rotation and (Q on the wire) B, Q = V g_i V^dag with
         V = F_{k-1} ... F_{i+1}, for a post one.  The end factor's Q is g itself,
-        so one-axis blocks (k = 1) build no factor.
+        so one-axis blocks (k = 1) read only the factors' shape.
         """
-        k, lead = len(self.axes), np.shape(angles)[:-1]
+        k, lead = len(self.axes), factors.shape[:-4]
         out = np.broadcast_to(np.stack([_GENERATOR[ax] for ax in self.axes]), lead + (4, k, 2, 2)).copy()
-        factors = self._factors(angles) if k > 1 else None
         for i in range(1, k):  # conjugate g_i in place; the end factor keeps g
             u, v = _chain(factors[..., :2, :i, :, :]), _chain(factors[..., 2:, k - i:, :, :])
             out[..., :2, i, :, :] = u.conj().swapaxes(-1, -2) @ out[..., :2, i, :, :] @ u
@@ -147,7 +147,7 @@ def brick_pairs(n: int) -> list[tuple[int, int]]:
 
 def block_unitary(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
     """4x4 unitary of one block: the one-block case of `kind.unitaries`."""
-    return kind.unitaries(angles)
+    return kind.unitaries(kind._factors(angles))
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ class LayeredAnsatz:
 
     def block_matrices(self) -> np.ndarray:
         """The (blocks, 4, 4) stack of block unitaries."""
-        return self.kind.unitaries(self.block_angles)
+        return self.kind.unitaries(self.kind._factors(self.block_angles))
 
 
 def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:

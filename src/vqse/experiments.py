@@ -298,8 +298,8 @@ class _FieldLine:
     the parity prod sigma^z; a conjugate pair m, N - m is held as sector m's
     complex block.  Every level and ground vector the experiments read
     comes from these blocks; only `xy_hamiltonian` builds the 2^N x 2^N matrix.
-    Each chain holds one line (`SpinChainSpec._line`), and `ground` solves each
-    field once.
+    Each chain holds one line (`SpinChainSpec._line`); `ground` solves each
+    field once and `lowest` each (sector, field) once.
     """
 
     def __init__(self, spec: SpinChainSpec):
@@ -319,6 +319,7 @@ class _FieldLine:
         self.values[1, N * d :] = -0.5 * np.concatenate([math.cos(spec.gamma) * (N - 2 * ones), np.full(N * d, sin)])
         self.parity = ones % 2 if sin == 0.0 else np.zeros_like(ones)  # conserved with no x field
         self._grounds: dict[float, tuple[np.ndarray, np.ndarray, float, int]] = {}
+        self._lowest: dict[tuple[int, float], float] = {}  # (sector, field): lowest level
 
     @functools.cached_property
     def sectors(self) -> list[_Sector]:
@@ -363,9 +364,11 @@ class _FieldLine:
         return sectors
 
     def lowest(self, i: int, h: float) -> float:
-        """The lowest level of sector i at h."""
-        sector = self.sectors[i]
-        return float(np.linalg.eigvalsh(sector.coupling + h * sector.field)[0])
+        """The lowest level of sector i at h, solved once per (sector, field) and kept."""
+        if (i, h) not in self._lowest:
+            sector = self.sectors[i]
+            self._lowest[i, h] = float(np.linalg.eigvalsh(sector.coupling + h * sector.field)[0])
+        return self._lowest[i, h]
 
     def _levels(self, h: float) -> list[tuple[float, int]]:
         """(lowest level, sector) of every sector at h, lowest first."""
@@ -491,8 +494,9 @@ def locate_factorization(spec: SpinChainSpec, h_grid: Sequence[float], tolerance
     ground solve is one eigvalsh per sector (a conjugate pair as sector m's
     complex block) and one sector eigh, one more per further sector holding a
     degenerate level; a crossing takes 4-26 evaluations of E_a - E_b on the
-    pinned chains (48-53 by bisection alone), each one eigvalsh of each of
-    its two sectors.  No level or vector comes from the full 2^N x 2^N matrix.
+    pinned chains (48-53 by bisection alone), each one eigvalsh of each of its
+    two sectors but at the two ends, whose levels the grid scan solved.  No
+    level or vector comes from the full 2^N x 2^N matrix.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -765,19 +769,20 @@ def _reprepared_fidelities(ansatze: Sequence[LayeredAnsatz], zs, noise: NoiseSpe
     Exact algebra: gates on different wires commute, so a block dagger's native gates post0^dag,
     post1^dag, E, pre0^dag, pre1^dag, each with its noise, are one 16 x 16 superoperator
     kron(S(pre0^dag), S(pre1^dag)) S(E) kron(S(post0^dag), S(post1^dag)) on the pair's interleaved
-    bits (S(u) = D_k kron(u, u*)), and the noisy X gates of z_i a product start.  One stacked build,
-    one `_apply_left` per block for all circuits, one dot per circuit: no value depends on the batch.
+    bits (S(u) = D_k kron(u, u*)), and the noisy X gates of z_i a product start.  One stacked build of
+    the rotations' superoperators; each block's 16 x 16 stack is built just before its one `_apply_left`
+    for all circuits, so only one block's is held; one dot per circuit: no value depends on the batch.
     """
     a, n = ansatze[0], ansatze[0].n
-    daggers = a.kind.rotations(np.stack([b.block_angles for b in ansatze])).conj().swapaxes(-1, -2)
+    daggers = a.kind.rotations(a.kind._factors([b.block_angles for b in ansatze])).conj().swapaxes(-1, -2)
     _check_unitary(daggers)
     s1 = noise.superoperators[1] @ _kron(daggers, daggers.conj())  # (circuits, blocks, wire rotation, 4, 4)
-    blocks = _kron(s1[:, :, 0], s1[:, :, 1]) @ noise.entanglers[a.kind] @ _kron(s1[:, :, 2], s1[:, :, 3])
     # each qubit starts in |0><0| or, after its noisy X, in D_1 |1><1| (interleaved index 3)
     per_qubit = np.stack([np.eye(4)[0], noise.superoperators[1][:, 3]])[_bit_table(n)[list(zs)]].swapaxes(0, 1)
     vec = functools.reduce(lambda v, w: (v[:, :, None] * w[:, None, :]).reshape(len(zs), -1), per_qubit)[..., None]
     for b, (q, _) in reversed(list(enumerate(a.block_pairs))):
-        vec = qmath._apply_left(vec, blocks[:, b], tuple(range(2 * q, 2 * q + 4)), 2 * n)
+        block = _kron(s1[:, b, 0], s1[:, b, 1]) @ noise.entanglers[a.kind] @ _kron(s1[:, b, 2], s1[:, b, 3])
+        vec = qmath._apply_left(vec, block, tuple(range(2 * q, 2 * q + 4)), 2 * n)
     outer = np.outer(psi.amplitudes.conj(), psi.amplitudes).reshape((2,) * 2 * n)
     weights = outer.transpose(np.arange(2 * n).reshape(2, n).T.reshape(-1)).reshape(-1)  # interleaved
     return [float(np.dot(weights, v[:, 0]).real) for v in vec]
@@ -798,21 +803,25 @@ class WStateResult:
 
 
 def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResult]:
-    """Mitigation runs on one noisy preparation, one per seed, in lockstep; one re-preparation walk per row."""
+    """Mitigation runs on one noisy preparation, one per seed, in lockstep.
+
+    Every run's rows are held until the last run's row at an update iteration (k % s == 0, row 0
+    too) and re-prepared in one walk: 1 + n_max / s walks, the last at the final row (s divides n_max).
+    """
     psi = w_state()
     rho = run_circuit(3, w_preparation_gates(), noise)
     baseline = fidelity_pure(rho, psi)
 
     rows: list[list[WStateRow]] = [[] for _ in seeds]
-    row: list[tuple] = []  # (k, cost, ansatz, z_1 index) of each run of the current row so far
+    held: list[tuple] = []  # (run, k, cost, ansatz, z_1 index) of each row since the last walk
 
     def on_iteration(run: int, k: int, t: float, current: LayeredAnsatz, cost_value: float, transformed):
-        row.append((k, cost_value, current, int(np.argmax(transformed.diagonal()))))  # read_estimate's z_1
-        if run == len(seeds) - 1:  # the callback fires in run order: the row is complete
-            ks, costs, ansatze, zs = zip(*row)
-            for i, values in enumerate(zip(ks, costs, _reprepared_fidelities(ansatze, zs, noise, psi))):
+        held.append((run, k, cost_value, current, int(np.argmax(transformed.diagonal()))))  # read_estimate's z_1
+        if run == len(seeds) - 1 and k % loop.s == 0:  # the callback fires in run order: the interval is complete
+            runs, ks, costs, ansatze, zs = zip(*held)
+            for i, *values in zip(runs, ks, costs, _reprepared_fidelities(ansatze, zs, noise, psi)):
                 rows[i].append(WStateRow(*values))
-            row.clear()
+            held.clear()
 
     out = []
     for res, run_rows in zip(loop.train(rho, 1, seeds, on_iteration), rows):
@@ -833,9 +842,10 @@ def w_state_mitigation_runs(
 
     Each run is a noisy preparation, training and a noisy re-preparation.  The
     training loop acts on the fixed noisy state; at every iteration the current
-    top bitstring's V^dag |z_1> is re-prepared under the same noise model, every
-    run's at once in an exact walk of fused block superoperators
-    (`_reprepared_fidelities`), and its fidelity with the ideal state recorded.
+    top bitstring's V^dag |z_1> is re-prepared under the same noise model and its
+    fidelity with the ideal state recorded: every run's rows of one
+    Hamiltonian-update interval at once, in an exact walk of fused block
+    superoperators (`_reprepared_fidelities`).
     The learned eigenvector is scored once, noise-free, from the final
     parameters and the final estimate's top bitstring.
     """

@@ -151,17 +151,19 @@ def param_shift_gradient(
     if energies.size != rho.dim:
         raise ValueError("Hamiltonian and state disagree on qubit count")
     angles = a.block_angles[None]
-    mats = a.kind.unitaries(angles)
+    factors = a.kind._factors(angles)
+    mats = a.kind.unitaries(factors)
     states = _forward_states(rho.factor(), a, mats)
-    return _gradient(states, a, angles, mats, energies[None], shots, [np.random.default_rng(rng)])[0]
+    return _gradient(states, a, angles, factors, mats, energies[None], shots, [np.random.default_rng(rng)])[0]
 
 
-def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shots: int, rngs) -> np.ndarray:
+def _gradient(states, a: LayeredAnsatz, angles, factors, mats, energies: np.ndarray, shots: int, rngs) -> np.ndarray:
     """dC/dtheta of R runs in lockstep, (R, P), from one walk of all of them.
 
     `a` gives the circuit's shape; run i has block angles angles[i] (B, w),
-    block matrices mats[i], forward states psi_b[i] (psi_0 = A is shared),
-    energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
+    their rotation factors factors[i] (`BlockKind._factors`, which the exact
+    path reads), block matrices mats[i], forward states psi_b[i] (psi_0 = A is
+    shared), energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
     shifted circuits are column groups of one wide array, in angle order with
     + before -: at block b the copies in flight get B_b in one contraction,
     and the 2w copies of psi_b shifted at block b, made in one more, join
@@ -169,13 +171,13 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     norms summed over the rank; one `sample_counts` call per run samples all.
     """
     if shots == 0:
-        return _adjoint_gradient(states, a, angles, mats, energies)
+        return _adjoint_gradient(states, a, factors, mats, energies)
     pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
     runs, rank = mats.shape[0], states[0].shape[-1]
     # shifted[i, b, j, 0 / 1]: run i's block b with angle j moved by +pi/2 / -pi/2
     shifted = np.tile(angles[..., None, None, :], (1, 1, w, 2, 1))
     shifted[..., np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
-    shifted = a.kind.unitaries(shifted)
+    shifted = a.kind.unitaries(a.kind._factors(shifted))
     wide = np.empty((runs, 2**n, 0), dtype=np.result_type(states[-1], shifted))
     for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
         if b:
@@ -191,7 +193,7 @@ def _gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray, shot
     return 0.5 * (val[:, 0::2] - val[:, 1::2])
 
 
-def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarray) -> np.ndarray:
+def _adjoint_gradient(states, a: LayeredAnsatz, factors, mats, energies: np.ndarray) -> np.ndarray:
     """Exact dC/dtheta of C = Tr(V A A^dag V^dag H) for R runs from their forward states.
 
     One backward sweep from lam = H psi_B stacks every run's and block's 4x4
@@ -199,9 +201,9 @@ def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarr
     For the pair (q, q+1), G_b is one matmul of the two factors with the
     pair's two row bits moved to the front, (R, 4, rest) @ (R, rest, 4).
     With dB_j = B_b (Q_j on its wire) for a pre rotation and (Q_j on its wire)
-    B_b for a post one (`BlockKind.angle_generators`), 2 Re Tr(dB_j G_b) is
-    2 Re Tr(Q_j W), W being G_b B_b (pre) or B_b G_b (post) traced over the
-    block's other wire: two 4x4 products per block and 2x2 work per angle.
+    B_b for a post one (`BlockKind.angle_generators` of the step's factors),
+    2 Re Tr(dB_j G_b) is 2 Re Tr(Q_j W), W being G_b B_b (pre) or B_b G_b (post)
+    traced over the block's other wire: two 4x4 products per block and 2x2 work per angle.
     """
     pairs, n = a.block_pairs, a.n
     runs, blocks = mats.shape[:2]
@@ -220,7 +222,7 @@ def _adjoint_gradient(states, a: LayeredAnsatz, angles, mats, energies: np.ndarr
     e = np.stack([env @ mats, mats @ env], axis=2).reshape(runs, blocks, 2, 2, 2, 2, 2)
     wires = np.stack([e[..., :, 0, :, 0] + e[..., :, 1, :, 1], e[..., 0, :, 0, :] + e[..., 1, :, 1, :]], axis=3)
     wires = wires.reshape(runs, blocks, 4, 1, 2, 2).swapaxes(-1, -2)
-    traces = (a.kind.angle_generators(angles) * wires).sum(axis=(-2, -1))  # Tr(Q W) = Tr(dB_j G_b)
+    traces = (a.kind.angle_generators(factors) * wires).sum(axis=(-2, -1))  # Tr(Q W) = Tr(dB_j G_b)
     return 2.0 * traces.real.reshape(runs, -1)
 
 
@@ -331,7 +333,8 @@ def optimize_runs(
     top-m diagonal against the exact spectrum `rho.eigenvalues()`.  Row 0
     records the starting point.  A NaN cost aborts the training.
 
-    Each step builds every run's block matrices in one (R, B, 4, 4) stack and
+    Each step forms every run's rotation factors once, which its block matrices
+    (one (R, B, 4, 4) stack) and the exact gradient's angle generators read, and
     walks the factor once for all runs; the walk yields each run's
     transformed state V A (so V rho V^dag), which serves its trace row, its
     adaptive update, and the next step's gradient at the same theta.  The
@@ -353,7 +356,8 @@ def optimize_runs(
 
     def record(k: int, t: float, theta: np.ndarray):
         angles = theta.reshape(runs, a.n_blocks, -1)
-        mats = a.kind.unitaries(angles)
+        factors = a.kind._factors(angles)
+        mats = a.kind.unitaries(factors)
         states = _forward_states(factor, a, mats)
         psi = states[-1]
         diag = abs2(psi).sum(axis=-1)
@@ -368,9 +372,9 @@ def optimize_runs(
             if callback is not None:
                 current = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
                 callback(i, k, t, current, float(costs[i]), DensityMatrix(factor=psi[i], validate=False))
-        return angles, mats, states
+        return angles, factors, mats, states
 
-    angles, mats, states = record(0, 0.0, theta)
+    angles, factors, mats, states = record(0, 0.0, theta)
     for k in range(1, schedule.n_max + 1):
         t = schedule.t(k)
         if cost.variant == "adaptive" and schedule.is_update(k):
@@ -379,9 +383,9 @@ def optimize_runs(
                 marked = cost.global_part.with_bitstrings(measured.bitstrings)
                 hams[i] = AdaptiveHamiltonian(cost.local, marked, f=t)
                 energies[i] = hams[i].energies()
-        grad = _gradient(states, a, angles, mats, energies, cost.shots, rngs)
+        grad = _gradient(states, a, angles, factors, mats, energies, cost.shots, rngs)
         theta = stepper.step(theta, grad)
-        angles, mats, states = record(k, t, theta)
+        angles, factors, mats, states = record(k, t, theta)
 
     results = []
     for i in range(runs):

@@ -88,7 +88,7 @@ def eigenvector_preparation_gates(a, z):
     """
     _bitstring_index(z, a.n)  # the check prepare_eigenvector makes
     gates = [Gate(PAULI_X, (q,)) for q, bit in enumerate(z) if bit == "1"]
-    daggers = a.kind.rotations(a.block_angles).conj().swapaxes(-1, -2)
+    daggers = a.kind.rotations(a.kind._factors(a.block_angles)).conj().swapaxes(-1, -2)
     for pair, (pre0, pre1, post0, post1) in zip(reversed(a.block_pairs), daggers[::-1]):
         gates += [Gate(post0, pair[:1]), Gate(post1, pair[1:]), Gate(a.kind.entangler, pair),
                   Gate(pre0, pair[:1]), Gate(pre1, pair[1:])]
@@ -160,13 +160,15 @@ def product_seeking_vector_svd(ground, keep, gamma):
     return max((peak for peak in near if peak[1] >= along - 1e-6), key=lambda peak: peak[2])[3]
 
 
-def sampled_gradient_per_copy(states, a, angles, mats, energies, shots, rngs):
-    """`solver._gradient` with shots > 0, each block's 2w shifted copies made by 2w `_apply_left` calls."""
+def sampled_gradient_per_copy(states, a, angles, factors, mats, energies, shots, rngs):
+    """`solver._gradient` with shots > 0, each block's 2w shifted copies made by 2w `_apply_left` calls.
+
+    `factors`, the exact path's input, is not read: the shifted blocks are built from the angles."""
     pairs, n, w = a.block_pairs, a.n, a.kind.angles_per_block
     runs, rank = mats.shape[0], states[0].shape[-1]
     shifted = np.tile(angles[..., None, None, :], (1, 1, w, 2, 1))
     shifted[..., np.arange(w), :, np.arange(w)] += [np.pi / 2, -np.pi / 2]
-    shifted = a.kind.unitaries(shifted)
+    shifted = a.kind.unitaries(a.kind._factors(shifted))
     wide = np.empty((runs, 2**n, 0), dtype=np.result_type(states[-1], shifted))
     for b, (state, pair) in enumerate(zip(states[:-1], pairs)):
         if b:

@@ -103,9 +103,10 @@ def generator_derivative(kind, angles, j):
     """dB/dtheta_j of one block from `kind.angle_generators`: B (Q on the wire) for
     a pre rotation, (Q on the wire) B for a post one."""
     q, i = divmod(j, len(kind.axes))
-    gen = kind.angle_generators(angles)[q, i]
+    factors = kind._factors(angles)
+    gen = kind.angle_generators(factors)[q, i]
     wide = np.kron(gen, np.eye(2)) if q % 2 == 0 else np.kron(np.eye(2), gen)
-    block = kind.unitaries(angles)
+    block = kind.unitaries(factors)
     return block @ wide if q < 2 else wide @ block
 
 
@@ -114,7 +115,7 @@ class TestBlockDerivatives:
     def test_matches_half_of_pi_shifted_block(self, kind):
         # R_k(t + pi) = R_k(t) i sigma_k, so dB/dtheta_j = B(theta + pi e_j) / 2
         w = kind.angles_per_block
-        assert kind.angle_generators(np.zeros(w)).shape == (4, len(kind.axes), 2, 2)
+        assert kind.angle_generators(kind._factors(np.zeros(w))).shape == (4, len(kind.axes), 2, 2)
         for angles in np.random.default_rng(4).uniform(-np.pi, np.pi, (100, w)):
             for j in range(w):
                 shifted = angles.copy()
@@ -124,18 +125,18 @@ class TestBlockDerivatives:
     @pytest.mark.parametrize("kind", list(BlockKind))
     def test_end_generators_are_exact(self, kind):
         # the first factor of a pre rotation and the last of a post one need no conjugation
-        gens = kind.angle_generators(np.random.default_rng(5).uniform(-np.pi, np.pi, (3, kind.angles_per_block)))
+        angles = np.random.default_rng(5).uniform(-np.pi, np.pi, (3, kind.angles_per_block))
+        gens = kind.angle_generators(kind._factors(angles))
         first, last = _REFERENCE_GENERATOR[kind.axes[0]], _REFERENCE_GENERATOR[kind.axes[-1]]
         assert all(np.array_equal(g, first) for g in gens[:, :2, 0].reshape(-1, 2, 2))
         assert all(np.array_equal(g, last) for g in gens[:, 2:, -1].reshape(-1, 2, 2))
 
     @pytest.mark.parametrize("kind, built", [(BlockKind.RY_CZ, 0), (BlockKind.G_CNOT_G, 1)])
-    def test_one_axis_blocks_build_no_factor(self, monkeypatch, kind, built):
-        # every rycz generator is the constant g: its rotations, built for the walk, are not formed again
-        calls, factors = [], BlockKind._factors
-        monkeypatch.setattr(BlockKind, "_factors", lambda self, angles: calls.append(1) or factors(self, angles))
-        kind.angle_generators(np.zeros((3, kind.angles_per_block)))
-        assert len(calls) == built
+    def test_one_axis_blocks_build_no_factor(self, kind, built):
+        # every rycz generator is the constant g: it reads only the shape of the factors
+        # built for the walk, so NaN factors leave it finite; gcnotg conjugates by them
+        factors = np.full(kind._factors(np.zeros((3, kind.angles_per_block))).shape, np.nan)
+        assert np.isnan(kind.angle_generators(factors)).any() == bool(built)
 
     def test_exact_zeros_at_zero_angles(self):
         # pre rotation on pair[0] at t = 0: CZ (dR_y(0) x I), dR_y(0) = [[0, 1/2], [-1/2, 0]]
@@ -148,15 +149,17 @@ class TestDtypes:
     def test_real_gates_are_float64(self):
         # R_y, CZ and CNOT are real, so a rycz block is real orthogonal
         angles = np.random.default_rng(6).uniform(-np.pi, np.pi, (3, 4))
-        for arr in (CZ, CNOT, rotation_y(angles), BlockKind.RY_CZ.unitaries(angles),
-                    BlockKind.RY_CZ.angle_generators(angles)):
+        factors = BlockKind.RY_CZ._factors(angles)
+        for arr in (CZ, CNOT, rotation_y(angles), factors, BlockKind.RY_CZ.unitaries(factors),
+                    BlockKind.RY_CZ.angle_generators(factors)):
             assert arr.dtype == np.float64
 
     def test_gcnotg_blocks_are_complex128(self):
         angles = np.random.default_rng(7).uniform(-np.pi, np.pi, (3, 12))
         assert rotation_z(angles).dtype == np.complex128
-        assert BlockKind.G_CNOT_G.unitaries(angles).dtype == np.complex128
-        assert BlockKind.G_CNOT_G.angle_generators(angles).dtype == np.complex128
+        factors = BlockKind.G_CNOT_G._factors(angles)
+        assert BlockKind.G_CNOT_G.unitaries(factors).dtype == np.complex128
+        assert BlockKind.G_CNOT_G.angle_generators(factors).dtype == np.complex128
 
 
 _REFERENCE_ROTATION = {"y": rotation_y, "z": rotation_z}
@@ -201,11 +204,12 @@ class TestBlockStacks:
     @given(angle_stacks())
     def test_every_slice_matches_the_per_block_reference(self, case):
         kind, angles = case
-        lead, w = angles.shape[:-1], kind.angles_per_block
-        rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
+        lead, w, factors = angles.shape[:-1], kind.angles_per_block, kind._factors(angles)
+        rotations, unitaries = kind.rotations(factors), kind.unitaries(factors)
+        assert factors.shape == lead + (4, len(kind.axes), 2, 2)
         assert rotations.shape == lead + (4, 2, 2)
         assert unitaries.shape == lead + (4, 4)
-        assert kind.angle_generators(angles).shape == lead + (4, len(kind.axes), 2, 2)
+        assert kind.angle_generators(factors).shape == lead + (4, len(kind.axes), 2, 2)
         for idx in np.ndindex(lead):
             ref_rotations, ref_unitary = _reference_block(kind, angles[idx])
             assert np.array_equal(rotations[idx], np.array(ref_rotations))
@@ -218,13 +222,16 @@ class TestBlockStacks:
     @given(angle_stacks())
     def test_every_slice_matches_the_single_block_call(self, case):
         kind, angles = case
-        rotations, unitaries = kind.rotations(angles), kind.unitaries(angles)
-        generators = kind.angle_generators(angles)
+        factors = kind._factors(angles)
+        rotations, unitaries = kind.rotations(factors), kind.unitaries(factors)
+        generators = kind.angle_generators(factors)
         for idx in np.ndindex(angles.shape[:-1]):
-            assert np.array_equal(rotations[idx], kind.rotations(angles[idx]))
-            assert np.array_equal(unitaries[idx], kind.unitaries(angles[idx]))
+            own = kind._factors(angles[idx])
+            assert np.array_equal(factors[idx], own)
+            assert np.array_equal(rotations[idx], kind.rotations(own))
+            assert np.array_equal(unitaries[idx], kind.unitaries(own))
             assert np.array_equal(unitaries[idx], block_unitary(kind, angles[idx]))
-            assert np.array_equal(generators[idx], kind.angle_generators(angles[idx]))
+            assert np.array_equal(generators[idx], kind.angle_generators(own))
 
 
 @st.composite

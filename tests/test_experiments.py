@@ -55,7 +55,7 @@ from vqse.qmath import (
     fidelity_pure,
     purity,
 )
-from vqse.solver import readout
+from vqse.solver import read_estimate, readout
 
 from reference import (
     basis_density_matrix,
@@ -658,6 +658,20 @@ class TestFactorization:
         assert f(1.0) == 0.0 and evaluations == 4
         assert 0 < 1.0 - h_star <= 4 * np.spacing(1.0)
 
+    def test_crossing_ends_read_the_grid_levels(self, monkeypatch):
+        # the scan solved both sectors' levels at the grid ends, so of the four evaluations of
+        # E_a - E_b only the two inward steps solve, one eigvalsh per sector: 4 calls, not 8
+        solved, search, eigvalsh = [], _bisect_sign_change, np.linalg.eigvalsh
+
+        def counted(f, lo, hi):
+            with mock.patch.object(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a)):
+                return search(f, lo, hi)
+
+        monkeypatch.setattr(experiments, "_bisect_sign_change", counted)
+        h_star = locate_factorization(dataclasses.replace(AFM_RING), [0.9, 1.0, 1.1])
+        assert len(solved) == 4
+        assert h_star.hex() == "0x1.ffffffffffffep-1"  # the kept levels change no bit of h*
+
     @settings(max_examples=50)
     @given(root=st.floats(0.1, 1.0), power=st.sampled_from([1, 3]), lo=st.floats(-1.0, 0.1))
     def test_sign_change_of_a_monotone_function_is_found_exactly(self, root, power, lo):
@@ -941,7 +955,7 @@ class TestFusedRepreparation:
         want = noise.superoperators[2] @ real(np.kron(CNOT, CNOT.conj()), 2)
         assert np.array_equal(ent, want)
 
-    def test_one_baseline_circuit_per_chunk_and_one_walk_per_row(self, monkeypatch):
+    def test_one_baseline_circuit_per_chunk_and_one_walk_per_update_interval(self, monkeypatch):
         # the chunks of jobs = 2 run in process here, so the calls can be counted
         monkeypatch.setattr(experiments, "_parallel_map", lambda fn, tasks, jobs: [fn(*task) for task in tasks])
         circuits, walks = [], []
@@ -952,8 +966,33 @@ class TestFusedRepreparation:
         loop = LoopConfig(layers=1, kind=BlockKind.G_CNOT_G, n_max=6, s=3)
         results = w_state_mitigation_runs(SHIPPED_NOISE, loop, runs=3, seed=4, jobs=2)
         assert len(circuits) == 2  # the baseline preparation, once in each chunk of runs [0, 1] and [2]
-        assert walks == [2] * 7 + [1] * 7  # one per row of each chunk, over the chunk's runs
+        # per chunk: row 0, then rows 1-3 and 4-6 (k % s == 0 at 3 and 6), each over the chunk's runs
+        assert walks == [2, 6, 6, 1, 3, 3]
         assert [[row.iteration for row in r.rows] for r in results] == [list(range(7))] * 3
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("s", [1, 6])
+    def test_rows_match_one_walk_per_run_and_row(self, monkeypatch, kind, s):
+        # the interval walk's fidelities are bitwise those of re-preparing each run's row
+        # alone, from that row's theta and top bitstring
+        seen, train = {}, experiments.optimize_runs
+
+        def spy(rho, ansatze, cost, schedule, optimizer, rngs, callback):
+            def hook(run, k, t, current, cost_value, transformed):
+                z = int(read_estimate(transformed, 1).bitstrings[0], 2)
+                seen[run, k] = (current, z)
+                callback(run, k, t, current, cost_value, transformed)
+            return train(rho, ansatze, cost, schedule, optimizer, rngs, hook)
+
+        monkeypatch.setattr(experiments, "optimize_runs", spy)
+        loop = LoopConfig(layers=2, kind=kind, n_max=6, s=s)
+        results = w_state_mitigation_runs(SHIPPED_NOISE, loop, runs=3, seed=8)
+        assert len(seen) == 3 * 7
+        for i, res in enumerate(results):
+            assert [row.iteration for row in res.rows] == list(range(7))
+            for row in res.rows:
+                a, z = seen[i, row.iteration]
+                assert experiments._reprepared_fidelities([a], [z], SHIPPED_NOISE, w_state()) == [row.fidelity_sigma]
 
 
 class TestWStateMitigation:

@@ -244,11 +244,12 @@ class TestLockstepSampledGradient:
         ansatze = [LayeredAnsatz.random(n, layers, kind, seed) for seed in (3, 4)]
         hams = [adaptive_hamiltonian(n, 2), default_local_weights(n, 2)]
         angles = np.stack([a.block_angles for a in ansatze])
-        mats = kind.unitaries(angles)
+        factors = kind._factors(angles)
+        mats = kind.unitaries(factors)
         states = _forward_states(rho.factor(), ansatze[0], mats)
         energies = np.stack([h.energies() for h in hams])
         rngs = [np.random.default_rng(seed) for seed in (5, 6)]
-        got = _gradient(states, ansatze[0], angles, mats, energies, shots, rngs)
+        got = _gradient(states, ansatze[0], angles, factors, mats, energies, shots, rngs)
         for i, (a, h, seed) in enumerate(zip(ansatze, hams, (5, 6))):
             assert np.array_equal(got[i], full_forward_sampled_gradient(rho, a, h, shots, seed))
 
@@ -258,10 +259,11 @@ def lockstep_inputs(kind, runs, rank, n=4, layers=2):
     rho = random_density_matrix(n, rank=rank, seed=21)
     ansatze = [LayeredAnsatz.random(n, layers, kind, seed) for seed in range(30, 30 + runs)]
     angles = np.stack([a.block_angles for a in ansatze])
-    mats = kind.unitaries(angles)
+    factors = kind._factors(angles)
+    mats = kind.unitaries(factors)
     states = _forward_states(rho.factor(), ansatze[0], mats)
     hams = [adaptive_hamiltonian(n, 2), default_local_weights(n, 2)] * runs
-    return states, ansatze[0], angles, mats, np.stack([h.energies() for h in hams[:runs]])
+    return states, ansatze[0], angles, factors, mats, np.stack([h.energies() for h in hams[:runs]])
 
 
 class TestBatchedShiftedCopies:
@@ -294,11 +296,11 @@ class TestBatchedShiftedCopies:
     @pytest.mark.parametrize("runs", [1, 3])
     def test_one_contraction_per_block_for_its_copies(self, monkeypatch, kind, runs):
         # one call per block makes its 2w copies (copies axis first), and B - 1 carry the copies in flight
-        states, a, angles, mats, energies = lockstep_inputs(kind, runs, 2, layers=3)
+        states, a, angles, factors, mats, energies = lockstep_inputs(kind, runs, 2, layers=3)
         calls = []
         real = solver._apply_left
         monkeypatch.setattr(solver, "_apply_left", lambda *args: calls.append(args[1].shape) or real(*args))
-        _gradient(states, a, angles, mats, energies, 100, [np.random.default_rng(i) for i in range(runs)])
+        _gradient(states, a, angles, factors, mats, energies, 100, [np.random.default_rng(i) for i in range(runs)])
         copies = [shape for shape in calls if len(shape) == 4]
         assert len(calls) == 2 * a.n_blocks - 1
         assert copies == [(2 * kind.angles_per_block, runs, 4, 4)] * a.n_blocks
@@ -315,13 +317,16 @@ class TestLockstepExactGradient:
         ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in range(runs)]
         energies = rng.standard_normal((runs, 2**n))
         angles = np.stack([a.block_angles for a in ansatze])
-        mats = kind.unitaries(angles)
+        factors = kind._factors(angles)
+        mats = kind.unitaries(factors)
         states = _forward_states(rho.factor(), ansatze[0], mats)
-        got = _gradient(states, ansatze[0], angles, mats, energies, 0, None)
+        got = _gradient(states, ansatze[0], angles, factors, mats, energies, 0, None)
         for i, a in enumerate(ansatze):
-            own = kind.unitaries(angles[i:i + 1])
+            own_factors = kind._factors(angles[i:i + 1])
+            own = kind.unitaries(own_factors)
             states = _forward_states(rho.factor(), a, own)
-            assert np.array_equal(got[i], _gradient(states, a, angles[i:i + 1], own, energies[i:i + 1], 0, None)[0])
+            own_grad = _gradient(states, a, angles[i:i + 1], own_factors, own, energies[i:i + 1], 0, None)
+            assert np.array_equal(got[i], own_grad[0])
 
 
 @st.composite
@@ -397,7 +402,7 @@ def locals_at_return(fn, *args):
     return value, seen
 
 
-def sampled_probabilities(states, a, angles, mats, energies):
+def sampled_probabilities(states, a, angles, factors, mats, energies):
     """The outcome probabilities p that the sampled `_gradient` hands `sample_counts`, one array per run."""
     seen = []
 
@@ -406,7 +411,7 @@ def sampled_probabilities(states, a, angles, mats, energies):
         return sample_counts(p, shots, rng)
 
     with mock.patch.object(solver, "sample_counts", spy):
-        _gradient(states, a, angles, mats, energies, 16, [np.random.default_rng(1) for _ in energies])
+        _gradient(states, a, angles, factors, mats, energies, 16, [np.random.default_rng(1) for _ in energies])
     return seen
 
 
@@ -437,15 +442,17 @@ class TestRealArithmetic:
         factor, ansatze, cost = case
         a = ansatze[0]
         angles = np.stack([b.block_angles for b in ansatze])
-        mats = a.kind.unitaries(angles)
+        factors = a.kind._factors(angles)
+        mats = a.kind.unitaries(factors)
         energies = np.stack([cost.local.energies(), cost.global_part.energies()])[: len(ansatze)]
         real = _forward_states(factor, a, mats)
         cast = _forward_states(factor.astype(complex), a, mats.astype(complex))
         for r, c in zip(real, cast):
             assert np.abs(r - c).max() <= 1e-12
-        exact = [_gradient(s, a, angles, m, energies, 0, None) for s, m in ((real, mats), (cast, mats.astype(complex)))]
+        inputs = ((real, factors, mats), (cast, factors.astype(complex), mats.astype(complex)))
+        exact = [_gradient(s, a, angles, f, m, energies, 0, None) for s, f, m in inputs]
         assert np.abs(exact[0] - exact[1]).max() <= 1e-12
-        p_real, p_cast = (sampled_probabilities(s, a, angles, mats, energies) for s in (real, cast))
+        p_real, p_cast = (sampled_probabilities(s, a, angles, factors, mats, energies) for s in (real, cast))
         for r, c in zip(p_real, p_cast):
             assert r.dtype == np.float64 and np.abs(r - c).max() <= 1e-12
         schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
@@ -463,13 +470,15 @@ class TestRealArithmetic:
         rho = random_low_rank_state(4, 1, seed=3)
         a = LayeredAnsatz.random(4, 2, kind, 5)
         angles = a.block_angles[None]
-        mats = kind.unitaries(angles)
+        factors = kind._factors(angles)
+        mats = kind.unitaries(factors)
         states = _forward_states(rho.factor(), a, mats)
         assert {s.dtype for s in states[1:]} == {np.dtype(dtype)}
         energies = default_local_weights(4, 2).energies()[None]
-        grad, frame = locals_at_return(solver._adjoint_gradient, states, a, angles, mats, energies)
+        grad, frame = locals_at_return(solver._adjoint_gradient, states, a, factors, mats, energies)
         assert frame["env"].dtype == dtype and grad.dtype == np.float64
-        _, frame = locals_at_return(solver._gradient, states, a, angles, mats, energies, 8, [np.random.default_rng(1)])
+        args = (states, a, angles, factors, mats, energies, 8, [np.random.default_rng(1)])
+        _, frame = locals_at_return(solver._gradient, *args)
         assert frame["wide"].dtype == dtype
         assert apply_ansatz(rho, a).factor().dtype == dtype
         res = optimize(rho, a, cost_config(4, 2, "adaptive"), StepwiseSchedule(2, 1), OptimizerConfig(), 1)
@@ -697,14 +706,14 @@ class TestOptimize:
             calls["walks"] += 1
             return forward_states(*args)
 
-        def counted_unitaries(kind, angles):
-            # a walk's stack is (runs, blocks, w); a shifted stack is (runs, blocks, w, 2, w)
-            calls["shifted stacks" if np.ndim(angles) == 5 else "unitary stacks"] += 1
-            return unitaries(kind, angles)
+        def counted_unitaries(kind, factors):
+            # a walk's factors are (runs, blocks, 4, k, 2, 2); a shifted stack's (runs, blocks, w, 2, 4, k, 2, 2)
+            calls["shifted stacks" if np.ndim(factors) == 8 else "unitary stacks"] += 1
+            return unitaries(kind, factors)
 
-        def counted_generators(kind, angles):
+        def counted_generators(kind, factors):
             calls["generator stacks"] += 1
-            return angle_generators(kind, angles)
+            return angle_generators(kind, factors)
 
         forward_states = vqse.solver._forward_states
         monkeypatch.setattr(vqse.solver, "_forward_states", walks)
@@ -720,6 +729,48 @@ class TestOptimize:
         assert calls["unitary stacks"] == n_max + 1
         assert calls["generator stacks"] == (n_max if shots == 0 else 0)
         assert calls["shifted stacks"] == (n_max if shots else 0)
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_factors_formed_once_per_step(self, monkeypatch, kind, shots):
+        # the walk's block unitaries and the exact gradient's generators read one stack of
+        # rotation factors per step; the sampled gradient adds its shifted copies' stack
+        stacks, factors = [], BlockKind._factors
+        monkeypatch.setattr(BlockKind, "_factors", lambda self, angles: stacks.append(np.ndim(angles)) or factors(self, angles))
+        rho = random_density_matrix(3, seed=4)
+        rng = np.random.default_rng(2)
+        a = LayeredAnsatz.random(3, 2, kind, rng)
+        n_max = 10
+        optimize(rho, a, cost_config(3, 2, "adaptive", shots), StepwiseSchedule(n_max, 5), OptimizerConfig(), rng)
+        assert stacks.count(3) == n_max + 1  # (runs, blocks, w) angles: one stack per walk
+        assert stacks.count(5) == (n_max if shots else 0)  # (runs, blocks, w, 2, w): the shifted copies
+        assert len(stacks) == n_max + 1 + (n_max if shots else 0)
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_exact_gradient_matches_generators_built_from_its_angles(self, monkeypatch, kind, runs):
+        # each step's gradient reads the factors its walk formed: it is bitwise the gradient of
+        # each run alone, with blocks and generators built afresh from that step's angles
+        steps, gradient = [], solver._gradient
+
+        def spy(states, a, angles, factors, mats, energies, shots, rngs):
+            grad = gradient(states, a, angles, factors, mats, energies, shots, rngs)
+            steps.append((a, angles.copy(), energies.copy(), grad))
+            return grad
+
+        monkeypatch.setattr(solver, "_gradient", spy)
+        rho = random_density_matrix(3, rank=2, seed=7)
+        ansatze = [LayeredAnsatz.random(3, 2, kind, seed) for seed in range(runs)]
+        optimize_runs(rho, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(6, 3), OptimizerConfig(),
+                      list(range(runs)))
+        assert len(steps) == 6
+        for a, angles, energies, grad in steps:
+            for i in range(runs):
+                own = kind._factors(angles[i:i + 1])
+                mats = kind.unitaries(own)
+                states = _forward_states(rho.factor(), a, mats)
+                want = solver._adjoint_gradient(states, a, own, mats, energies[i:i + 1])
+                assert np.array_equal(grad[i], want[0])
 
     def test_returns_final_transformed_state(self):
         rho = random_density_matrix(3, seed=4)
