@@ -118,14 +118,19 @@ class BlockKind(Enum):
         so dB/dtheta is B (Q on the wire), Q = U^dag g_i U with U = F_{i-1} ... F_0,
         for a pre rotation and (Q on the wire) B, Q = V g_i V^dag with
         V = F_{k-1} ... F_{i+1}, for a post one.  The end factor's Q is g itself,
-        so one-axis blocks (k = 1) read only the factors' shape.
+        so one-axis blocks (k = 1) read only the factors' shape.  The k - 1 Us (Vs) are
+        formed cumulatively and conjugate their generators in one stacked product.
         """
         k, lead = len(self.axes), factors.shape[:-4]
         out = np.broadcast_to(np.stack([_GENERATOR[ax] for ax in self.axes]), lead + (4, k, 2, 2)).copy()
-        for i in range(1, k):  # conjugate g_i in place; the end factor keeps g
-            u, v = _chain(factors[..., :2, :i, :, :]), _chain(factors[..., 2:, k - i:, :, :])
-            out[..., :2, i, :, :] = u.conj().swapaxes(-1, -2) @ out[..., :2, i, :, :] @ u
-            out[..., 2:, -1 - i, :, :] = v @ out[..., 2:, -1 - i, :, :] @ v.conj().swapaxes(-1, -2)
+        if k > 1:
+            u, v = [factors[..., :2, 0, :, :]], [factors[..., 2:, -1, :, :]]
+            for i in range(1, k - 1):  # U_{i+1} = F_i U_i and V_{i+1} = V_i F_{k-1-i}
+                u.append(factors[..., :2, i, :, :] @ u[-1])
+                v.append(v[-1] @ factors[..., 2:, -1 - i, :, :])
+            u, v = np.stack(u, axis=-3), np.stack(v[::-1], axis=-3)
+            out[..., :2, 1:, :, :] = u.conj().swapaxes(-1, -2) @ out[..., :2, 1:, :, :] @ u
+            out[..., 2:, :-1, :, :] = v @ out[..., 2:, :-1, :, :] @ v.conj().swapaxes(-1, -2)
         return out
 
     @classmethod

@@ -13,8 +13,9 @@
 
 All randomness flows from explicit seeds; per-run generators are derived via
 numpy SeedSequence spawning so results are independent of execution order.
-The runs of an experiment (or of one field point) train in lockstep
-(`solver.optimize_runs`); with jobs > 1 each worker takes a contiguous chunk.
+The runs of an experiment train in lockstep (`solver.optimize_runs`), every
+field point's runs of an XY sweep in one batch, each run on its own point's
+reduced state; with jobs > 1 each worker takes a contiguous chunk of the runs.
 """
 
 from __future__ import annotations
@@ -152,12 +153,13 @@ class LoopConfig:
     def schedule(self) -> StepwiseSchedule:
         return StepwiseSchedule(self.n_max, self.s)
 
-    def train(self, rho: DensityMatrix, m: int, seeds, callback=None) -> list[OptimizeResult]:
-        """One run per seed, from random angles drawn from its own generator, trained in lockstep."""
+    def train(self, m: int, runs: Sequence[tuple[DensityMatrix, object]], callback=None) -> list[OptimizeResult]:
+        """One run per (state, seed) pair, from random angles drawn from the seed's generator, trained in lockstep."""
+        states, seeds = zip(*runs)
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        ansatze = [LayeredAnsatz.random(rho.n, self.layers, self.kind, rng) for rng in rngs]
-        cost = self.cost_config(rho.n, m)
-        return optimize_runs(rho, ansatze, cost, self.schedule(), self.optimizer, rngs, callback)
+        ansatze = [LayeredAnsatz.random(states[0].n, self.layers, self.kind, rng) for rng in rngs]
+        cost = self.cost_config(states[0].n, m)
+        return optimize_runs(states, ansatze, cost, self.schedule(), self.optimizer, rngs, callback)
 
     def cost_config(self, n: int, m: int) -> CostConfig:
         local = default_local_weights(n, m, r1=self.r1, delta=self.delta)
@@ -574,7 +576,7 @@ class PcaResult:
 
 def _eigensolver_runs(rho: DensityMatrix, m: int, loop: LoopConfig, pur: float, indexed_seeds) -> list[PcaRun]:
     """Training runs on rho (of purity `pur`) in lockstep, one per (run index, seed) pair, with their reports."""
-    results = loop.train(rho, m, [child for _, child in indexed_seeds])
+    results = loop.train(m, [(rho, child) for _, child in indexed_seeds])
     runs = []
     for (i, _), res in zip(indexed_seeds, results):
         levels = tuple(e for e, _ in lowest_levels(res.final_hamiltonian, m + 1))
@@ -656,18 +658,16 @@ class SweepPoint(NamedTuple):
 
 def xy_sweep_point(h: float, reduced: DensityMatrix, m: int, loop: LoopConfig, runs: int, seed: int) -> SweepPoint:
     """Best-of-`runs` estimate of the top-m spectrum of the reduced state at field h, runs trained in lockstep."""
-    exact = reduced.eigenvalues()
-    results = loop.train(reduced, m, np.random.SeedSequence(seed).spawn(runs))
-    best = min(results, key=lambda res: res.trace[-1].cost)  # the first of equals
+    pairs = [(reduced, child) for child in np.random.SeedSequence(seed).spawn(runs)]
+    return _best_of_runs(h, reduced, m, loop.train(m, pairs))
+
+
+def _best_of_runs(h: float, reduced: DensityMatrix, m: int, results: Sequence[OptimizeResult]) -> SweepPoint:
+    """The sweep point of field h from its runs: the one of lowest final cost (the first of equals)."""
+    exact, best = reduced.eigenvalues(), min(results, key=lambda res: res.trace[-1].cost)
     errs = eigen_errors(exact, best.estimate.lambdas, m)
-    return SweepPoint(
-        h=h,
-        exact_lambdas=tuple(float(x) for x in exact[:m]),
-        est_lambdas=tuple(float(x) for x in best.estimate.lambdas),
-        eps_abs=float(errs.eps_lambda),
-        eps_rel=float(errs.eps_rel),
-        best_cost=best.trace[-1].cost,
-    )
+    return SweepPoint(h, tuple(float(x) for x in exact[:m]), tuple(float(x) for x in best.estimate.lambdas),
+                      float(errs.eps_lambda), float(errs.eps_rel), best.trace[-1].cost)
 
 
 def xy_spectroscopy_sweep(
@@ -679,12 +679,18 @@ def xy_spectroscopy_sweep(
     seed: int,
     jobs: int = 1,
 ) -> list[SweepPoint]:
-    """The field sweep, per-point seeds: each reduced state is solved here, on the chain's line; workers get states."""
-    tasks = []
-    for j, h in enumerate(h_grid):
+    """The field sweep: each field's `xy_sweep_point`, all (field, run) pairs trained in one lockstep batch.
+
+    Point j's runs take the seeds `xy_sweep_point` spawns from (seed, j); the reduced states are
+    solved here, and `jobs` workers train contiguous chunks of the pairs, so points do not depend on it.
+    """
+    reduced, pairs = [xy_ground_reduced(spec, h)[0] for h in h_grid], []
+    for j, state in enumerate(reduced):
         point_seed = int(np.random.SeedSequence((seed, j)).generate_state(1)[0])
-        tasks.append((float(h), xy_ground_reduced(spec, h)[0], m, loop, runs, point_seed))
-    return _parallel_map(xy_sweep_point, tasks, jobs)
+        pairs += [(state, child) for child in np.random.SeedSequence(point_seed).spawn(runs)]
+    results = _in_chunks(loop.train, (m,), pairs, jobs)
+    return [_best_of_runs(float(h), state, m, results[j * runs : (j + 1) * runs])
+            for j, (h, state) in enumerate(zip(h_grid, reduced))]
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +830,7 @@ def _w_state_runs(noise: NoiseSpec, loop: LoopConfig, seeds) -> list[WStateResul
             held.clear()
 
     out = []
-    for res, run_rows in zip(loop.train(rho, 1, seeds, on_iteration), rows):
+    for res, run_rows in zip(loop.train(1, [(rho, seed) for seed in seeds], on_iteration), rows):
         learned = prepare_eigenvector(res.ansatz, res.estimate.bitstrings[0])
         out.append(WStateResult(
             baseline_fidelity=baseline,
@@ -852,10 +858,10 @@ def w_state_mitigation_runs(
     return _in_chunks(_w_state_runs, (noise, loop), np.random.SeedSequence(seed).spawn(runs), jobs)
 
 
-def _in_chunks(fn, args: tuple, seeds: list, jobs: int) -> list:
-    """fn(*args, chunk) on `jobs` contiguous chunks of `seeds`, the results joined in order."""
-    size = max(1, -(-len(seeds) // max(1, jobs)))
-    chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+def _in_chunks(fn, args: tuple, items: list, jobs: int) -> list:
+    """fn(*args, chunk) on `jobs` contiguous chunks of `items`, the results joined in order."""
+    size = max(1, -(-len(items) // max(1, jobs)))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     return [out for part in _parallel_map(fn, [args + (chunk,) for chunk in chunks], jobs) for out in part]
 
 

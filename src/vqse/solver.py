@@ -162,8 +162,8 @@ def _gradient(states, a: LayeredAnsatz, angles, factors, mats, energies: np.ndar
 
     `a` gives the circuit's shape; run i has block angles angles[i] (B, w),
     their rotation factors factors[i] (`BlockKind._factors`, which the exact
-    path reads), block matrices mats[i], forward states psi_b[i] (psi_0 = A is
-    shared), energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
+    path reads), block matrices mats[i], forward states psi_b[i] (psi_0 = A may be
+    one factor for all), energies[i] and, with shots > 0, the generator rngs[i].  Then each run's
     shifted circuits are column groups of one wide array, in angle order with
     + before -: at block b the copies in flight get B_b in one contraction,
     and the 2w copies of psi_b shifted at block b, made in one more, join
@@ -309,11 +309,11 @@ def optimize(
     `callback(k, t, ansatz, cost_value, transformed)` fires after every row.
     """
     hook = None if callback is None else (lambda run, *row: callback(*row))
-    return optimize_runs(rho, [a], cost, schedule, optimizer, [rng], hook)[0]
+    return optimize_runs([rho], [a], cost, schedule, optimizer, [rng], hook)[0]
 
 
 def optimize_runs(
-    rho: DensityMatrix,
+    states: Sequence[DensityMatrix],
     ansatze: Sequence[LayeredAnsatz],
     cost: CostConfig,
     schedule: StepwiseSchedule,
@@ -321,21 +321,22 @@ def optimize_runs(
     rngs: Sequence,
     callback=None,
 ) -> list[OptimizeResult]:
-    """Train R runs on one state in lockstep; return each run's parameters and trace.
+    """Train R runs in lockstep, run i on states[i]; return each run's parameters and trace.
 
-    The runs share the circuit's shape and differ in their starting angles
-    (ansatze[i].theta) and generators (rngs[i], a seed or a Generator, drawn
-    from with shots > 0 in the same order as a run of its own).  Each run's
-    results are those of training it alone; only the numpy calls are shared.
+    The runs share the circuit's shape and differ in their states (one n and one
+    factor width r), starting angles (ansatze[i].theta) and generators (rngs[i],
+    a seed or a Generator, drawn from with shots > 0 in the same order as a run
+    of its own).  Each run's results are those of training it alone.
 
     Trace rows hold the cost after each step under the run's Hamiltonian in
     force, plus the oracle eigenvalue errors eps_abs / eps_rel of the current
-    top-m diagonal against the exact spectrum `rho.eigenvalues()`.  Row 0
+    top-m diagonal against the exact spectrum of the run's own state, one
+    `eigen_errors` call per group of consecutive runs on one state.  Row 0
     records the starting point.  A NaN cost aborts the training.
 
     Each step forms every run's rotation factors once, which its block matrices
     (one (R, B, 4, 4) stack) and the exact gradient's angle generators read, and
-    walks the factor once for all runs; the walk yields each run's
+    walks the (R, 2^n, r) stack of factors once; the walk yields each run's
     transformed state V A (so V rho V^dag), which serves its trace row, its
     adaptive update, and the next step's gradient at the same theta.  The
     last one gives each run's final estimate and is returned as `transformed`.
@@ -346,7 +347,13 @@ def optimize_runs(
     if not ansatze or len(rngs) != len(ansatze) or len({(b.n, b.layers, b.kind) for b in ansatze}) > 1:
         raise ValueError("lockstep runs need one generator each and circuits of one shape")
     a, runs, m = ansatze[0], len(ansatze), cost.m
-    factor, lam_exact = rho.factor(), rho.eigenvalues()
+    widths = {s.factor().shape[-1] for s in states}
+    for name, got in (("state, run counts", {len(states), runs}), ("n", {s.n for s in states}), ("widths", widths)):
+        if len(got) > 1:
+            raise ValueError(f"lockstep runs need one state each, of one n and width r; got {name} {sorted(got)}")
+    factor = np.stack([s.factor() for s in states])
+    starts = [i for i in range(runs) if i == 0 or states[i] is not states[i - 1]]
+    groups = [(lo, hi, states[lo].eigenvalues()) for lo, hi in zip(starts, starts[1:] + [runs])]
     # f(0) = 0: the adaptive loop starts from the local Hamiltonian
     hams: list[Hamiltonian] = [cost.global_part if cost.variant == "global" else cost.local] * runs
     energies = np.tile(hams[0].energies(), (runs, 1))  # row i re-read only when run i's H changes
@@ -365,10 +372,12 @@ def optimize_runs(
         if np.isnan(costs).any():
             raise FloatingPointError(f"cost became NaN at iteration {k}")
         # read_estimate's top m, for every run at once
-        top = np.take_along_axis(diag, np.argsort(-diag, axis=-1, kind="stable")[:, :m], axis=-1)
-        eps_abs, eps_rel, _ = eigen_errors(lam_exact, np.clip(top, 0.0, 1.0), m)
+        top = np.clip(np.take_along_axis(diag, np.argsort(-diag, axis=-1, kind="stable")[:, :m], axis=-1), 0.0, 1.0)
+        eps = np.empty((2, runs))  # eps_abs, eps_rel
+        for lo, hi, lam in groups:
+            eps[0, lo:hi], eps[1, lo:hi], _ = eigen_errors(lam, top[lo:hi], m)
         for i in range(runs):
-            traces[i].append(TracePoint(k, t, float(costs[i]), float(eps_abs[i]), float(eps_rel[i])))
+            traces[i].append(TracePoint(k, t, float(costs[i]), float(eps[0, i]), float(eps[1, i])))
             if callback is not None:
                 current = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
                 callback(i, k, t, current, float(costs[i]), DensityMatrix(factor=psi[i], validate=False))

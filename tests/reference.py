@@ -14,7 +14,9 @@ gate-by-gate oracle (with `run_circuit`) of the fused noisy re-preparation;
 `product_seeking_vector_svd` is the degenerate-level pick scored by an SVD of
 each mixed vector, the oracle of the pencil scan; `sampled_gradient_per_copy`
 is the sampled gradient making each shifted copy of a block in its own
-`_apply_left` call, the oracle of the one contraction per block.
+`_apply_left` call, the oracle of the one contraction per block;
+`angle_generators_per_angle` conjugates each angle's generator by its own
+`_chain` product, the oracle of `BlockKind.angle_generators`' stacked products.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from vqse.ansatz import prepare_eigenvector
+from vqse.ansatz import _GENERATOR, _chain, prepare_eigenvector
 from vqse.experiments import (
     FIELD_HALVINGS,
     FactorizationNotFound,
@@ -180,3 +182,21 @@ def sampled_gradient_per_copy(states, a, angles, factors, mats, energies, shots,
     counts = np.stack([sample_counts(q, shots, rng) for rng, q in zip(rngs, p)])
     val = (counts[:, :, None, :] @ energies[:, None, :, None]).reshape(runs, -1) / shots
     return 0.5 * (val[:, 0::2] - val[:, 1::2])
+
+
+def angle_generators_per_angle(kind, factors):
+    """`kind.angle_generators(factors)` with angle i's Q built alone: U^dag g_i U, U = `_chain` of
+    F_{i-1} ... F_0, on the pre rotations and V g_i V^dag, V = `_chain` of F_{k-1} ... F_{i+1}, on the post ones."""
+    k = len(kind.axes)
+    out = np.empty(factors.shape, dtype=np.result_type(factors, *(_GENERATOR[ax] for ax in kind.axes)))
+    for q in range(4):
+        for i, ax in enumerate(kind.axes):
+            g = np.broadcast_to(_GENERATOR[ax], factors.shape[:-4] + (2, 2))
+            if q < 2 and i > 0:
+                u = _chain(factors[..., q, :i, :, :])
+                g = u.conj().swapaxes(-1, -2) @ g @ u
+            elif q >= 2 and i < k - 1:
+                v = _chain(factors[..., q, i + 1:, :, :])
+                g = v @ g @ v.conj().swapaxes(-1, -2)
+            out[..., q, i, :, :] = g
+    return out

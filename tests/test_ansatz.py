@@ -20,7 +20,13 @@ from vqse.ansatz import (
 )
 from vqse.qmath import DensityMatrix, fidelity_pure
 
-from reference import basis_density_matrix, dense_circuit, mix_special_angles, random_density_matrix
+from reference import (
+    angle_generators_per_angle,
+    basis_density_matrix,
+    dense_circuit,
+    mix_special_angles,
+    random_density_matrix,
+)
 
 
 class TestStructure:
@@ -217,6 +223,16 @@ class TestBlockStacks:
             for j in range(w):
                 derived = _reference_block(kind, angles[idx], j)[1]
                 assert np.abs(generator_derivative(kind, angles[idx], j) - derived).max() < 1e-15
+
+    @settings(max_examples=40)
+    @given(angle_stacks())
+    def test_generators_match_the_per_angle_chain_products(self, case):
+        # the cumulative prefix / suffix products and one stacked conjugation per side
+        # are bitwise each angle's own `_chain` conjugation
+        kind, angles = case
+        factors = kind._factors(angles)
+        got, want = kind.angle_generators(factors), angle_generators_per_angle(kind, factors)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @settings(max_examples=40)
     @given(angle_stacks())

@@ -1159,6 +1159,20 @@ class TestXYSweep:
         one = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS, jobs=1)
         two = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS, jobs=2)
         assert one == two
+        # 2 points x 3 runs at jobs = 4: chunks of two (point, run) pairs, so a boundary splits point 0's runs
+        args = {**SWEEP_ARGS, "runs": 3}
+        one = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **args, jobs=1)
+        assert xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **args, jobs=4) == one
+
+    def test_points_match_the_one_point_call(self):
+        # the one batch of every (point, run) pair gives each point exactly what its own
+        # `xy_sweep_point` call gives, from the seed the sweep draws for it
+        points = xy_spectroscopy_sweep(dataclasses.replace(SWEEP_RING), **SWEEP_ARGS)
+        for j, (h, point) in enumerate(zip(SWEEP_ARGS["h_grid"], points)):
+            point_seed = int(np.random.SeedSequence((SWEEP_ARGS["seed"], j)).generate_state(1)[0])
+            reduced, _ = xy_ground_reduced(SWEEP_RING, h)
+            args = (SWEEP_ARGS["m"], SWEEP_ARGS["loop"], SWEEP_ARGS["runs"], point_seed)
+            assert point == xy_sweep_point(h, reduced, *args)
 
     def test_spawned_workers_give_the_same_points(self, tmp_path):
         # a spawned worker inherits nothing: it trains on the reduced state it is handed

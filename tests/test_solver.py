@@ -331,49 +331,77 @@ class TestLockstepExactGradient:
 
 @st.composite
 def lockstep_cases(draw):
-    """R untrained circuits of one shape on a rank-r state, one cost variant, with or without shots."""
+    """R untrained circuits of one shape, each run on one of 1-3 rank-r states of one n (the same
+    state object for runs that share one), one cost variant, with or without shots."""
     n = draw(st.integers(2, 6))
     kind = draw(st.sampled_from(list(BlockKind)))
     layers = draw(st.integers(1, 2))
     rank = draw(st.integers(1, 2**n))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
-    rho = DensityMatrix(factor=factor / np.linalg.norm(factor), validate=False)
-    runs = draw(st.integers(1, 3))
-    ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in range(runs)]
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        factor = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+        states.append(DensityMatrix(factor=factor / np.linalg.norm(factor), validate=False))
+    picks = draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=4))
+    ansatze = [LayeredAnsatz.random(n, layers, kind, rng) for _ in picks]
     variant = draw(st.sampled_from(["local", "global", "adaptive"]))
     shots = draw(st.sampled_from([0, 50]))
     m = draw(st.integers(1, 2))
-    return rho, ansatze, cost_config(n, m, variant, shots), [seed + 1 + i for i in range(runs)]
+    return [states[j] for j in picks], ansatze, cost_config(n, m, variant, shots), [seed + 1 + i for i in picks]
+
+
+def assert_runs_match_each_alone(states, ansatze, cost, seeds):
+    """Train the runs in one batch, run i on states[i]; each run's results are bitwise those of training it alone."""
+    schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
+    lock_rngs = [np.random.default_rng(s) for s in seeds]
+    together = optimize_runs(states, ansatze, cost, schedule, adam, lock_rngs)
+    for rho, a, seed, rng, got in zip(states, ansatze, seeds, lock_rngs, together):
+        solo_rng = np.random.default_rng(seed)
+        want = optimize(rho, a, cost, schedule, adam, solo_rng)
+        assert np.array_equal(got.ansatz.theta, want.ansatz.theta)
+        assert np.array_equal(np.array(got.trace), np.array(want.trace))
+        assert np.array_equal(got.transformed.factor(), want.transformed.factor())
+        assert got.estimate.bitstrings == want.estimate.bitstrings
+        assert np.array_equal(got.estimate.lambdas, want.estimate.lambdas)
+        assert rng.bit_generator.state == solo_rng.bit_generator.state  # the same draws, in the same order
+        assert np.array_equal(got.final_hamiltonian.energies(), want.final_hamiltonian.energies())
 
 
 class TestLockstepProperty:
     @settings(max_examples=60)
     @given(lockstep_cases())
     def test_lockstep_matches_separate_runs(self, case):
-        rho, ansatze, cost, seeds = case
-        schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
-        lock_rngs = [np.random.default_rng(s) for s in seeds]
-        together = optimize_runs(rho, ansatze, cost, schedule, adam, lock_rngs)
-        for a, seed, rng, got in zip(ansatze, seeds, lock_rngs, together):
-            solo_rng = np.random.default_rng(seed)
-            want = optimize(rho, a, cost, schedule, adam, solo_rng)
-            assert np.abs(got.ansatz.theta - want.ansatz.theta).max() <= 1e-12
-            assert np.abs(np.array(got.trace) - np.array(want.trace)).max() <= 1e-12
-            assert np.abs(got.transformed.factor() - want.transformed.factor()).max() <= 1e-12
-            assert got.estimate.bitstrings == want.estimate.bitstrings
-            assert np.abs(got.estimate.lambdas - want.estimate.lambdas).max() <= 1e-12
-            if cost.shots:  # the same draws, in the same order, from each run's generator
-                assert np.array_equal(got.estimate.lambdas, want.estimate.lambdas)
-                assert rng.bit_generator.state == solo_rng.bit_generator.state
-            assert np.array_equal(got.final_hamiltonian.energies(), want.final_hamiltonian.energies())
+        # a run's results do not depend, bitwise, on which other runs and states share its batch
+        assert_runs_match_each_alone(*case)
+
+    @pytest.mark.parametrize("kind", list(BlockKind))
+    @pytest.mark.parametrize("shots", [0, 50])
+    def test_runs_on_three_states_match_each_alone(self, kind, shots):
+        states = [random_low_rank_state(4, 1, seed) for seed in (1, 2, 3)]
+        picks = [0, 1, 1, 2, 0]  # a state's runs need not be consecutive
+        ansatze = [LayeredAnsatz.random(4, 2, kind, 10 + i) for i in range(len(picks))]
+        assert_runs_match_each_alone([states[j] for j in picks], ansatze, cost_config(4, 2, "adaptive", shots),
+                                     [20 + i for i in range(len(picks))])
+
+    def test_refuses_mismatched_states(self):
+        ansatze = [LayeredAnsatz.random(3, 1, BlockKind.RY_CZ, seed) for seed in (1, 2)]
+        full, rank2 = random_density_matrix(3, seed=4), random_density_matrix(3, rank=2, seed=5)
+        cases = (
+            ([full], r"got state, run counts \[1, 2\]"),
+            ([full, rank2, full], r"got state, run counts \[2, 3\]"),
+            ([full, random_density_matrix(2, seed=4)], r"got n \[2, 3\]"),
+            ([full, rank2], r"got widths \[2, 8\]"),
+        )
+        for states, match in cases:
+            with pytest.raises(ValueError, match=match):
+                optimize_runs(states, ansatze, cost_config(3, 2), StepwiseSchedule(2, 1), OptimizerConfig(), [1, 2])
 
     def test_callback_fires_once_per_run_and_row(self):
         rho = random_density_matrix(3, seed=4)
         ansatze = [LayeredAnsatz.random(3, 1, BlockKind.RY_CZ, seed) for seed in (1, 2)]
         rows = []
-        results = optimize_runs(rho, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(4, 2),
+        results = optimize_runs([rho] * 2, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(4, 2),
                                 OptimizerConfig(), [7, 8], callback=lambda run, k, *_: rows.append((run, k)))
         assert rows == [(run, k) for k in range(5) for run in (0, 1)]
         assert [len(r.trace) for r in results] == [5, 5]
@@ -383,7 +411,8 @@ class TestLockstepProperty:
         ansatze = [LayeredAnsatz.random(3, layers, BlockKind.RY_CZ, 1) for layers in (1, 2)]
         for runs, seeds in ((ansatze, [1, 2]), (ansatze[:1], [1, 2]), ([], [])):
             with pytest.raises(ValueError, match="one shape"):
-                optimize_runs(rho, runs, cost_config(3, 2), StepwiseSchedule(2, 1), OptimizerConfig(), seeds)
+                optimize_runs([rho] * len(runs), runs, cost_config(3, 2), StepwiseSchedule(2, 1), OptimizerConfig(),
+                              seeds)
 
 
 def locals_at_return(fn, *args):
@@ -457,7 +486,8 @@ class TestRealArithmetic:
             assert r.dtype == np.float64 and np.abs(r - c).max() <= 1e-12
         schedule, adam = StepwiseSchedule(4, 2), OptimizerConfig(lr=0.1)
         got, want = (
-            optimize_runs(DensityMatrix(factor=f, validate=False), ansatze, cost, schedule, adam, [1] * len(ansatze))
+            optimize_runs([DensityMatrix(factor=f, validate=False)] * len(ansatze), ansatze, cost, schedule, adam,
+                          [1] * len(ansatze))
             for f in (factor, factor.astype(complex))
         )
         for g, w in zip(got, want):
@@ -761,7 +791,7 @@ class TestOptimize:
         monkeypatch.setattr(solver, "_gradient", spy)
         rho = random_density_matrix(3, rank=2, seed=7)
         ansatze = [LayeredAnsatz.random(3, 2, kind, seed) for seed in range(runs)]
-        optimize_runs(rho, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(6, 3), OptimizerConfig(),
+        optimize_runs([rho] * runs, ansatze, cost_config(3, 2, "adaptive"), StepwiseSchedule(6, 3), OptimizerConfig(),
                       list(range(runs)))
         assert len(steps) == 6
         for a, angles, energies, grad in steps:

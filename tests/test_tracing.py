@@ -84,8 +84,8 @@ def test_tracer_counts_forwards_on_pca_and_wstate(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["solver.iterations"] == 8 + 3 * 4  # [xy]: n_max iterations per field
-    # one walk per step, plus the starting point of each run: 25 walks over 20 steps
+    assert metrics["solver.iterations"] == 8 + 4  # [xy]: n_max iterations, every field's runs in one batch
+    # one walk per step, plus the starting point of each batch: 15 walks over 12 steps
     assert 0 < metrics["ansatz.forwards_per_iter"] <= 1.25
     assert metrics["qmath.exact_eigs.calls"] == 0
     assert metrics["hamiltonians.sample_counts.calls"] > 0
