@@ -151,7 +151,7 @@ def brick_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def block_unitary(kind: BlockKind, angles: np.ndarray) -> np.ndarray:
-    """4x4 unitary of one block: the one-block case of `kind.unitaries`."""
+    """Unitaries of blocks of angles (..., angles per block), (..., 4, 4): `kind.unitaries` of their factors."""
     return kind.unitaries(kind._factors(angles))
 
 
@@ -204,10 +204,6 @@ class LayeredAnsatz:
         """theta as a (blocks, angles per block) array."""
         return self.theta.reshape(self.n_blocks, self.kind.angles_per_block)
 
-    def block_matrices(self) -> np.ndarray:
-        """The (blocks, 4, 4) stack of block unitaries."""
-        return self.kind.unitaries(self.kind._factors(self.block_angles))
-
 
 def _forward_states(factor: np.ndarray, a: LayeredAnsatz, mats) -> list[np.ndarray]:
     """The walk psi_0 = A, psi_{b+1} = B_b psi_b over a's block matrices; psi_B = V A.
@@ -228,7 +224,7 @@ def apply_ansatz(rho: DensityMatrix, a: LayeredAnsatz) -> DensityMatrix:
     """
     if rho.n != a.n:
         raise ValueError(f"state has n={rho.n}, ansatz has n={a.n}")
-    factor = _forward_states(rho.factor(), a, a.block_matrices())[-1]
+    factor = _forward_states(rho.factor(), a, block_unitary(a.kind, a.block_angles))[-1]
     return DensityMatrix(factor=factor, validate=False)
 
 
@@ -236,6 +232,6 @@ def prepare_eigenvector(a: LayeredAnsatz, z: str) -> PureState:
     """V^dag(theta) |z>: the circuit that prepares an inferred eigenvector."""
     vec = np.zeros((2**a.n, 1), dtype=complex)
     vec[_bitstring_index(z, a.n)] = 1.0
-    for mat, pair in zip(reversed(a.block_matrices()), reversed(a.block_pairs)):
+    for mat, pair in zip(reversed(block_unitary(a.kind, a.block_angles)), reversed(a.block_pairs)):
         vec = _apply_left(vec, mat.conj().T, pair, a.n)
     return PureState(vec, validate=False)

@@ -7,9 +7,9 @@
   locate the factorizing field where the ground state becomes a product
   state (largest reduced eigenvalue exactly one).
 * Error mitigation of a noisy W-state preparation: train on the noisy output
-  and re-prepare the top eigenvector under the same noise at every row, all
-  runs in one exact fused walk.  The brick circuit that can prepare W (two
-  layers, 4 CNOTs) is deeper than the 3-CNOT preparation.
+  and re-prepare the top eigenvector under the same noise at every row, in one
+  exact fused walk per Hamiltonian-update interval.  The brick circuit that
+  can prepare W (two layers, 4 CNOTs) is deeper than the 3-CNOT preparation.
 
 All randomness flows from explicit seeds; per-run generators are derived via
 numpy SeedSequence spawning so results are independent of execution order.
@@ -48,7 +48,6 @@ from .qmath import (
     PAULI_X,
     _check_gate,
     _check_unitary,
-    _interleaved,
 )
 from .solver import (
     CostConfig,
@@ -93,6 +92,18 @@ class SpinChainSpec:
         return _FieldLine(self)
 
 
+def _interleaved(sup: np.ndarray, k: int) -> np.ndarray:
+    """A k-qubit superoperator (or a stack of them) in qubit-interleaved bit order.
+
+    `kron(K, K*)` orders its bits as the k row bits, then the k column bits;
+    interleaved order is r_0 c_0 r_1 c_1 ..., so each qubit's two bits are
+    adjacent and a per-qubit channel on several qubits is a plain kron.
+    """
+    axes = np.arange(2 * k).reshape(2, k).T.reshape(-1)  # 0, k, 1, k + 1, ...
+    p = np.arange(4**k).reshape((2,) * 2 * k).transpose(axes).reshape(-1)
+    return sup[..., p[:, None], p]
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-gate noise on 1- and 2-qubit gates: depolarizing, then damping on each target."""
@@ -122,15 +133,6 @@ class NoiseSpec:
             sups[k] = functools.reduce(np.kron, [damping] * k) @ depol
             sups[k].flags.writeable = False
         return sups
-
-    @functools.cached_property
-    def entanglers(self) -> dict[BlockKind, np.ndarray]:
-        """S(E) = D_2 kron(E, E*) of each block kind's entangler E, interleaved; built once, read-only."""
-        ents = {}
-        for kind in BlockKind:
-            ents[kind] = self.superoperators[2] @ _interleaved(_kron(kind.entangler, kind.entangler.conj()), 2)
-            ents[kind].flags.writeable = False
-        return ents
 
 
 _NOISELESS = NoiseSpec()
@@ -740,31 +742,27 @@ def run_circuit(n: int, gates: Sequence[Gate], noise: NoiseSpec | None = None) -
     a gate on qubits q..q+k-1 acts on the one run of bits 2q..2q+2k-1, so each
     gate is one `_apply_left` matmul; a gate with unsorted targets is first
     given sorted ones by permuting its qubit axes, which the noise commutes
-    with.  Targets, shapes, arity (1 or 2) and unitarity are checked for the
-    whole list before any gate runs, unitarity as one stacked check per arity.
+    with.  One loop over the list checks each gate's targets, shape, arity
+    (1 or 2) and unitarity and builds its superoperator, before any gate runs.
     """
     noise = noise or _NOISELESS
-    checked = []
+    walk = []
     for g in gates:
         u, targets = _check_gate(g.matrix, g.targets, n)
-        if len(targets) > 2:
+        k = len(targets)
+        if not 1 <= k <= 2:
             raise ValueError(f"gate on targets {targets}: the noise model covers 1- and 2-qubit gates only")
+        _check_unitary(u)
         if list(targets) != sorted(targets):
-            k, order = len(targets), np.argsort(targets)
+            order = np.argsort(targets)
             u = u.reshape((2,) * 2 * k).transpose([*order, *(order + k)]).reshape(u.shape)
             targets = tuple(sorted(targets))
-        checked.append((u, targets))
-    sups = [None] * len(checked)
-    for k in sorted({len(targets) for _, targets in checked}):
-        gate_ids = [i for i, (_, targets) in enumerate(checked) if len(targets) == k]
-        us = np.stack([checked[i][0] for i in gate_ids])
-        _check_unitary(us)
-        for i, s in zip(gate_ids, noise.superoperators[k] @ _interleaved(_kron(us, us.conj()), k)):
-            sups[i] = s
+        bits = tuple(b for t in targets for b in (2 * t, 2 * t + 1))
+        walk.append((noise.superoperators[k] @ _interleaved(_kron(u, u.conj()), k), bits))
     vec = np.zeros((4**n, 1), dtype=complex)
     vec[0] = 1.0
-    for (_, targets), s in zip(checked, sups):
-        vec = qmath._apply_left(vec, s, tuple(b for t in targets for b in (2 * t, 2 * t + 1)), 2 * n)
+    for s, bits in walk:
+        vec = qmath._apply_left(vec, s, bits, 2 * n)
     rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
     return DensityMatrix(vec.reshape((2,) * 2 * n).transpose(rows_then_columns).reshape(2**n, 2**n), validate=False)
 
@@ -775,19 +773,20 @@ def _reprepared_fidelities(ansatze: Sequence[LayeredAnsatz], zs, noise: NoiseSpe
     Exact algebra: gates on different wires commute, so a block dagger's native gates post0^dag,
     post1^dag, E, pre0^dag, pre1^dag, each with its noise, are one 16 x 16 superoperator
     kron(S(pre0^dag), S(pre1^dag)) S(E) kron(S(post0^dag), S(post1^dag)) on the pair's interleaved
-    bits (S(u) = D_k kron(u, u*)), and the noisy X gates of z_i a product start.  One stacked build of
-    the rotations' superoperators; each block's 16 x 16 stack is built just before its one `_apply_left`
-    for all circuits, so only one block's is held; one dot per circuit: no value depends on the batch.
+    bits (S(u) = D_k kron(u, u*)), and the noisy X gates of z_i a product start.  One stacked build of the
+    rotations' superoperators, one of S(E); each block's 16 x 16 stack is built just before its one
+    `_apply_left` for all circuits; one dot per circuit: no value depends on the batch.
     """
-    a, n = ansatze[0], ansatze[0].n
+    a, n, e = ansatze[0], ansatze[0].n, ansatze[0].kind.entangler
     daggers = a.kind.rotations(a.kind._factors([b.block_angles for b in ansatze])).conj().swapaxes(-1, -2)
     _check_unitary(daggers)
     s1 = noise.superoperators[1] @ _kron(daggers, daggers.conj())  # (circuits, blocks, wire rotation, 4, 4)
+    entangler = noise.superoperators[2] @ _interleaved(_kron(e, e.conj()), 2)
     # each qubit starts in |0><0| or, after its noisy X, in D_1 |1><1| (interleaved index 3)
     per_qubit = np.stack([np.eye(4)[0], noise.superoperators[1][:, 3]])[_bit_table(n)[list(zs)]].swapaxes(0, 1)
     vec = functools.reduce(lambda v, w: (v[:, :, None] * w[:, None, :]).reshape(len(zs), -1), per_qubit)[..., None]
     for b, (q, _) in reversed(list(enumerate(a.block_pairs))):
-        block = _kron(s1[:, b, 0], s1[:, b, 1]) @ noise.entanglers[a.kind] @ _kron(s1[:, b, 2], s1[:, b, 3])
+        block = _kron(s1[:, b, 0], s1[:, b, 1]) @ entangler @ _kron(s1[:, b, 2], s1[:, b, 3])
         vec = qmath._apply_left(vec, block, tuple(range(2 * q, 2 * q + 4)), 2 * n)
     outer = np.outer(psi.amplitudes.conj(), psi.amplitudes).reshape((2,) * 2 * n)
     weights = outer.transpose(np.arange(2 * n).reshape(2, n).T.reshape(-1)).reshape(-1)  # interleaved

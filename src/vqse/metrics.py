@@ -73,25 +73,26 @@ class EigenEstimate:
 
 
 class EigenErrors(NamedTuple):
-    eps_lambda: np.ndarray  # the estimates' leading shape: one value per row
+    eps_lambda: np.ndarray  # the broadcast leading shape: one value per row
     eps_rel: np.ndarray
-    n_excluded: int  # relative-error terms dropped because lambda_i ~ 0
+    n_excluded: np.ndarray  # the spectra's leading shape: relative-error terms dropped because lambda_i ~ 0
 
 
 def eigen_errors(exact: np.ndarray, lambdas: np.ndarray, m: int) -> EigenErrors:
     """Absolute and relative eigenvalue errors over the top m estimates.
 
-    `lambdas` is (..., m' >= m), one row per run, and the errors take its leading
-    shape.  Relative-error terms with an exact eigenvalue at numerical zero are
-    excluded from the sum and counted in n_excluded.
+    Spectra `exact` (..., d >= m), descending, and estimates `lambdas` (..., m' >= m),
+    one row per run, broadcast; the errors take the broadcast leading shape.  Relative-error
+    terms with an exact eigenvalue at numerical zero add 0 and are counted in n_excluded.
     """
     exact, lambdas = np.asarray(exact, dtype=float), np.asarray(lambdas, dtype=float)
-    if lambdas.shape[-1] < m or exact.size < m:
+    if lambdas.shape[-1] < m or exact.shape[-1] < m:
         raise ValueError(f"need at least m={m} exact values and estimates")
-    d = exact[:m] - lambdas[..., :m]
-    nz = exact[:m] > ZERO_EIGENVALUE_TOL
-    eps_rel = ((d[..., nz] / exact[:m][nz]) ** 2).sum(axis=-1)
-    return EigenErrors((d**2).sum(axis=-1), eps_rel, int(m - nz.sum()))
+    top = exact[..., :m]
+    d = top - lambdas[..., :m]
+    nz = top > ZERO_EIGENVALUE_TOL
+    eps_rel = ((d / np.where(nz, top, np.inf)) ** 2).sum(axis=-1)
+    return EigenErrors((d**2).sum(axis=-1), eps_rel, m - nz.sum(axis=-1))
 
 
 def eigenvector_error(rho_t: DensityMatrix, est: EigenEstimate) -> float:

@@ -8,10 +8,7 @@ rho = A A^dag, a 2^n x r array; the outcome probabilities are the squared
 row norms of A.  A state built from A alone builds its 2^n x 2^n matrix on
 first read.  Gate and channel application (one superoperator contraction
 each), the partial trace and the exact eigendecomposition (the ground-truth
-oracle for the rest of the package) work on that matrix.  The noisy circuit
-(`experiments.run_circuit`) holds vec(rho) in qubit-interleaved bit order
-instead (`_interleaved`), where a gate fused with its noise is one
-superoperator matmul on a contiguous run of bits.
+oracle for the rest of the package) work on that matrix.
 
 A tolerance check that can meet NaN reads `not err <= TOL`: NaN or infinite
 input fails it, where it would pass `err > TOL`.
@@ -264,13 +261,11 @@ def _apply_left(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: in
 
     Targets q, q+1, ..., q+k-1 in ascending order (every brick pair, every
     single qubit) are one contiguous group of row bits: viewed as
-    (2^q, 2^k, rest), mat takes op as one batched matmul.  When the 2^q
-    batches outnumber the rest (the last pairs of a thin factor), one matmul
-    with the target bits moved to the front is faster than 2^q small ones.
-    On this path mat (..., 2^n, cols) and op (..., 2^k, 2^k) may carry a
-    leading run axis, read from their ndim: run i's op acts on run i's mat,
-    or on the one mat that has no run axis.  Other target sets are
-    contracted by tensordot over the split row axes.
+    (2^q, 2^k, rest), mat takes op as one batched matmul.  On this path mat
+    (..., 2^n, cols) and op (..., 2^k, 2^k) may carry a leading run axis,
+    read from their ndim: run i's op acts on run i's mat, or on the one mat
+    that has no run axis.  Other target sets are contracted by tensordot
+    over the split row axes.
     """
     k = len(targets)
     cols = mat.shape[-1]
@@ -278,10 +273,7 @@ def _apply_left(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: in
     if list(targets) == list(range(q, q + k)):
         runs = max(mat.shape[:-2], op.shape[:-2], key=len)
         view = mat.reshape(mat.shape[:-2] + (2**q, 2**k, -1))
-        if 2**q <= view.shape[-1]:
-            return np.matmul(op[..., None, :, :], view).reshape(runs + (2**n, cols))
-        out = op @ view.swapaxes(-3, -2).reshape(mat.shape[:-2] + (2**k, -1))
-        return out.reshape(runs + (2**k, 2**q, -1)).swapaxes(-3, -2).reshape(runs + (2**n, cols))
+        return np.matmul(op[..., None, :, :], view).reshape(runs + (2**n, cols))
     t = mat.reshape((2,) * n + (cols,))
     op_t = op.reshape((2,) * (2 * k))
     out = np.tensordot(op_t, t, axes=(tuple(range(k, 2 * k)), targets))
@@ -297,18 +289,6 @@ def _conjugate(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int
     """
     doubled = targets + tuple(n + t for t in targets)
     return _apply_left(mat.reshape(-1, 1), op, doubled, 2 * n).reshape(mat.shape)
-
-
-def _interleaved(sup: np.ndarray, k: int) -> np.ndarray:
-    """A k-qubit superoperator (or a stack of them) in qubit-interleaved bit order.
-
-    `kron(K, K*)` orders its bits as the k row bits, then the k column bits;
-    interleaved order is r_0 c_0 r_1 c_1 ..., so each qubit's two bits are
-    adjacent and a per-qubit channel on several qubits is a plain kron.
-    """
-    axes = np.arange(2 * k).reshape(2, k).T.reshape(-1)  # 0, k, 1, k + 1, ...
-    p = np.arange(4**k).reshape((2,) * 2 * k).transpose(axes).reshape(-1)
-    return sup[..., p[:, None], p]
 
 
 def _check_gate(u, targets, n: int) -> tuple[np.ndarray, tuple[int, ...]]:

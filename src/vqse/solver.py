@@ -331,8 +331,8 @@ def optimize_runs(
     Trace rows hold the cost after each step under the run's Hamiltonian in
     force, plus the oracle eigenvalue errors eps_abs / eps_rel of the current
     top-m diagonal against the exact spectrum of the run's own state, one
-    `eigen_errors` call per group of consecutive runs on one state.  Row 0
-    records the starting point.  A NaN cost aborts the training.
+    `eigen_errors` call per row for all runs.  Row 0 records the starting
+    point.  A NaN cost aborts the training.
 
     Each step forms every run's rotation factors once, which its block matrices
     (one (R, B, 4, 4) stack) and the exact gradient's angle generators read, and
@@ -352,8 +352,7 @@ def optimize_runs(
         if len(got) > 1:
             raise ValueError(f"lockstep runs need one state each, of one n and width r; got {name} {sorted(got)}")
     factor = np.stack([s.factor() for s in states])
-    starts = [i for i in range(runs) if i == 0 or states[i] is not states[i - 1]]
-    groups = [(lo, hi, states[lo].eigenvalues()) for lo, hi in zip(starts, starts[1:] + [runs])]
+    spectra = np.stack([s.eigenvalues() for s in states])
     # f(0) = 0: the adaptive loop starts from the local Hamiltonian
     hams: list[Hamiltonian] = [cost.global_part if cost.variant == "global" else cost.local] * runs
     energies = np.tile(hams[0].energies(), (runs, 1))  # row i re-read only when run i's H changes
@@ -373,11 +372,9 @@ def optimize_runs(
             raise FloatingPointError(f"cost became NaN at iteration {k}")
         # read_estimate's top m, for every run at once
         top = np.clip(np.take_along_axis(diag, np.argsort(-diag, axis=-1, kind="stable")[:, :m], axis=-1), 0.0, 1.0)
-        eps = np.empty((2, runs))  # eps_abs, eps_rel
-        for lo, hi, lam in groups:
-            eps[0, lo:hi], eps[1, lo:hi], _ = eigen_errors(lam, top[lo:hi], m)
+        eps_abs, eps_rel, _ = eigen_errors(spectra, top, m)
         for i in range(runs):
-            traces[i].append(TracePoint(k, t, float(costs[i]), float(eps[0, i]), float(eps[1, i])))
+            traces[i].append(TracePoint(k, t, float(costs[i]), float(eps_abs[i]), float(eps_rel[i])))
             if callback is not None:
                 current = LayeredAnsatz(a.n, a.layers, a.kind, theta[i])
                 callback(i, k, t, current, float(costs[i]), DensityMatrix(factor=psi[i], validate=False))

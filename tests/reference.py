@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from vqse.ansatz import _GENERATOR, _chain, prepare_eigenvector
+from vqse.ansatz import _GENERATOR, _chain, block_unitary, prepare_eigenvector
 from vqse.experiments import (
     FIELD_HALVINGS,
     FactorizationNotFound,
@@ -100,7 +100,7 @@ def eigenvector_preparation_gates(a, z):
 def dense_circuit(a):
     """V(theta) as a 2^n x 2^n matrix: kron(I, B_b, I) for each block b, multiplied in circuit order."""
     v = np.eye(2**a.n, dtype=complex)
-    for mat, (q, _) in zip(a.block_matrices(), a.block_pairs):
+    for mat, (q, _) in zip(block_unitary(a.kind, a.block_angles), a.block_pairs):
         v = np.kron(np.kron(np.eye(2**q), mat), np.eye(2 ** (a.n - q - 2))) @ v
     return v
 

@@ -801,12 +801,13 @@ class TestWStateCircuit:
             (Gate(PAULI_X, (3,)), "out of range"),
             (Gate(CNOT, (0,)), "does not match"),
             (Gate(np.eye(8, dtype=complex), (0, 1, 2)), r"targets \(0, 1, 2\)"),
+            (Gate(np.eye(1, dtype=complex), ()), r"targets \(\)"),
             (Gate(np.array([[np.nan, 0], [0, 1]], dtype=complex), (0,)), "not unitary"),
             (Gate(np.diag([1, 1, 1, np.inf]).astype(complex), (1, 2)), "not unitary"),
             (Gate(np.diag([1, -np.inf]).astype(complex), (2,)), "not unitary"),
         ],
         ids=["non-unitary 1q", "non-unitary 2q", "duplicate target", "target out of range", "shape",
-             "three qubits", "NaN 1q", "inf 2q", "-inf 1q"],
+             "three qubits", "no qubit", "NaN 1q", "inf 2q", "-inf 1q"],
     )
     def test_bad_gate_raises(self, monkeypatch, gate, message):
         # the whole list is checked before the first gate runs, whatever the noise
@@ -937,23 +938,6 @@ class TestFusedRepreparation:
         a = LayeredAnsatz(3, 1, BlockKind.RY_CZ, [np.nan] + [0.0] * 7)
         with pytest.raises(ValueError, match="not unitary"):
             experiments._reprepared_fidelities([a], [0], SHIPPED_NOISE, w_state())
-
-    def test_entangler_superoperator_built_once_per_noise_model_and_kind(self, monkeypatch):
-        # S(E) = D_2 kron(E, E*) is the one 16 x 16 interleaving per kind, both built on first use;
-        # the 2-qubit noise is the other
-        interleaved = []
-        real = experiments._interleaved
-        monkeypatch.setattr(experiments, "_interleaved", lambda sup, k: interleaved.append(sup.shape) or real(sup, k))
-        noise = NoiseSpec(p_depol_1q=0.003, p_depol_2q=0.02, gamma_ad=0.004)
-        for kind in BlockKind:
-            w_state_mitigation_runs(noise, LoopConfig(layers=1, kind=kind, n_max=6, s=3), runs=2, seed=5)
-            ansatze = [LayeredAnsatz.random(3, 1, kind, seed) for seed in (1, 2)]
-            experiments._reprepared_fidelities(ansatze, [0, 3], noise, w_state())
-        assert interleaved.count((16, 16)) == 1 + len(BlockKind)
-        ent = noise.entanglers[BlockKind.G_CNOT_G]
-        assert ent is noise.entanglers[BlockKind.G_CNOT_G] and not ent.flags.writeable
-        want = noise.superoperators[2] @ real(np.kron(CNOT, CNOT.conj()), 2)
-        assert np.array_equal(ent, want)
 
     def test_one_baseline_circuit_per_chunk_and_one_walk_per_update_interval(self, monkeypatch):
         # the chunks of jobs = 2 run in process here, so the calls can be counted

@@ -34,6 +34,18 @@ def make_estimate(lambdas, bitstrings, shots=0):
     return EigenEstimate(np.array(lambdas, dtype=float), tuple(bitstrings), shots)
 
 
+@st.composite
+def per_run_spectra(draw):
+    """R descending spectra of length d, each with 0 to m zeros among its top m, and R rows of m' >= m estimates."""
+    runs, d = draw(st.integers(1, 5)), draw(st.integers(1, 16))
+    m = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact = -np.sort(-rng.random((runs, d)), axis=-1)
+    for row, zeros in zip(exact, draw(st.lists(st.integers(0, m), min_size=runs, max_size=runs))):
+        row[m - zeros :] = 0.0
+    return exact, rng.random((runs, draw(st.integers(m, d)))), m
+
+
 class TestEigenErrors:
     def test_perfect_estimates(self):
         est = make_estimate([0.5, 0.3], ["00", "01"])
@@ -68,6 +80,18 @@ class TestEigenErrors:
         for i, j in np.ndindex(2, 3):
             want = eigen_errors(exact, rows[i, j], 4)
             assert got.eps_lambda[i, j] == want.eps_lambda and got.eps_rel[i, j] == want.eps_rel
+
+    @settings(max_examples=100)
+    @given(per_run_spectra())
+    def test_per_run_spectra_match_each_row_alone(self, case):
+        # one spectrum per row, as the training trace passes them for runs on different states
+        exact, rows, m = case
+        got = eigen_errors(exact, rows, m)
+        assert got.eps_lambda.shape == got.eps_rel.shape == got.n_excluded.shape == (len(exact),)
+        for i, (lam, row) in enumerate(zip(exact, rows)):
+            want = eigen_errors(lam, row, m)
+            assert got.eps_lambda[i] == want.eps_lambda and got.eps_rel[i] == want.eps_rel
+            assert got.n_excluded[i] == want.n_excluded == np.count_nonzero(lam[:m] == 0.0)
 
     def test_insufficient_data(self):
         est = make_estimate([0.6], ["00"])

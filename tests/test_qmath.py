@@ -519,9 +519,9 @@ class TestSuperoperator:
 def apply_left_cases(draw):
     """A column stack on n qubits, 1-3 targets and a real or complex operator on them.
 
-    The targets are one ascending run (a matmul, batched or with the target
-    bits moved to the front), the same run descending, or drawn in any order
-    (a tensordot), so every form of `_apply_left` is hit.
+    The targets are one ascending run (a batched matmul), the same run
+    descending, or drawn in any order (a tensordot), so both forms of
+    `_apply_left` are hit.
     """
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, min(3, n)))
@@ -572,7 +572,7 @@ class TestApplyLeft:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-run"])
     def test_copies_axis_matches_one_call_per_copy(self, q, cols, shared):
         # a (C, R, 4, 4) stack, copies before runs, on the pair (q, q + 1) of n = 4 qubits:
-        # q = 0 takes the batched matmul (2^q <= rest), q = 2 with cols < 4 the swapped one;
+        # both take the batched matmul; at q = 2 with cols < 4 its 2^q batches outnumber the rest;
         # the factor is shared, (2^n, cols), or per run, (R, 2^n, cols)
         rng = np.random.default_rng(8 * q + cols)
         n, runs, copies = 4, 3, 5
@@ -585,6 +585,42 @@ class TestApplyLeft:
         if shared:  # with no run axis on the factor, (R, C, 4, 4) reads the same way
             swapped = qmath._apply_left(mat, ops.swapaxes(0, 1), (q, q + 1), n)
             assert np.array_equal(swapped, got.swapaxes(0, 1))
+
+    @pytest.mark.parametrize(
+        "n, cols, runs, q",
+        [(8, 4, None, 6), (10, 4, 2, 8), (12, 1, None, 10)],
+        ids=["n8-r4", "n10-r4-R2", "n12-r1"],
+    )
+    def test_last_pair_of_a_thin_factor(self, n, cols, runs, q):
+        # the pair (n - 2, n - 1): 2^q batches of 4 x cols, many more batches than rows in each
+        rng = np.random.default_rng(n)
+        lead = () if runs is None else (runs,)
+        op = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+        mat = rng.standard_normal(lead + (2**n, cols))
+        got = qmath._apply_left(mat, op, (q, q + 1), n)
+        assert got.shape == lead + (2**n, cols)
+        for i in np.ndindex(lead):
+            if n <= 10:
+                want = embedded(op[i], (q, q + 1), n) @ mat[i]
+            else:  # op on the last two of the split row axes
+                t = mat[i].reshape((2,) * n + (cols,))
+                want = np.einsum("abcd,...cdx->...abx", op[i].reshape(2, 2, 2, 2), t).reshape(2**n, cols)
+            assert np.abs(got[i] - want).max() <= 1e-13
+            if runs is not None:
+                assert np.array_equal(got[i], qmath._apply_left(mat[i], op[i], (q, q + 1), n))
+
+    def test_interleaved_stack_on_bits_two_to_five(self):
+        # the noisy re-preparation's shape: 3 circuits' vec(rho) on 3 qubits (6 interleaved bits),
+        # one 16 x 16 superoperator each on the pair (1, 2), that is bits 2-5
+        rng = np.random.default_rng(3)
+        ops = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+        vec = rng.standard_normal((3, 64, 1)) + 1j * rng.standard_normal((3, 64, 1))
+        targets = (2, 3, 4, 5)
+        got = qmath._apply_left(vec, ops, targets, 6)
+        assert got.shape == (3, 64, 1)
+        for i in range(3):
+            assert np.abs(got[i] - embedded(ops[i], targets, 6) @ vec[i]).max() <= 1e-13
+            assert np.array_equal(got[i], qmath._apply_left(vec[i], ops[i], targets, 6))
 
     def test_no_targets_is_the_identity(self):
         rho = random_density_matrix(2, seed=1)

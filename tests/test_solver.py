@@ -384,6 +384,18 @@ class TestLockstepProperty:
         assert_runs_match_each_alone([states[j] for j in picks], ansatze, cost_config(4, 2, "adaptive", shots),
                                      [20 + i for i in range(len(picks))])
 
+    def test_a_copy_of_the_state_trains_as_the_state(self):
+        # each run reads its own state's spectrum, so equal states need not be one object;
+        # rank 2 with m = 3 puts a zero among the top m
+        rho = random_low_rank_state(3, 1, 6)
+        ansatze = [LayeredAnsatz.random(3, 2, BlockKind.RY_CZ, seed) for seed in (1, 2)]
+        cost, schedule = cost_config(3, 3, "adaptive"), StepwiseSchedule(4, 2)
+        same = optimize_runs([rho, rho], ansatze, cost, schedule, OptimizerConfig(), [5, 6])
+        copied = optimize_runs([rho, DensityMatrix(factor=rho.factor())], ansatze, cost, schedule, OptimizerConfig(),
+                               [5, 6])
+        for want, got in zip(same, copied):
+            assert np.array_equal(np.array(got.trace), np.array(want.trace))
+
     def test_refuses_mismatched_states(self):
         ansatze = [LayeredAnsatz.random(3, 1, BlockKind.RY_CZ, seed) for seed in (1, 2)]
         full, rank2 = random_density_matrix(3, seed=4), random_density_matrix(3, rank=2, seed=5)
